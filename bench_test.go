@@ -25,6 +25,7 @@ import (
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/profile"
+	"fairsched/internal/scenario"
 	"fairsched/internal/sched"
 	"fairsched/internal/sim"
 	"fairsched/internal/sweep"
@@ -54,7 +55,7 @@ func benchSetup(b *testing.B) (*experiments.Results, []*job.Job) {
 			return
 		}
 		benchSweep, benchSweepErr = experiments.RunOn(
-			core.StudyConfig{SystemSize: benchNodes}, benchJobs)
+			core.StudyConfig{SystemSize: benchNodes}, benchJobs, 1)
 	})
 	if benchSweepErr != nil {
 		b.Fatal(benchSweepErr)
@@ -303,7 +304,11 @@ func benchSweepThroughput(b *testing.B, parallel int) {
 	var events int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runs, err := sweep.Runs(core.StudyConfig{SystemSize: benchNodes}, specs, jobs, parallel)
+		runs, err := sweep.Map(parallel, specs,
+			func(s core.Spec) string { return s.Key },
+			func(_ int, s core.Spec) (*core.Run, error) {
+				return core.Execute(core.StudyConfig{SystemSize: benchNodes}, s, jobs)
+			})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,21 +331,23 @@ func BenchmarkSweepThroughputParallelMax(b *testing.B) {
 	benchSweepThroughput(b, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkSweepMatrixSeeds times the (seed × policy) grid fan-out behind
+// BenchmarkSweepMatrixSeeds times the (seed × policy) campaign behind
 // `cmd/experiments -seeds` at full machine width: 3 seeds × 9 policies per
 // iteration.
 func BenchmarkSweepMatrixSeeds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		grid, err := sweep.Matrix{
-			Workload: workload.Config{Scale: 0.1, SystemSize: benchNodes},
-			Study:    core.StudyConfig{SystemSize: benchNodes},
-			Seeds:    []int64{1, 2, 3},
+		cells, err := sweep.Campaign{
+			Sources: []scenario.Source{
+				scenario.Synthetic(workload.Config{Scale: 0.1, SystemSize: benchNodes}),
+			},
+			Study: core.StudyConfig{SystemSize: benchNodes},
+			Seeds: []int64{1, 2, 3},
 		}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(grid) != 3 {
-			b.Fatalf("got %d seed groups", len(grid))
+		if len(cells) != 3 {
+			b.Fatalf("got %d seed cells", len(cells))
 		}
 	}
 }

@@ -22,7 +22,6 @@
 //	experiments -trace ross.swf -trace kth.swf -scenario estimate-perturbed
 //	experiments -scenario 'load=1.5+perturb=3' -window 1w..5w -seeds 3
 //	experiments -policy cplant24.nomax.all -policy 'order=sjf+bf=easy+starve=24h.all'
-//	experiments -policy-parallel ...     # fan the policy axis across workers too
 //	experiments -list-slos               # show the per-user SLO grammar
 //	experiments -scenario slo-tiered     # built-in tiered wait-time SLOs
 //	experiments -slo 'p50:2h,p90:24h,default:96h'   # tag users in every scenario
@@ -83,7 +82,6 @@ func main() {
 		topoSpec  = flag.String("topology", "", "campaign: partition the machine and hang a queue tree (e.g. 'part=a:600,part=b:400,queue=x:part=a,queue=y:part=b:order=sjf'; route users with -scenario 'queue=...'/'partition=...')")
 		partPar   = flag.Int("partition-parallel", 0, "campaign: how many partition event loops run concurrently per cell (needs -topology; report byte-identical at every width)")
 		listSLOs  = flag.Bool("list-slos", false, "list the SLO grammar and built-in SLO scenarios, then exit")
-		polPar    = flag.Bool("policy-parallel", false, "campaign: fan the policy axis out across the worker pool too (wide-registry sweeps over few cells; report stays byte-identical)")
 		listScens = flag.Bool("list-scenarios", false, "list the built-in scenarios and the spec grammar, then exit")
 		listPols  = flag.Bool("list-policies", false, "list the policy registry and the spec grammar, then exit (-markdown: README table)")
 		keepCanc  = flag.Bool("keep-cancelled", false, "keep cancelled (status 5) trace records, the pre-filtering behaviour")
@@ -135,7 +133,7 @@ func main() {
 		fmt.Println("Examples:")
 		fmt.Println("  -scenario 'slo=p50:2h,p90:24h,default:96h'")
 		fmt.Println("  -scenario load-scaled -slo 'p50:2h,default:96h'   (tags every scenario)")
-		fmt.Println("  -scenario slo-tiered -policy-parallel")
+		fmt.Println("  -scenario slo-tiered -policy easy -policy edf")
 		return
 	}
 	if *listScens {
@@ -246,7 +244,7 @@ func main() {
 		}
 		runCampaign(sources, traces, scenarios, policies, *window, *sloSpec, study, convOpts, campaignParams{
 			seed: *seed, seeds: *sweepN, scale: *scale, burstGamma: *burst,
-			systemSize: *nodes, parallel: *parallel, policyParallel: *polPar,
+			systemSize: *nodes, parallel: *parallel,
 		})
 		if *manifest != "" {
 			// CI's cache-determinism step greps this line to assert the
@@ -254,9 +252,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, tracecache.DefaultStats.String())
 		}
 		return
-	}
-	if *polPar {
-		fatal(fmt.Errorf("-policy-parallel only applies to campaign mode (add -trace/-scenario/-policy/-window/-slo)"))
 	}
 
 	t0 := time.Now()
@@ -280,7 +275,7 @@ func main() {
 		// decay at fixed times of day, not at offsets from the first job).
 		study.FairshareEpoch = fairshare.EpochFor(
 			trace.Header.UnixStartTime, study.Fairshare.DecayInterval)
-		res, err = experiments.RunOnParallel(study, jobs, *parallel)
+		res, err = experiments.RunOn(study, jobs, *parallel)
 	} else {
 		res, err = experiments.Run(experiments.Config{
 			Workload: workload.Config{Seed: *seed, Scale: *scale, SystemSize: *nodes, BurstGamma: *burst},
@@ -329,13 +324,12 @@ func main() {
 }
 
 type campaignParams struct {
-	seed           int64
-	seeds          int
-	scale          float64
-	burstGamma     float64
-	systemSize     int
-	parallel       int
-	policyParallel bool
+	seed       int64
+	seeds      int
+	scale      float64
+	burstGamma float64
+	systemSize int
+	parallel   int
 }
 
 // runCampaign assembles and executes the (trace × scenario × seed × policy)
@@ -404,13 +398,12 @@ func runCampaign(sources []scenario.Source, traces, scenSpecs, polSpecs []string
 		nPolicies = len(core.AllSpecs())
 	}
 	cells, err := sweep.Campaign{
-		Sources:        sources,
-		Scenarios:      scens,
-		Seeds:          seeds,
-		Specs:          specs,
-		Study:          study,
-		Parallel:       p.parallel,
-		PolicyParallel: p.policyParallel,
+		Sources:   sources,
+		Scenarios: scens,
+		Seeds:     seeds,
+		Specs:     specs,
+		Study:     study,
+		Parallel:  p.parallel,
 	}.Run()
 	experiments.RenderCampaign(os.Stdout, cells)
 	fmt.Printf("campaign: %d cells × %d policies in %s\n",

@@ -2,8 +2,7 @@
 // claim (the paper's 16 Results-section statements, plus any ad-hoc -spec)
 // expands into one campaign over the union of the claims' scenarios, seeds
 // and policies, and the per-seed verdicts render as a deterministic
-// FINDINGS report — byte-identical at every -parallel setting and in both
-// task-granularity modes.
+// FINDINGS report — byte-identical at every -parallel setting.
 //
 // Usage:
 //
@@ -18,7 +17,9 @@
 //	hypotheses -manifest traces.toml -cache-dir .cache  # trace-scoped claims
 //
 // Exit status: 1 when any tier ≤ 2 claim among those run is REFUTED (its
-// reference seed failed); tier 3 claims are recorded but never gate.
+// reference seed failed), or when any campaign cell failed (the report
+// still renders, with ERROR rows on the seeds that read it); tier 3 claims
+// are recorded but never gate.
 package main
 
 import (
@@ -60,7 +61,6 @@ func main() {
 		burst    = flag.Float64("burst", 0, "synthetic workload burst gamma (default 0.3)")
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		parallel = flag.Int("parallel", 0, "worker pool size (0: one per CPU; 1: serial — output is byte-identical at every setting)")
-		polPar   = flag.Bool("policy-parallel", false, "fan the policy axis across the worker pool too (report stays byte-identical)")
 	)
 	flag.Var(&claimIDs, "claim", "run one registered claim by id (repeatable)")
 	flag.Var(&specTexts, "spec", "run an ad-hoc claim written in the grammar (repeatable)")
@@ -87,8 +87,7 @@ func main() {
 			SystemSize: *nodes,
 			Fairshare:  fairshare.Config{DecayFactor: *decay},
 		},
-		Parallel:       *parallel,
-		PolicyParallel: *polPar,
+		Parallel: *parallel,
 	}
 	if *seedsStr != "" {
 		seeds, err := hypothesis.ParseSeeds(*seedsStr)
@@ -113,7 +112,7 @@ func main() {
 	}
 
 	eval, err := hypothesis.RunCampaign(specs, opt)
-	if err != nil {
+	if eval == nil {
 		fatal(err)
 	}
 	if *markdown {
@@ -121,9 +120,15 @@ func main() {
 	} else {
 		hypothesis.RenderFindings(os.Stdout, eval)
 	}
-	if failed := eval.GateFailed(gateTier); len(failed) > 0 {
+	failed := eval.GateFailed(gateTier)
+	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "hypotheses: %d tier<=%d claim(s) refuted: %s\n",
 			len(failed), gateTier, strings.Join(failed, ", "))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hypotheses:", err)
+	}
+	if len(failed) > 0 || err != nil {
 		os.Exit(1)
 	}
 }

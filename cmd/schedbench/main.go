@@ -439,7 +439,9 @@ func benchPolicy(name string, jobs []*job.Job, repeat int) (policyBench, error) 
 func benchSweep(jobs []*job.Job, parallel int) (sweepBench, error) {
 	specs := core.AllSpecs()
 	t0 := time.Now()
-	runs, err := sweep.Runs(core.StudyConfig{}, specs, jobs, parallel)
+	runs, err := sweep.Map(parallel, specs,
+		func(s core.Spec) string { return s.Key },
+		func(_ int, s core.Spec) (*core.Run, error) { return core.Execute(core.StudyConfig{}, s, jobs) })
 	if err != nil {
 		return sweepBench{}, err
 	}

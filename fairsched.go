@@ -161,7 +161,9 @@ func RunAll(cfg StudyConfig, specs []PolicySpec, jobs []*Job) ([]*StudyRun, erro
 // failed runs' slots in the returned slice are nil. On a non-nil error,
 // check each slot before use.
 func RunAllParallel(cfg StudyConfig, specs []PolicySpec, jobs []*Job, parallel int) ([]*StudyRun, error) {
-	return sweep.Runs(cfg, specs, jobs, parallel)
+	return sweep.Map(parallel, specs,
+		func(s PolicySpec) string { return s.Key },
+		func(_ int, s PolicySpec) (*StudyRun, error) { return core.Execute(cfg, s, jobs) })
 }
 
 // SweepErrors aggregates the per-run failures of a parallel sweep; each
@@ -174,14 +176,14 @@ type SweepRunError = sweep.RunError
 // RunExperiments executes the full nine-policy sweep, from which every
 // table and figure of the paper's evaluation can be rendered.
 func RunExperiments(cfg StudyConfig, jobs []*Job) (*ExperimentResults, error) {
-	return experiments.RunOn(cfg, jobs)
+	return experiments.RunOn(cfg, jobs, 1)
 }
 
 // RunExperimentsParallel is RunExperiments fanned out over the sweep
 // engine's worker pool (parallel <= 0: one worker per CPU). The resulting
 // summaries are byte-identical to the serial sweep's.
 func RunExperimentsParallel(cfg StudyConfig, jobs []*Job, parallel int) (*ExperimentResults, error) {
-	return experiments.RunOnParallel(cfg, jobs, parallel)
+	return experiments.RunOn(cfg, jobs, parallel)
 }
 
 // WriteReport renders a complete experiment sweep (tables, figures,

@@ -21,7 +21,7 @@ func TestIntegrationHeadlineClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.RunOn(core.StudyConfig{SystemSize: 500}, jobs)
+	res, err := experiments.RunOn(core.StudyConfig{SystemSize: 500}, jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIntegrationDeterministicSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := experiments.RunOn(core.StudyConfig{SystemSize: 100}, jobs)
+		res, err := experiments.RunOn(core.StudyConfig{SystemSize: 100}, jobs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,7 +98,7 @@ golden × slo=p50:1m,default:2m,default:1.5x (seed 0) — 4 jobs on 4 nodes
 	}
 }
 
-func sloCampaign(parallel int, policyParallel bool) sweep.Campaign {
+func sloCampaign(parallel int) sweep.Campaign {
 	return sweep.Campaign{
 		Sources: []scenario.Source{
 			scenario.Synthetic(workload.Config{Scale: 0.02, SystemSize: 100}),
@@ -109,11 +109,10 @@ func sloCampaign(parallel int, policyParallel bool) sweep.Campaign {
 			mustBuiltinParse("load=1.3+slo=p50:30m,p90:4h,default:24h"),
 			mustBuiltinParse("slo=p50:1h,p50:8x,user3:15m"),
 		},
-		Seeds:          []int64{42, 43},
-		Specs:          nil, // default nine: exercises the full registry
-		Study:          core.StudyConfig{SystemSize: 100},
-		Parallel:       parallel,
-		PolicyParallel: policyParallel,
+		Seeds:    []int64{42, 43},
+		Specs:    nil, // default nine: exercises the full registry
+		Study:    core.StudyConfig{SystemSize: 100},
+		Parallel: parallel,
 	}
 }
 
@@ -135,13 +134,13 @@ func mustBuiltinParse(spec string) scenario.Scenario {
 
 // TestCampaignSLODeterministicAcrossParallelism: the SLO tables, like the
 // rest of the campaign report, must be byte-identical at every worker
-// count and in both task-granularity modes.
+// count.
 func TestCampaignSLODeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full nine-policy SLO campaign")
 	}
-	render := func(parallel int, policyParallel bool) string {
-		cells, err := sloCampaign(parallel, policyParallel).Run()
+	render := func(parallel int) string {
+		cells, err := sloCampaign(parallel).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,15 +148,12 @@ func TestCampaignSLODeterministicAcrossParallelism(t *testing.T) {
 		experiments.RenderCampaign(&buf, cells)
 		return buf.String()
 	}
-	serial := render(1, false)
+	serial := render(1)
 	if !bytes.Contains([]byte(serial), []byte("SLO attainment")) {
 		t.Fatal("campaign report carries no SLO table")
 	}
-	if parallel := render(8, false); parallel != serial {
-		t.Fatal("cell-mode SLO report differs between -parallel 1 and 8")
-	}
-	if pp := render(8, true); pp != serial {
-		t.Fatal("policy-parallel SLO report differs from cell mode")
+	if parallel := render(8); parallel != serial {
+		t.Fatal("SLO report differs between -parallel 1 and 8")
 	}
 }
 

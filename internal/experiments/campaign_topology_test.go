@@ -15,7 +15,7 @@ import (
 // topoCampaign is a two-partition campaign whose scenario routes the
 // lighter half of the users to fast/org/a and the rest to slow/org/b, with
 // an SLO assignment so the per-queue attainment columns are live.
-func topoCampaign(t *testing.T, parallel, partitionParallel int, policyParallel bool) sweep.Campaign {
+func topoCampaign(t *testing.T, parallel, partitionParallel int) sweep.Campaign {
 	t.Helper()
 	topo, err := topology.Parse("part=fast:100,part=slow:100," +
 		"queue=org/a:part=fast:guar=2,queue=org/b:part=slow")
@@ -34,17 +34,16 @@ func topoCampaign(t *testing.T, parallel, partitionParallel int, policyParallel 
 		Study: core.StudyConfig{
 			SystemSize: 100, Topology: topo, PartitionParallel: partitionParallel,
 		},
-		Parallel:       parallel,
-		PolicyParallel: policyParallel,
+		Parallel: parallel,
 	}
 }
 
 // TestCampaignTopologyDeterministicAcrossParallelism: a multi-partition
 // campaign report must be byte-identical at every per-partition
-// parallelism width, every worker count and in both task granularities.
+// parallelism width and every worker count.
 func TestCampaignTopologyDeterministicAcrossParallelism(t *testing.T) {
-	render := func(parallel, partitionParallel int, policyParallel bool) string {
-		cells, err := topoCampaign(t, parallel, partitionParallel, policyParallel).Run()
+	render := func(parallel, partitionParallel int) string {
+		cells, err := topoCampaign(t, parallel, partitionParallel).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,20 +51,20 @@ func TestCampaignTopologyDeterministicAcrossParallelism(t *testing.T) {
 		experiments.RenderCampaign(&buf, cells)
 		return buf.String()
 	}
-	serial := render(1, 1, false)
+	serial := render(1, 1)
 	for _, probe := range []string{"per-queue", "per-partition", "org/a", "org/b", "SLO attainment"} {
 		if !bytes.Contains([]byte(serial), []byte(probe)) {
 			t.Fatalf("topology campaign report misses %q:\n%s", probe, serial)
 		}
 	}
-	if got := render(1, 8, false); got != serial {
+	if got := render(1, 8); got != serial {
 		t.Fatal("report differs between -partition-parallel 1 and 8")
 	}
-	if got := render(8, 4, false); got != serial {
+	if got := render(8, 4); got != serial {
 		t.Fatal("report differs between -parallel 1 and 8 (partition-parallel 4)")
 	}
-	if got := render(8, 8, true); got != serial {
-		t.Fatal("policy-parallel topology report differs from serial")
+	if got := render(8, 8); got != serial {
+		t.Fatal("report differs between -parallel 1 and 8 (partition-parallel 8)")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fairsched/internal/core"
 	"fairsched/internal/job"
 	"fairsched/internal/metrics"
+	"fairsched/internal/scenario"
 	"fairsched/internal/sweep"
 	"fairsched/internal/workload"
 )
@@ -32,7 +33,6 @@ type Config struct {
 type Results struct {
 	Jobs      []*job.Job
 	ByKey     map[string]*metrics.Summary
-	Runs      []*core.Run
 	MinorKeys []string
 	AllKeys   []string
 }
@@ -47,35 +47,33 @@ func Run(cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return RunOnParallel(cfg.Study, jobs, cfg.Parallel)
+	return RunOn(cfg.Study, jobs, cfg.Parallel)
 }
 
-// RunOn executes all nine policies serially over a supplied workload.
-func RunOn(study core.StudyConfig, jobs []*job.Job) (*Results, error) {
-	return RunOnParallel(study, jobs, 1)
-}
-
-// RunOnParallel executes all nine policies over a supplied workload on at
-// most parallel workers (<= 0: one per CPU). The resulting summaries are
-// identical to a serial run.
-func RunOnParallel(study core.StudyConfig, jobs []*job.Job, parallel int) (*Results, error) {
-	runs, err := sweep.Runs(study, core.AllSpecs(), jobs, parallel)
+// RunOn executes all nine policies over a supplied workload on at most
+// parallel workers (<= 0: one per CPU), as a one-cell campaign. The
+// summaries are identical at every parallelism.
+func RunOn(study core.StudyConfig, jobs []*job.Job, parallel int) (*Results, error) {
+	cells, err := sweep.Campaign{
+		Sources:  []scenario.Source{scenario.Jobs("study", jobs, study.SystemSize)},
+		Study:    study,
+		Parallel: parallel,
+	}.Run()
 	if err != nil {
 		return nil, err
 	}
-	return assemble(jobs, runs), nil
+	return assemble(jobs, cells[0]), nil
 }
 
-// assemble builds a Results from one full policy sweep's runs (spec order).
-func assemble(jobs []*job.Job, runs []*core.Run) *Results {
+// assemble builds a Results from one finished nine-policy cell.
+func assemble(jobs []*job.Job, cell *sweep.CellSummary) *Results {
 	res := &Results{
-		Jobs:  jobs,
-		ByKey: make(map[string]*metrics.Summary, len(runs)),
-		Runs:  runs,
+		Jobs:    jobs,
+		ByKey:   make(map[string]*metrics.Summary, len(cell.Policies)),
+		AllKeys: cell.Policies,
 	}
-	for _, r := range runs {
-		res.ByKey[r.Spec.Key] = r.Summary
-		res.AllKeys = append(res.AllKeys, r.Spec.Key)
+	for i, key := range cell.Policies {
+		res.ByKey[key] = cell.Summaries[i]
 	}
 	for _, s := range core.MinorSpecs() {
 		res.MinorKeys = append(res.MinorKeys, s.Key)

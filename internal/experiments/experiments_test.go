@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"fairsched/internal/core"
 	"fairsched/internal/job"
+	"fairsched/internal/metrics"
+	"fairsched/internal/scenario"
 	"fairsched/internal/workload"
 )
 
@@ -249,6 +252,57 @@ func TestPaperValuesHaveMeasurableCounterparts(t *testing.T) {
 	for _, pv := range PaperValues() {
 		if _, ok := MeasuredFor(res, pv); !ok {
 			t.Errorf("paper value %v has no measured counterpart", pv)
+		}
+	}
+}
+
+// TestRunOnMatchesExecute is the differential check on the study path:
+// at every width, RunOn's one-cell campaign yields, per policy and in spec
+// order, exactly the summary core.Execute produces on its own — including
+// for a study that carries its own user placement (per-queue rows).
+func TestRunOnMatchesExecute(t *testing.T) {
+	jobs, err := workload.Generate(workload.Config{Seed: 7, Scale: 0.05, SystemSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queues, err := scenario.Parse("queue=p50:light,default:heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement, err := queues.Placement(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := core.AllSpecs()
+	for _, cfg := range []core.StudyConfig{
+		{SystemSize: 100},
+		{SystemSize: 100, Placement: placement},
+	} {
+		want := make([]*metrics.Summary, len(specs))
+		for i, spec := range specs {
+			run, err := core.Execute(cfg, spec, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = run.Summary
+		}
+		for _, parallel := range []int{1, 4} {
+			res, err := RunOn(cfg, jobs, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.AllKeys) != len(specs) || len(res.ByKey) != len(specs) {
+				t.Fatalf("width %d: %d keys / %d summaries, want %d", parallel, len(res.AllKeys), len(res.ByKey), len(specs))
+			}
+			for i, spec := range specs {
+				if res.AllKeys[i] != spec.Key {
+					t.Fatalf("width %d: key %d is %s, want %s", parallel, i, res.AllKeys[i], spec.Key)
+				}
+				if got := res.ByKey[spec.Key]; !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("width %d, placement %t: %s diverges from core.Execute:\n got %+v\nwant %+v",
+						parallel, cfg.Placement != nil, spec.Key, got, want[i])
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"fairsched/internal/hypothesis"
+	"fairsched/internal/scenario"
 	"fairsched/internal/sweep"
 )
 
@@ -22,16 +23,12 @@ type ClaimTally struct {
 	Total     int
 }
 
-// SeedSweep runs the full study once per seed and tallies the claims. The
-// workload config's Seed field is overridden per run. Seeds are fanned out
-// on cfg.Parallel workers, one whole seed (trace generation plus all nine
-// policies, serially) per task, and each seed is tallied as it completes —
-// in completion order, which is fine because the tally is commutative
-// per-claim counting. The resulting tally is independent of the
-// parallelism; the per-seed unit keeps a long campaign's memory bounded by
-// the worker count instead of the seed count.
+// SeedSweep runs the full study once per seed and tallies the claims: a
+// campaign over the synthetic source with the seeds as its seed axis (the
+// workload config's Seed field is overridden per cell), fanned out on
+// cfg.Parallel workers. The tally is independent of the parallelism.
 //
-// A failing seed does not void the sweep: its runs are dropped from the
+// A failing seed does not void the sweep: its cell is dropped from the
 // tally (Total counts only fully simulated seeds) and the aggregated error
 // is returned alongside the surviving tally, so a long campaign keeps its
 // results even when one trace diverges.
@@ -41,20 +38,28 @@ func SeedSweep(cfg Config, seeds []int64) ([]ClaimTally, error) {
 	for i, c := range claims {
 		tally[i] = ClaimTally{ID: c.ID, Statement: c.Statement}
 	}
-	err := sweep.Matrix{
-		Workload: cfg.Workload,
-		Study:    cfg.Study,
+	wl := cfg.Workload
+	if wl.SystemSize <= 0 {
+		wl.SystemSize = cfg.Study.SystemSize
+	}
+	cells, err := sweep.Campaign{
+		Sources:  []scenario.Source{scenario.Synthetic(wl)},
 		Seeds:    seeds,
+		Study:    cfg.Study,
 		Parallel: cfg.Parallel,
-	}.RunEach(func(sr sweep.SeedRuns) {
-		resolve := resultsResolver(assemble(sr.Jobs, sr.Runs))
+	}.Run()
+	for _, cell := range cells {
+		if cell == nil {
+			continue // failed seed: excluded from the tally
+		}
+		resolve := resultsResolver(assemble(nil, cell))
 		for i, c := range claims {
 			tally[i].Total++
-			if hypothesis.EvaluateSeed(c, sr.Seed, resolve).Pass {
+			if hypothesis.EvaluateSeed(c, cell.Seed, resolve).Pass {
 				tally[i].Passed++
 			}
 		}
-	})
+	}
 	if err != nil {
 		return tally, fmt.Errorf("experiments: %w", err)
 	}

@@ -2,12 +2,14 @@ package hypothesis_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"fairsched/internal/hypothesis"
 	"fairsched/internal/job"
 	"fairsched/internal/scenario"
+	"fairsched/internal/sweep"
 )
 
 // goldenJobs is the hand-checkable 4-job workload on a 4-node machine (the
@@ -54,11 +56,10 @@ func goldenSpecs(t *testing.T) []hypothesis.Spec {
 	return specs
 }
 
-func goldenOptions(parallel int, policyParallel bool) hypothesis.CampaignOptions {
+func goldenOptions(parallel int) hypothesis.CampaignOptions {
 	return hypothesis.CampaignOptions{
-		Source:         scenario.Jobs("golden", goldenJobs(), 4),
-		Parallel:       parallel,
-		PolicyParallel: policyParallel,
+		Source:   scenario.Jobs("golden", goldenJobs(), 4),
+		Parallel: parallel,
 	}
 }
 
@@ -66,7 +67,7 @@ func goldenOptions(parallel int, policyParallel bool) hypothesis.CampaignOptions
 // hand-checked workload: every evidence value in the expected text is
 // derivable with pencil and paper from goldenJobs' schedule.
 func TestFindingsGolden(t *testing.T) {
-	eval, err := hypothesis.RunCampaign(goldenSpecs(t), goldenOptions(1, false))
+	eval, err := hypothesis.RunCampaign(goldenSpecs(t), goldenOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +127,11 @@ verdicts: 6 confirmed, 0 supported, 1 refuted; 6/7 hold on the reference seed
 }
 
 // TestFindingsDeterministicAcrossParallelism: the FINDINGS report (and the
-// Markdown table) must be byte-identical at every worker count and in both
-// task-granularity modes — the campaign contract carried through the
-// hypothesis layer.
+// Markdown table) must be byte-identical at every worker count — the
+// campaign contract carried through the hypothesis layer.
 func TestFindingsDeterministicAcrossParallelism(t *testing.T) {
-	render := func(parallel int, policyParallel bool) (string, string) {
-		eval, err := hypothesis.RunCampaign(goldenSpecs(t), goldenOptions(parallel, policyParallel))
+	render := func(parallel int) (string, string) {
+		eval, err := hypothesis.RunCampaign(goldenSpecs(t), goldenOptions(parallel))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,14 +140,58 @@ func TestFindingsDeterministicAcrossParallelism(t *testing.T) {
 		hypothesis.RenderMarkdown(&md, eval)
 		return findings.String(), md.String()
 	}
-	serialF, serialMD := render(1, false)
+	serialF, serialMD := render(1)
 	if !strings.Contains(serialF, "FINDINGS") {
 		t.Fatal("no FINDINGS header")
 	}
-	if parF, parMD := render(8, false); parF != serialF || parMD != serialMD {
-		t.Fatal("cell-mode report differs between -parallel 1 and 8")
+	if parF, parMD := render(8); parF != serialF || parMD != serialMD {
+		t.Fatal("report differs between -parallel 1 and 8")
 	}
-	if ppF, ppMD := render(8, true); ppF != serialF || ppMD != serialMD {
-		t.Fatal("policy-parallel report differs from cell mode")
+}
+
+// A cell that fails to load must not discard the batch: only the claims
+// that read the failed seed report an ERROR row there, every other claim
+// keeps its verdicts, and the casualty comes back as the error.
+func TestRunCampaignKeepsVerdictsOnFailedCell(t *testing.T) {
+	golden := scenario.Jobs("flaky", goldenJobs(), 4)
+	opt := goldenOptions(4)
+	opt.Source.Load = func(seed int64) (*scenario.Workload, error) {
+		if seed == 2 {
+			return nil, errors.New("seed 2 trace unreadable")
+		}
+		return golden.Load(seed)
+	}
+	specs := make([]hypothesis.Spec, 0, 2)
+	for _, text := range []string{
+		"claim reads-failed-seed: fcfs < 200 on avg_wait seeds 1..3",
+		"claim spared: fcfs = 182.5 on avg_wait seeds 1+3",
+	} {
+		s, err := hypothesis.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	eval, err := hypothesis.RunCampaign(specs, opt)
+	var errs *sweep.Errors
+	if !errors.As(err, &errs) || len(errs.Runs) != 1 {
+		t.Fatalf("want one captured cell failure, got %v", err)
+	}
+	if eval == nil {
+		t.Fatal("evaluation discarded because one cell failed")
+	}
+	hit, spared := eval.Outcomes[0], eval.Outcomes[1]
+	for _, r := range hit.Results {
+		if failed := r.Err != nil; failed != (r.Seed == 2) {
+			t.Errorf("reads-failed-seed seed %d: err = %v", r.Seed, r.Err)
+		}
+	}
+	if spared.Status() != hypothesis.StatusConfirmed {
+		t.Errorf("spared claim = %s, want CONFIRMED", spared.Status())
+	}
+	var buf bytes.Buffer
+	hypothesis.RenderFindings(&buf, eval)
+	if n := strings.Count(buf.String(), "ERROR"); n != 1 {
+		t.Fatalf("want exactly one ERROR row, got %d:\n%s", n, buf.String())
 	}
 }

@@ -24,12 +24,10 @@ type CampaignOptions struct {
 	Sources []scenario.Source
 	// Study configures the simulator (system size, fairshare decay, ...).
 	Study core.StudyConfig
-	// Parallel bounds the worker pool; PolicyParallel promotes the policy
-	// axis into the parallel grid. Both are pure scheduling knobs: the
+	// Parallel bounds the worker pool. It is a pure scheduling knob: the
 	// evaluation, and any report rendered from it, is byte-identical at
 	// every setting (the campaign contract).
-	Parallel       int
-	PolicyParallel bool
+	Parallel int
 	// Seeds overrides every claim's seeds clause when non-empty (the CLI's
 	// -seeds flag).
 	Seeds []int64
@@ -98,13 +96,18 @@ type cellData struct {
 
 // RunCampaign expands the claims into one campaign — the union of their
 // scenarios and seeds as the matrix, the union of their policies in every
-// cell — runs it through sweep.Campaign (cell-unit or policy-parallel, per
-// the options) and evaluates every claim against the resulting summaries.
+// cell — runs it through sweep.Campaign and evaluates every claim against
+// the resulting summaries.
 //
 // Specs must be normalized (Parse and Register output always is). The
 // matrix axes are assembled deterministically: scenarios and policies in
 // first-appearance order over the claims, seeds ascending — so the campaign
 // (and its report) is a pure function of the claim batch.
+//
+// A failed cell does not discard the batch: the claims that read it report
+// an ERROR row on that seed, every other claim keeps its verdicts, and the
+// aggregated *sweep.Errors comes back alongside the Evaluation. A nil
+// Evaluation means the batch itself was invalid.
 func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("hypothesis: no claims to run")
@@ -212,19 +215,14 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 		pols[i] = sp
 	}
 
-	camp := sweep.Campaign{
-		Sources:        srcs,
-		Scenarios:      scens,
-		Seeds:          seedsUnion,
-		Specs:          pols,
-		Study:          opt.Study,
-		Parallel:       opt.Parallel,
-		PolicyParallel: opt.PolicyParallel,
-	}
-	cells, err := camp.Run()
-	if err != nil {
-		return nil, err
-	}
+	cells, runErr := sweep.Campaign{
+		Sources:   srcs,
+		Scenarios: scens,
+		Seeds:     seedsUnion,
+		Specs:     pols,
+		Study:     opt.Study,
+		Parallel:  opt.Parallel,
+	}.Run()
 
 	// Index the cells. Failed cells (nil slots) simply stay unindexed; the
 	// claims that need them report the miss per seed.
@@ -268,5 +266,5 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 			}
 		}))
 	}
-	return eval, nil
+	return eval, runErr
 }

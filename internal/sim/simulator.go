@@ -397,7 +397,7 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 			if s.cfg.Preemptable && sub == j {
 				// Preemption mutates the preempted job's chain metadata;
 				// run on private clones so workload slices shared across
-				// concurrent runs (campaign cells, policy-parallel tasks)
+				// concurrent runs (campaign cells and their policy tasks)
 				// are never written to.
 				sub = j.Clone()
 			}

@@ -71,8 +71,7 @@ type Class struct {
 
 // Assignment is an immutable user -> SLO mapping for one workload. Built
 // once per campaign cell (from the transformed workload) and shared
-// read-only by every policy run of the cell, including concurrent
-// policy-parallel tasks.
+// read-only by every policy run of the cell, including concurrent ones.
 type Assignment struct {
 	classes  []Class
 	classIdx map[string]int
@@ -81,7 +80,7 @@ type Assignment struct {
 	// JobStarted/JobCompleted hooks hit it once per event, and at
 	// population scale (quantile bands tag 10^5..10^6 users) the dense
 	// pages beat a hash probe. Frozen at Build, so the concurrent
-	// policy-parallel readers need no locking.
+	// per-policy readers need no locking.
 	idx     userdex.Map[int32]
 	classOf []int // users[i]'s index into classes
 }

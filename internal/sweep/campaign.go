@@ -13,13 +13,13 @@ import (
 )
 
 // Campaign is the full evaluation matrix: (trace × scenario × seed ×
-// policy). Each (trace, scenario, seed) triple is one cell; the cell's
-// worker streams the trace in (scenario sources load lazily, SWF files via
-// the streaming scanner), applies the scenario's transforms under the
-// cell's seed, runs every policy, and releases the workload before taking
-// the next cell — so peak memory is one loaded workload per worker, not
-// the whole matrix, and the raw SWF text/records never materialize (each
-// worker holds just its cell's converted job slice).
+// policy). Each (trace, scenario, seed) triple is one cell; a cell's
+// workload streams in once (scenario sources load lazily, SWF files via the
+// streaming scanner), the scenario's transforms apply under the cell's
+// seed, every policy runs over the result, and the workload is released
+// when the cell's last policy finishes — so peak memory stays bounded by
+// the worker count, not the whole matrix, and the raw SWF text/records
+// never materialize (a loaded cell holds just its converted job slice).
 type Campaign struct {
 	// Sources are the workloads (trace files, synthetic generators).
 	Sources []scenario.Source
@@ -32,21 +32,11 @@ type Campaign struct {
 	Specs []core.Spec
 	// Study configures every run. SystemSize <= 0 defers to each trace's
 	// declared size; FairshareEpoch 0 defers to each trace's Unix start
-	// time.
+	// time; SLO and Placement apply to cells whose scenario contributes
+	// none of its own.
 	Study core.StudyConfig
 	// Parallel bounds the worker pool (<= 0: one worker per CPU).
 	Parallel int
-	// PolicyParallel promotes the policy axis into the parallel grid: Run
-	// fans out (trace × scenario × seed × policy) tasks instead of whole
-	// cells, so a wide-registry sweep over few cells still saturates the
-	// pool. A cell's workload is loaded once (by whichever of its policy
-	// tasks runs first) and shared read-only, then released when the cell's
-	// last policy finishes — peak memory grows to at most one workload
-	// share per in-flight cell, bounded by the worker count plus one. The
-	// summaries, and any report rendered from them, stay byte-identical to
-	// the cell-unit mode at every parallelism. RunEach keeps the cell as
-	// its unit regardless (its callback contract is a whole cell).
-	PolicyParallel bool
 }
 
 // Cell is one completed (trace × scenario × seed) of the matrix with full
@@ -106,19 +96,19 @@ func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, se
 }
 
 // RunEach executes the matrix, handing each completed cell to the callback
-// and releasing it afterwards. Callbacks are serialized (no locking needed
-// inside) but arrive in completion order, not matrix order — aggregate
-// commutatively, or use Run for deterministic ordering. A failing load,
-// transform or policy run fails its whole cell: the callback is not invoked
-// for it, the casualty is recorded in the aggregated *Errors, and the other
-// cells proceed.
+// and releasing it afterwards. The unit of parallelism is the cell: a
+// worker loads the cell's source, runs every policy over it serially and
+// hands the finished cell back on the same goroutine. Callbacks are
+// serialized (no locking needed inside) but arrive in completion order, not
+// matrix order — aggregate commutatively, or use Run for deterministic
+// ordering. A failing load, transform or policy run fails its whole cell:
+// the callback is not invoked for it, the casualty is recorded in the
+// aggregated *Errors, and the other cells proceed.
 func (c Campaign) RunEach(each func(Cell)) error {
 	srcs, scens, seeds, specs, grid := c.cells()
 	var mu sync.Mutex
 	_, err := Map(c.Parallel, grid,
-		func(g [3]int) string {
-			return fmt.Sprintf("%s × %s × seed %d", srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]])
-		},
+		func(g [3]int) string { return cellLabel(srcs, scens, seeds, g) },
 		func(_ int, g [3]int) (struct{}, error) {
 			src, scen, seed := srcs[g[0]], scens[g[1]], seeds[g[2]]
 			cell, err := c.runCell(src, scen, seed, specs)
@@ -136,52 +126,19 @@ func (c Campaign) RunEach(each func(Cell)) error {
 // Run executes the matrix and returns one CellSummary per cell in matrix
 // order (sources, then scenarios, then seeds) regardless of Parallel — the
 // summaries, and any report rendered from them, are byte-identical at every
-// parallelism and in both task-granularity modes (see PolicyParallel).
-// Failed cells leave nil slots alongside the aggregated *Errors, like the
-// other sweep entry points.
+// parallelism.
+//
+// The unit of parallelism is one (cell, policy) task, so a sweep over few
+// cells still saturates the pool. A cell's workload is loaded exactly once,
+// by whichever of its tasks runs first (under a sync.Once), shared
+// read-only by its sibling tasks — the simulator never mutates submitted
+// jobs — and dropped when the cell's last policy finishes: peak memory is
+// one workload per in-flight cell, at most the worker count plus one.
+//
+// A failing load, transform or policy run fails its whole cell: its slot
+// is nil, the casualty is recorded in the aggregated *Errors (a failed load
+// once per cell, not once per policy), and the other cells proceed.
 func (c Campaign) Run() ([]*CellSummary, error) {
-	if c.PolicyParallel {
-		return c.runPolicyParallel()
-	}
-	srcs, scens, seeds, specs, grid := c.cells()
-	return Map(c.Parallel, grid,
-		func(g [3]int) string {
-			return fmt.Sprintf("%s × %s × seed %d", srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]])
-		},
-		func(_ int, g [3]int) (*CellSummary, error) {
-			cell, err := c.runCell(srcs[g[0]], scens[g[1]], seeds[g[2]], specs)
-			if err != nil {
-				return nil, err
-			}
-			sum := &CellSummary{
-				Source:     cell.Source,
-				Scenario:   cell.Scenario,
-				Seed:       cell.Seed,
-				SystemSize: cell.SystemSize,
-				Jobs:       len(cell.Jobs),
-				Policies:   make([]string, len(cell.Runs)),
-				Summaries:  make([]*metrics.Summary, len(cell.Runs)),
-			}
-			for i, r := range cell.Runs {
-				sum.Policies[i] = r.Spec.Key
-				sum.Summaries[i] = r.Summary
-				if r.SLO != nil {
-					if sum.SLOs == nil {
-						sum.SLOs = make([]*slo.Summary, len(cell.Runs))
-					}
-					sum.SLOs[i] = r.SLO
-				}
-			}
-			return sum, nil
-		})
-}
-
-// runPolicyParallel is Run with the policy axis in the parallel grid: one
-// task per (cell, policy). Each cell's workload is loaded exactly once (by
-// the cell's first task to run, under a sync.Once) and shared read-only by
-// its sibling tasks — the simulator never mutates submitted jobs — then
-// dropped when the cell's last policy run finishes.
-func (c Campaign) runPolicyParallel() ([]*CellSummary, error) {
 	srcs, scens, seeds, specs, grid := c.cells()
 	type cellState struct {
 		once      sync.Once
@@ -204,11 +161,7 @@ func (c Campaign) runPolicyParallel() ([]*CellSummary, error) {
 		}
 	}
 	runs, err := Map(c.Parallel, tasks,
-		func(t task) string {
-			g := grid[t.cell]
-			return fmt.Sprintf("%s × %s × seed %d × %s",
-				srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]], specs[t.spec].Key)
-		},
+		func(t task) string { return cellLabel(srcs, scens, seeds, grid[t.cell]) },
 		func(_ int, t task) (*core.Run, error) {
 			g, st := grid[t.cell], states[t.cell]
 			st.once.Do(func() {
@@ -220,10 +173,11 @@ func (c Campaign) runPolicyParallel() ([]*CellSummary, error) {
 			st.mu.Unlock()
 			var r *core.Run
 			var runErr error
-			if loadErr != nil {
-				runErr = loadErr
-			} else {
+			switch {
+			case loadErr == nil:
 				r, runErr = core.Execute(st.study, specs[t.spec], jobs)
+			case t.spec == 0:
+				runErr = loadErr // the cell's other tasks leave their slots empty
 			}
 			st.mu.Lock()
 			st.remaining--
@@ -261,10 +215,15 @@ func (c Campaign) runPolicyParallel() ([]*CellSummary, error) {
 			}
 		}
 		if complete {
-			out[ci] = sum // any failed policy fails its whole cell, as in cell mode
+			out[ci] = sum // any failed policy fails its whole cell
 		}
 	}
 	return out, err
+}
+
+// cellLabel names a cell in error messages.
+func cellLabel(srcs []scenario.Source, scens []scenario.Scenario, seeds []int64, g [3]int) string {
+	return fmt.Sprintf("%s × %s × seed %d", srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]])
 }
 
 // loadCell loads and transforms one cell's workload and resolves the
@@ -287,14 +246,18 @@ func (c Campaign) loadCell(src scenario.Source, scen scenario.Scenario, seed int
 	if err != nil {
 		return nil, study, err
 	}
-	study.SLO = asg
+	if asg != nil {
+		study.SLO = asg
+	}
 	// Likewise for user placement: queue/partition tags route users on the
 	// study's topology (or group per-queue report rows on a flat machine).
 	placement, err := scen.Placement(jobs)
 	if err != nil {
 		return nil, study, err
 	}
-	study.Placement = placement
+	if placement != nil {
+		study.Placement = placement
+	}
 	if study.SystemSize <= 0 {
 		study.SystemSize = wl.SystemSize
 	}
@@ -319,9 +282,8 @@ func (c Campaign) loadCell(src scenario.Source, scen scenario.Scenario, seed int
 	return jobs, study, nil
 }
 
-// runCell loads, transforms and simulates one cell. Policies run serially
-// within the cell (the cell is the unit of parallelism), sharing the
-// transformed workload read-only.
+// runCell loads, transforms and simulates one cell for RunEach. Policies
+// run serially within the cell, sharing the transformed workload read-only.
 func (c Campaign) runCell(src scenario.Source, scen scenario.Scenario, seed int64, specs []core.Spec) (*Cell, error) {
 	jobs, study, err := c.loadCell(src, scen, seed)
 	if err != nil {

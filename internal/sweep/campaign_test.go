@@ -53,57 +53,34 @@ func mustScenario(spec string) scenario.Scenario {
 }
 
 // The whole point of the campaign engine: the rendered report is
-// byte-identical at every parallelism.
+// byte-identical at every parallelism, whatever order the (cell, policy)
+// tasks finish in.
 func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
-	var serial, parallel bytes.Buffer
-	cells, err := testCampaign(1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	experiments.RenderCampaign(&serial, cells)
-	cells, err = testCampaign(8).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	experiments.RenderCampaign(&parallel, cells)
-	if serial.String() != parallel.String() {
-		t.Error("campaign report differs between -parallel 1 and 8")
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty campaign report")
-	}
-}
-
-// Policy-parallel mode must render the byte-identical report: same cells,
-// same summaries, at every worker count.
-func TestCampaignPolicyParallelDeterministic(t *testing.T) {
-	var want bytes.Buffer
-	cells, err := testCampaign(1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	experiments.RenderCampaign(&want, cells)
-	for _, parallel := range []int{1, 8} {
-		c := testCampaign(parallel)
-		c.PolicyParallel = true
-		cells, err := c.Run()
+	render := func(parallel int) string {
+		cells, err := testCampaign(parallel).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		experiments.RenderCampaign(&got, cells)
-		if got.String() != want.String() {
-			t.Errorf("policy-parallel report at -parallel %d differs from cell-unit report", parallel)
+		var buf bytes.Buffer
+		experiments.RenderCampaign(&buf, cells)
+		return buf.String()
+	}
+	serial := render(1)
+	if serial == "" {
+		t.Fatal("empty campaign report")
+	}
+	for _, parallel := range []int{2, 8} {
+		if render(parallel) != serial {
+			t.Errorf("campaign report differs between -parallel 1 and %d", parallel)
 		}
 	}
 }
 
-// A failing cell in policy-parallel mode leaves a nil summary slot (every
-// policy task of the cell reports the load failure) without disturbing the
+// A failing cell leaves a nil summary slot and one casualty (its load
+// failure is reported once, not once per policy) without disturbing the
 // surviving cells.
-func TestCampaignPolicyParallelFailureIsolation(t *testing.T) {
+func TestCampaignRunFailureIsolation(t *testing.T) {
 	c := testCampaign(4)
-	c.PolicyParallel = true
 	c.Scenarios = append(c.Scenarios, scenario.Scenario{
 		Name:       "broken",
 		Transforms: []scenario.Transform{scenario.UserFilter{}},
@@ -112,6 +89,9 @@ func TestCampaignPolicyParallelFailureIsolation(t *testing.T) {
 	var errs *sweep.Errors
 	if !errors.As(err, &errs) {
 		t.Fatalf("want *sweep.Errors, got %v", err)
+	}
+	if len(errs.Runs) != 2 {
+		t.Fatalf("want 2 failed cells (broken × 2 seeds), got %v", errs)
 	}
 	if len(cells) != 5*2 {
 		t.Fatalf("got %d cells, want 10", len(cells))
@@ -161,8 +141,9 @@ func TestCampaignMatrixShapeAndOrder(t *testing.T) {
 	}
 }
 
-// RunEach must hand over every cell exactly once and keep the other cells
-// alive when one fails.
+// RunEach must hand over every cell exactly once, complete with runs in
+// spec order, through serialized callbacks, and keep the other cells alive
+// when one fails.
 func TestCampaignRunEachAndFailureIsolation(t *testing.T) {
 	c := testCampaign(4)
 	// A scenario whose transform always fails: user filter selecting nobody.
@@ -171,10 +152,22 @@ func TestCampaignRunEachAndFailureIsolation(t *testing.T) {
 		Transforms: []scenario.Transform{scenario.UserFilter{}},
 	})
 	var got []string
+	inCallback := false
 	err := c.RunEach(func(cell sweep.Cell) {
+		if inCallback {
+			t.Error("callbacks overlap")
+		}
+		inCallback = true
+		defer func() { inCallback = false }()
 		got = append(got, fmt.Sprintf("%s/%d", cell.Scenario, cell.Seed))
-		if len(cell.Runs) != 2 || cell.Runs[0] == nil {
-			t.Errorf("cell %s/%d has bad runs", cell.Scenario, cell.Seed)
+		if len(cell.Runs) != len(c.Specs) {
+			t.Errorf("cell %s/%d has %d runs", cell.Scenario, cell.Seed, len(cell.Runs))
+			return
+		}
+		for k, run := range cell.Runs {
+			if run == nil || run.Spec.Key != c.Specs[k].Key {
+				t.Errorf("cell %s/%d run %d is not %s", cell.Scenario, cell.Seed, k, c.Specs[k].Key)
+			}
 		}
 	})
 	var errs *sweep.Errors
@@ -233,13 +226,21 @@ func TestCampaignWindowShiftsEpoch(t *testing.T) {
 }
 
 // Campaign defaults: empty scenario/seed/spec lists fall back to baseline,
-// seed 0 and the full nine-policy set.
+// seed 0 and the full nine-policy set, and a study-level SLO assignment
+// applies to a cell whose scenario contributes none.
 func TestCampaignDefaults(t *testing.T) {
+	wl := workload.Config{Scale: 0.01, SystemSize: 100}
+	jobs, err := workload.Generate(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := mustScenario("slo=default:1h").SLOAssignment(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := sweep.Campaign{
-		Sources: []scenario.Source{
-			scenario.Synthetic(workload.Config{Scale: 0.01, SystemSize: 100}),
-		},
-		Study:    core.StudyConfig{SystemSize: 100},
+		Sources:  []scenario.Source{scenario.Synthetic(wl)},
+		Study:    core.StudyConfig{SystemSize: 100, SLO: asg},
 		Parallel: 1,
 	}
 	cells, err := c.Run()
@@ -254,5 +255,8 @@ func TestCampaignDefaults(t *testing.T) {
 	}
 	if len(cells[0].Summaries) != len(core.AllSpecs()) {
 		t.Fatalf("got %d policies, want all %d", len(cells[0].Summaries), len(core.AllSpecs()))
+	}
+	if len(cells[0].SLOs) != len(core.AllSpecs()) || cells[0].SLOs[0] == nil {
+		t.Fatal("study-level SLO assignment dropped from a baseline cell")
 	}
 }

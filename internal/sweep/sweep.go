@@ -1,6 +1,8 @@
 // Package sweep is the concurrent experiment engine: a bounded worker pool
-// that fans (policy × seed) simulation runs out across cores while keeping
-// results in deterministic input order and capturing every per-run error.
+// (Map) and, on top of it, the one campaign engine (Campaign) that fans
+// (trace × scenario × seed × policy) simulation runs out across cores while
+// keeping results in deterministic input order and capturing every per-run
+// error.
 //
 // The simulator itself is strictly sequential (a discrete-event loop), but a
 // study is embarrassingly parallel across runs: each (policy, workload)
@@ -11,15 +13,10 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
-
-	"fairsched/internal/core"
-	"fairsched/internal/job"
-	"fairsched/internal/workload"
 )
 
 // Workers resolves a parallelism request: n > 0 is taken as given, anything
@@ -152,173 +149,4 @@ func runOne[T, R any](i int, item T, results []R, errs []*RunError, label func(T
 		return
 	}
 	results[i] = r
-}
-
-// Runs executes every spec over the shared workload on at most parallel
-// workers — the concurrent counterpart of core.ExecuteAll. Results come back
-// in spec order; the workload slice is shared read-only across workers (the
-// simulator never mutates submitted jobs).
-func Runs(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, parallel int) ([]*core.Run, error) {
-	return Map(parallel, specs,
-		func(s core.Spec) string { return s.Key },
-		func(_ int, s core.Spec) (*core.Run, error) {
-			return core.Execute(cfg, s, jobs)
-		})
-}
-
-// SeedRuns is the outcome of the full policy set over one seed's workload.
-type SeedRuns struct {
-	Seed int64
-	Jobs []*job.Job
-	Runs []*core.Run
-}
-
-// Matrix parameterizes a full (seed × policy) sweep.
-type Matrix struct {
-	// Workload is the generator configuration; its Seed field is overridden
-	// by each entry of Seeds.
-	Workload workload.Config
-	// Study configures every run.
-	Study core.StudyConfig
-	// Specs are the policies; zero length means core.AllSpecs().
-	Specs []core.Spec
-	// Seeds are the workload seeds, one generated trace each.
-	Seeds []int64
-	// Parallel bounds the worker pool (<= 0: one worker per CPU).
-	Parallel int
-}
-
-// Complete reports whether every run of this seed finished (a failed cell
-// leaves a nil entry in Runs).
-func (s SeedRuns) Complete() bool {
-	if len(s.Runs) == 0 {
-		return false
-	}
-	for _, r := range s.Runs {
-		if r == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// Run fans the whole (seed × policy) grid out as one flat task list — the
-// pool stays saturated across seed boundaries instead of draining at the
-// end of each seed — and reassembles the results grouped by seed, in seed
-// order, with runs in spec order.
-//
-// Like Map, a failed cell never discards the others: on error the returned
-// groups still carry every successful run (failed cells are nil — see
-// SeedRuns.Complete) alongside the aggregated *Errors.
-func (m Matrix) Run() ([]SeedRuns, error) {
-	specs := m.Specs
-	if len(specs) == 0 {
-		specs = core.AllSpecs()
-	}
-	var failed []*RunError
-	// Generate each seed's trace first (itself fanned out): every policy of
-	// a seed shares one read-only job slice.
-	traces, err := Map(m.Parallel, m.Seeds,
-		func(s int64) string { return fmt.Sprintf("seed %d", s) },
-		func(_ int, s int64) ([]*job.Job, error) {
-			wl := m.Workload
-			wl.Seed = s
-			if wl.SystemSize <= 0 {
-				wl.SystemSize = m.Study.SystemSize
-			}
-			return workload.Generate(wl)
-		})
-	var genErrs *Errors
-	if err != nil {
-		if !errors.As(err, &genErrs) {
-			return nil, err
-		}
-		failed = append(failed, genErrs.Runs...)
-	}
-	type cell struct {
-		seed int
-		spec core.Spec
-	}
-	grid := make([]cell, 0, len(m.Seeds)*len(specs))
-	for si := range m.Seeds {
-		if traces[si] == nil {
-			continue // trace generation failed; already recorded
-		}
-		for _, sp := range specs {
-			grid = append(grid, cell{seed: si, spec: sp})
-		}
-	}
-	runs, err := Map(m.Parallel, grid,
-		func(c cell) string { return fmt.Sprintf("seed %d × %s", m.Seeds[c.seed], c.spec.Key) },
-		func(_ int, c cell) (*core.Run, error) {
-			return core.Execute(m.Study, c.spec, traces[c.seed])
-		})
-	var runErrs *Errors
-	if err != nil {
-		if !errors.As(err, &runErrs) {
-			return nil, err
-		}
-		failed = append(failed, runErrs.Runs...)
-	}
-	out := make([]SeedRuns, len(m.Seeds))
-	next := 0
-	for si, seed := range m.Seeds {
-		sr := SeedRuns{Seed: seed, Jobs: traces[si]}
-		if traces[si] != nil {
-			sr.Runs = runs[next : next+len(specs)]
-			next += len(specs)
-		}
-		out[si] = sr
-	}
-	if len(failed) > 0 {
-		return out, &Errors{Runs: failed}
-	}
-	return out, nil
-}
-
-// RunEach is the streaming counterpart of Run for long campaigns: it hands
-// each seed's completed group to the callback as soon as that seed finishes
-// and releases it afterwards, so peak memory is bounded by the worker count
-// rather than the seed count (Run retains the whole grid — 500 full-scale
-// seeds hold every trace and every run's records live at once).
-//
-// The unit of parallelism is the seed (trace generation plus all of its
-// policy runs as one task), so the pool saturates whenever there are at
-// least as many seeds as workers. Callbacks are serialized (no locking
-// needed inside each) but arrive in completion order, not seed order —
-// aggregate commutatively or collect and sort. A failing run fails its
-// whole seed: the callback is not invoked for it, the casualty is recorded
-// in the aggregated *Errors, and the other seeds proceed.
-func (m Matrix) RunEach(each func(SeedRuns)) error {
-	specs := m.Specs
-	if len(specs) == 0 {
-		specs = core.AllSpecs()
-	}
-	var mu sync.Mutex
-	_, err := Map(m.Parallel, m.Seeds,
-		func(s int64) string { return fmt.Sprintf("seed %d", s) },
-		func(_ int, seed int64) (struct{}, error) {
-			wl := m.Workload
-			wl.Seed = seed
-			if wl.SystemSize <= 0 {
-				wl.SystemSize = m.Study.SystemSize
-			}
-			jobs, err := workload.Generate(wl)
-			if err != nil {
-				return struct{}{}, err
-			}
-			runs := make([]*core.Run, len(specs))
-			for k, sp := range specs {
-				r, err := core.Execute(m.Study, sp, jobs)
-				if err != nil {
-					return struct{}{}, fmt.Errorf("%s: %w", sp.Key, err)
-				}
-				runs[k] = r
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			each(SeedRuns{Seed: seed, Jobs: jobs, Runs: runs})
-			return struct{}{}, nil
-		})
-	return err
 }

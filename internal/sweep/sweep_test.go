@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -144,82 +143,15 @@ func TestMapCapturesLabelPanics(t *testing.T) {
 	}
 }
 
-// TestMatrixKeepsPartialResultsOnFailure checks a failing grid still comes
-// back: every group is returned (runs nil where the cell failed) alongside
-// the aggregated error, so callers can salvage complete seeds.
-func TestMatrixKeepsPartialResultsOnFailure(t *testing.T) {
-	seeds := []int64{1, 2}
-	specs := core.MinorSpecs()[:2]
-	grid, err := sweep.Matrix{
-		Workload: workload.Config{Scale: 0.02, SystemSize: 100},
-		// Undersized study system: every Execute fails validation.
-		Study:    core.StudyConfig{SystemSize: 2},
-		Specs:    specs,
-		Seeds:    seeds,
-		Parallel: 4,
-	}.Run()
-	if err == nil {
-		t.Fatal("expected aggregated error")
-	}
-	var agg *sweep.Errors
-	if !errors.As(err, &agg) {
-		t.Fatalf("error type %T, want *sweep.Errors", err)
-	}
-	if len(agg.Runs) != len(seeds)*len(specs) {
-		t.Fatalf("captured %d run errors, want %d", len(agg.Runs), len(seeds)*len(specs))
-	}
-	if grid == nil {
-		t.Fatal("grid discarded despite per-run error capture")
-	}
-	for i, sr := range grid {
-		if sr.Seed != seeds[i] {
-			t.Fatalf("group %d is seed %d, want %d", i, sr.Seed, seeds[i])
-		}
-		if sr.Jobs == nil {
-			t.Fatalf("seed %d lost its generated trace", sr.Seed)
-		}
-		if sr.Complete() {
-			t.Fatalf("seed %d reports complete with failed runs", sr.Seed)
-		}
-	}
-}
-
-// TestRunsMatchesExecuteAll checks the concurrent policy sweep returns the
-// exact runs of the serial core.ExecuteAll, in spec order.
-func TestRunsMatchesExecuteAll(t *testing.T) {
-	jobs := testJobs(t)
-	cfg := core.StudyConfig{SystemSize: 100}
-	specs := core.AllSpecs()
-	want, err := core.ExecuteAll(cfg, specs, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sweep.Runs(cfg, specs, jobs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d runs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Spec.Key != want[i].Spec.Key {
-			t.Fatalf("run %d is %s, want %s", i, got[i].Spec.Key, want[i].Spec.Key)
-		}
-		if !reflect.DeepEqual(got[i].Summary, want[i].Summary) {
-			t.Fatalf("%s: parallel summary diverges from serial:\n got %+v\nwant %+v",
-				want[i].Spec.Key, got[i].Summary, want[i].Summary)
-		}
-	}
-}
-
-// TestRunsPropagatesSimulationErrors checks a failing run surfaces with its
-// policy key attached.
+// TestRunsPropagatesSimulationErrors checks a failing policy run of the
+// study surfaces with its policy key attached, once per failed run.
 func TestRunsPropagatesSimulationErrors(t *testing.T) {
 	jobs := testJobs(t)
 	// Undersized system: workload validation fails inside every run.
-	_, err := sweep.Runs(core.StudyConfig{SystemSize: 1}, core.AllSpecs(), jobs, 4)
-	if err == nil {
-		t.Fatal("expected error from undersized system")
+	_, err := experiments.RunOn(core.StudyConfig{SystemSize: 1}, jobs, 4)
+	var agg *sweep.Errors
+	if !errors.As(err, &agg) || len(agg.Runs) != len(core.AllSpecs()) {
+		t.Fatalf("want one captured error per policy, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "cplant24.nomax.all") {
 		t.Fatalf("error does not name the failing policy: %v", err)
@@ -231,11 +163,11 @@ func TestRunsPropagatesSimulationErrors(t *testing.T) {
 func TestSweepDeterminism(t *testing.T) {
 	jobs := testJobs(t)
 	cfg := core.StudyConfig{SystemSize: 100}
-	serial, err := experiments.RunOnParallel(cfg, jobs, 1)
+	serial, err := experiments.RunOn(cfg, jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := experiments.RunOnParallel(cfg, jobs, 8)
+	parallel, err := experiments.RunOn(cfg, jobs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,122 +180,5 @@ func TestSweepDeterminism(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("parallel report diverges from serial report:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			a.String(), b.String())
-	}
-}
-
-// TestMatrixRunEachStreams checks the streaming fan-out delivers every
-// seed's complete group exactly once, serialized, with runs in spec order.
-func TestMatrixRunEachStreams(t *testing.T) {
-	seeds := []int64{3, 5, 9, 11}
-	specs := core.MinorSpecs()[:2]
-	seen := make(map[int64]int)
-	inCallback := false
-	err := sweep.Matrix{
-		Workload: workload.Config{Scale: 0.02, SystemSize: 100},
-		Study:    core.StudyConfig{SystemSize: 100},
-		Specs:    specs,
-		Seeds:    seeds,
-		Parallel: 4,
-	}.RunEach(func(sr sweep.SeedRuns) {
-		if inCallback {
-			t.Error("callbacks overlap")
-		}
-		inCallback = true
-		defer func() { inCallback = false }()
-		seen[sr.Seed]++
-		if !sr.Complete() {
-			t.Errorf("seed %d delivered incomplete", sr.Seed)
-		}
-		for k, run := range sr.Runs {
-			if run.Spec.Key != specs[k].Key {
-				t.Errorf("seed %d run %d is %s, want %s", sr.Seed, k, run.Spec.Key, specs[k].Key)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range seeds {
-		if seen[s] != 1 {
-			t.Fatalf("seed %d delivered %d times", s, seen[s])
-		}
-	}
-}
-
-// TestMatrixRunEachSkipsFailingSeeds checks a failing seed is recorded in
-// the aggregated error and never delivered, while the others stream.
-func TestMatrixRunEachSkipsFailingSeeds(t *testing.T) {
-	delivered := 0
-	err := sweep.Matrix{
-		Workload: workload.Config{Scale: 0.02, SystemSize: 100},
-		Study:    core.StudyConfig{SystemSize: 2}, // every run fails validation
-		Specs:    core.MinorSpecs()[:1],
-		Seeds:    []int64{1, 2},
-		Parallel: 2,
-	}.RunEach(func(sweep.SeedRuns) { delivered++ })
-	if err == nil {
-		t.Fatal("expected aggregated error")
-	}
-	var agg *sweep.Errors
-	if !errors.As(err, &agg) || len(agg.Runs) != 2 {
-		t.Fatalf("want 2 captured seed failures, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "cplant24.nomax.all") {
-		t.Fatalf("failing policy not named: %v", err)
-	}
-	if delivered != 0 {
-		t.Fatalf("%d failed seeds delivered", delivered)
-	}
-}
-
-// TestMatrixGroupsBySeed checks the (seed × policy) fan-out reassembles
-// deterministically: seeds in input order, runs in spec order, every cell
-// simulated over its own seed's trace.
-func TestMatrixGroupsBySeed(t *testing.T) {
-	seeds := []int64{3, 5, 9}
-	specs := core.MinorSpecs()[:2]
-	grid, err := sweep.Matrix{
-		Workload: workload.Config{Scale: 0.02, SystemSize: 100},
-		Study:    core.StudyConfig{SystemSize: 100},
-		Specs:    specs,
-		Seeds:    seeds,
-		Parallel: 8,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != len(seeds) {
-		t.Fatalf("got %d seed groups, want %d", len(grid), len(seeds))
-	}
-	for i, sr := range grid {
-		if sr.Seed != seeds[i] {
-			t.Fatalf("group %d is seed %d, want %d", i, sr.Seed, seeds[i])
-		}
-		if len(sr.Runs) != len(specs) {
-			t.Fatalf("seed %d has %d runs, want %d", sr.Seed, len(sr.Runs), len(specs))
-		}
-		for k, run := range sr.Runs {
-			if run.Spec.Key != specs[k].Key {
-				t.Fatalf("seed %d run %d is %s, want %s", sr.Seed, k, run.Spec.Key, specs[k].Key)
-			}
-			if len(run.Result.Records) != len(sr.Jobs) {
-				t.Fatalf("seed %d × %s: %d records for %d jobs",
-					sr.Seed, run.Spec.Key, len(run.Result.Records), len(sr.Jobs))
-			}
-		}
-	}
-	// Distinct seeds must generate distinct traces (guards against a
-	// worker accidentally sharing one generated workload).
-	if grid[0].Jobs[0].Submit == grid[1].Jobs[0].Submit && len(grid[0].Jobs) == len(grid[1].Jobs) {
-		same := true
-		for i := range grid[0].Jobs {
-			if grid[0].Jobs[i].Submit != grid[1].Jobs[i].Submit {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("seed 3 and seed 5 generated identical traces")
-		}
 	}
 }

@@ -14,7 +14,7 @@
 //
 // A Map is not safe for concurrent mutation, but any number of readers
 // may call Get/Len/Range concurrently once mutation has stopped (campaign
-// cells share frozen SLO assignments across policy-parallel workers).
+// cells share frozen SLO assignments across their concurrent policy runs).
 package userdex
 
 import (
