@@ -13,6 +13,7 @@
 //	experiments -in ross.swf    # sweep over an existing trace
 //	experiments -seeds 10       # tally claim robustness across 10 seeds
 //	experiments -markdown       # also emit EXPERIMENTS.md-style tables
+//	experiments -cpuprofile cpu.out   # profile the run (go tool pprof cpu.out)
 //
 // Campaign mode (any -trace, -scenario, -policy or -window flag):
 //
@@ -41,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -89,11 +91,26 @@ func main() {
 		manifest   = flag.String("manifest", "", "campaign: trace-set manifest (traces.toml); -trace then selects entries by name")
 		cacheDir   = flag.String("cache-dir", "", "binary trace-cache directory for manifest traces (empty: stream SWF every load)")
 		listTraces = flag.Bool("list-traces", false, "list the manifest's traces (name, path, overrides), then exit (needs -manifest)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	)
 	flag.Var(&traces, "trace", "campaign: an SWF trace file, or with -manifest a trace name (repeatable; default: the synthetic trace / every manifest entry)")
 	flag.Var(&scenarios, "scenario", "campaign: a scenario name or transform chain (repeatable; see -list-scenarios)")
 	flag.Var(&policies, "policy", "campaign: a policy name or component chain (repeatable; see -list-policies; default: the paper's nine)")
 	flag.Parse()
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	defer stopProfile()
 
 	if *listPols {
 		if *markdown {
@@ -422,7 +439,12 @@ func sortedScenarios() []scenario.Scenario {
 	return ss
 }
 
+// stopProfile flushes the -cpuprofile output; fatal calls it too, since
+// os.Exit skips deferred calls.
+var stopProfile = func() {}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
 }

@@ -11,7 +11,10 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -63,12 +66,64 @@ func (p *Profile) Reset(origin int64, free, size int) {
 	}
 }
 
+// Hold is one running job's claim on the machine: Nodes stay busy until
+// Until, the job's promised release time.
+type Hold struct {
+	Until int64
+	Nodes int
+}
+
+// ResetHolds reinitializes the profile in place to `size` nodes from origin
+// onwards, less every hold's nodes on [origin, hold.Until), reusing the
+// breakpoint backing array. It sorts holds in place by Until and writes the
+// breakpoints in one pass: free capacity only rises after origin, and holds
+// releasing at the same instant share one breakpoint. The result equals
+// Reset(origin, size, size) followed by Occupy(origin, h.Until, h.Nodes)
+// per hold, at O(R log R) for R holds instead of O(R²). On error (a hold
+// ending at or before origin, negative nodes, or more nodes held than the
+// system has) the profile is left unchanged.
+func (p *Profile) ResetHolds(origin int64, size int, holds []Hold) error {
+	slices.SortFunc(holds, func(a, b Hold) int { return cmp.Compare(a.Until, b.Until) })
+	held := 0
+	for _, h := range holds {
+		if h.Until <= origin {
+			return fmt.Errorf("profile: empty interval [%d,%d)", origin, h.Until)
+		}
+		if h.Nodes < 0 {
+			return fmt.Errorf("profile: negative hold of %d nodes", h.Nodes)
+		}
+		held += h.Nodes
+	}
+	if held > size {
+		return fmt.Errorf("profile: capacity would go negative (%d) at t=%d", size-held, origin)
+	}
+	p.size = size
+	free := size - held
+	p.bps = append(p.bps[:0], breakpoint{t: origin, free: free})
+	for _, h := range holds {
+		if h.Nodes == 0 {
+			continue
+		}
+		free += h.Nodes
+		if last := &p.bps[len(p.bps)-1]; last.t == h.Until {
+			last.free = free
+		} else {
+			p.bps = append(p.bps, breakpoint{t: h.Until, free: free})
+		}
+	}
+	return nil
+}
+
 // CopyFrom makes p a deep copy of src, reusing p's breakpoint backing array.
 // The allocation-free equivalent of src.Clone() for reused scratch profiles.
 func (p *Profile) CopyFrom(src *Profile) {
 	p.size = src.size
 	p.bps = append(p.bps[:0], src.bps...)
 }
+
+// trimSlack is how many dead breakpoints TrimBefore lets accumulate before
+// it compacts them away.
+const trimSlack = 32
 
 // TrimBefore advances the profile's origin to t, dropping the breakpoints
 // strictly before the segment containing t. Capacity at every time >= t is
@@ -79,10 +134,9 @@ func (p *Profile) CopyFrom(src *Profile) {
 // are a no-op, and the compaction only runs once enough dead breakpoints
 // accumulate to pay for the copy.
 func (p *Profile) TrimBefore(t int64) {
-	const deadSlack = 32
 	i := sort.Search(len(p.bps), func(i int) bool { return p.bps[i].t > t })
 	// The segment containing t starts at i-1; everything before it is dead.
-	if i-1 < deadSlack {
+	if i-1 < trimSlack {
 		return
 	}
 	kept := copy(p.bps, p.bps[i-1:])
@@ -148,6 +202,11 @@ func (p *Profile) Release(from, to int64, nodes int) error {
 	return p.adjust(from, to, +nodes)
 }
 
+// adjust adds delta to the capacity on [from, to). The profile is coalesced
+// before and after, and the work stays local to the interval: the interior
+// breakpoints of [from, to) all shift by the same delta, so they stay
+// pairwise distinct, and only the breakpoints at from and to can come to
+// equal their left neighbours.
 func (p *Profile) adjust(from, to int64, delta int) error {
 	if to <= from {
 		return fmt.Errorf("profile: empty interval [%d,%d)", from, to)
@@ -164,10 +223,11 @@ func (p *Profile) adjust(from, to int64, delta int) error {
 		nf := p.bps[k].free + delta
 		if nf < 0 || nf > p.size {
 			at := p.bps[k].t
-			// Drop the breakpoints ensureBreak may have inserted: they are
-			// redundant (equal capacities) and the profile must be
-			// structurally unchanged after a rejected adjustment.
-			p.coalesce()
+			// A breakpoint ensureBreak inserted carries its left
+			// neighbour's capacity, so merging the edges drops exactly the
+			// inserted ones: the profile is structurally unchanged after a
+			// rejected adjustment.
+			p.mergeEdges(i, j)
 			if nf < 0 {
 				return fmt.Errorf("profile: capacity would go negative (%d) at t=%d", nf, at)
 			}
@@ -177,20 +237,19 @@ func (p *Profile) adjust(from, to int64, delta int) error {
 	for k := i; k < j; k++ {
 		p.bps[k].free += delta
 	}
-	p.coalesce()
+	p.mergeEdges(i, j)
 	return nil
 }
 
-// coalesce merges adjacent breakpoints with equal capacity.
-func (p *Profile) coalesce() {
-	out := p.bps[:1]
-	for _, bp := range p.bps[1:] {
-		if bp.free == out[len(out)-1].free {
-			continue
+// mergeEdges drops the breakpoints at indexes j and then i (i < j) where
+// each carries its left neighbour's capacity. The right edge goes first so
+// that index i stays valid.
+func (p *Profile) mergeEdges(i, j int) {
+	for _, k := range [2]int{j, i} {
+		if k > 0 && p.bps[k].free == p.bps[k-1].free {
+			p.bps = append(p.bps[:k], p.bps[k+1:]...)
 		}
-		out = append(out, bp)
 	}
-	p.bps = out
 }
 
 // EarliestFit returns the earliest time s >= after at which `nodes` nodes
@@ -198,6 +257,42 @@ func (p *Profile) coalesce() {
 // capacity returns to a steady level after the final breakpoint; if that
 // steady level is below nodes, ok is false.
 func (p *Profile) EarliestFit(after, dur int64, nodes int) (s int64, ok bool) {
+	return p.fit(after, math.MaxInt64, math.MaxInt64, dur, nodes)
+}
+
+// EarliestFitBefore is EarliestFit restricted to candidate starts strictly
+// below limit: it returns the earliest s in [after, limit) at which the
+// rectangle fits (the fit itself may extend past limit), or ok=false when
+// no such start exists. Bounding the start lets the conservative engine's
+// hole-aware partial rebuild probe just the released window [now, holeEnd)
+// instead of scanning to a job's standing reservation, without ever walking
+// breakpoints past the window.
+func (p *Profile) EarliestFitBefore(after, limit, dur int64, nodes int) (s int64, ok bool) {
+	return p.fit(after, limit, math.MaxInt64, dur, nodes)
+}
+
+// EarliestMove returns the earliest start s in [after, res) at which a
+// rectangle of `nodes` nodes for `dur` seconds fits once the same rectangle,
+// currently occupied on [res, res+dur), is released; ok is false when no
+// such start exists. It reads the profile without mutating it: a window
+// starting before res ends before res+dur, so inside [res, s+dur) the
+// released nodes always cover the request, and only segments starting
+// before res need checking. It answers exactly what Release, then
+// EarliestFit(after, dur, nodes), tells about an earlier start, so the
+// static conservative engine's improvement pass only mutates the profile
+// for a job that actually moves.
+func (p *Profile) EarliestMove(after, res, dur int64, nodes int) (s int64, ok bool) {
+	return p.fit(after, res, res, dur, nodes)
+}
+
+// fit is the hole search behind EarliestFit, EarliestFitBefore and
+// EarliestMove: the earliest start s in [after, limit) at which `nodes`
+// nodes are free for `dur` seconds, where every segment starting at or
+// after freeFrom counts as free.
+func (p *Profile) fit(after, limit, freeFrom, dur int64, nodes int) (s int64, ok bool) {
+	if after >= limit {
+		return 0, false
+	}
 	if nodes <= 0 || dur <= 0 {
 		return after, nodes <= p.size
 	}
@@ -206,19 +301,15 @@ func (p *Profile) EarliestFit(after, dur int64, nodes int) (s int64, ok bool) {
 	}
 	if after < p.Origin() {
 		after = p.Origin()
+		if after >= limit {
+			return 0, false
+		}
 	}
 	// Candidate start s; scan forward, restarting s at the first breakpoint
 	// that violates the capacity requirement within [s, s+dur).
-	i := sort.Search(len(p.bps), func(i int) bool { return p.bps[i].t > after })
-	if i > 0 {
-		i--
-	}
+	i := sort.Search(len(p.bps), func(i int) bool { return p.bps[i].t > after }) - 1
 	s = after
-	if p.bps[i].t > s {
-		s = p.bps[i].t
-	}
-	for {
-		// Check capacity over [s, s+dur).
+	for s < limit {
 		end := s + dur
 		k := i
 		// Advance k to the segment containing s.
@@ -237,66 +328,7 @@ func (p *Profile) EarliestFit(after, dur int64, nodes int) (s int64, ok bool) {
 				violated = true
 				break
 			}
-			if k+1 >= len(p.bps) || p.bps[k+1].t >= end {
-				break // window fully checked
-			}
-			k++
-		}
-		if !violated {
-			return s, true
-		}
-	}
-}
-
-// EarliestFitBefore is EarliestFit restricted to candidate starts strictly
-// below limit: it returns the earliest s in [after, limit) at which the
-// rectangle fits (the fit itself may extend past limit), or ok=false when
-// no such start exists. Bounding the start lets the conservative engine's
-// hole-aware partial rebuild probe just the released window [now, holeEnd)
-// instead of scanning to a job's standing reservation, without ever walking
-// breakpoints past the window.
-func (p *Profile) EarliestFitBefore(after, limit, dur int64, nodes int) (s int64, ok bool) {
-	if after >= limit {
-		return 0, false
-	}
-	if nodes <= 0 || dur <= 0 {
-		return after, nodes <= p.size
-	}
-	if nodes > p.size {
-		return 0, false
-	}
-	if after < p.Origin() {
-		after = p.Origin()
-		if after >= limit {
-			return 0, false
-		}
-	}
-	i := sort.Search(len(p.bps), func(i int) bool { return p.bps[i].t > after })
-	if i > 0 {
-		i--
-	}
-	s = after
-	if p.bps[i].t > s {
-		s = p.bps[i].t
-	}
-	for s < limit {
-		end := s + dur
-		k := i
-		for k+1 < len(p.bps) && p.bps[k+1].t <= s {
-			k++
-		}
-		violated := false
-		for {
-			if p.bps[k].free < nodes {
-				if k+1 >= len(p.bps) {
-					return 0, false // steady tail lacks capacity
-				}
-				s = p.bps[k+1].t
-				i = k + 1
-				violated = true
-				break
-			}
-			if k+1 >= len(p.bps) || p.bps[k+1].t >= end {
+			if k+1 >= len(p.bps) || p.bps[k+1].t >= end || p.bps[k+1].t >= freeFrom {
 				break // window fully checked
 			}
 			k++

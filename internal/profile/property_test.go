@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +149,103 @@ func TestQuickEarliestFitBeforeAgrees(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickEarliestMoveMatchesReleaseRefit pins the read-only probe to the
+// round trip it replaces: Release the rectangle, EarliestFit from `after`,
+// keep the old start when the fit is not earlier, Occupy. The probe (and a
+// Release/Occupy pair only when it finds an earlier start) must give the
+// same start and leave the same profile.
+func TestQuickEarliestMoveMatchesReleaseRefit(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const size = 24
+		base := New(0, size, size)
+		for i := 0; i < 20; i++ {
+			from := rng.Int63n(300)
+			_ = base.Occupy(from, from+1+rng.Int63n(80), rng.Intn(size)+1)
+		}
+		base.TrimBefore(rng.Int63n(40))
+		for i := 0; i < 30; i++ {
+			res := base.Origin() + rng.Int63n(300)
+			dur := rng.Int63n(100) + 1
+			nodes := rng.Intn(size) + 1
+			p := base.Clone()
+			if p.Occupy(res, res+dur, nodes) != nil {
+				continue // not a standing reservation
+			}
+			after := p.Origin() + rng.Int63n(res-p.Origin()+20) // sometimes past res
+			want := p.Clone()
+			if want.Release(res, res+dur, nodes) != nil {
+				return false
+			}
+			ws, ok := want.EarliestFit(after, dur, nodes)
+			if !ok || ws > res {
+				ws = res
+			}
+			if want.Occupy(ws, ws+dur, nodes) != nil {
+				return false
+			}
+			gs := res
+			if s, ok := p.EarliestMove(after, res, dur, nodes); ok {
+				if p.Release(res, res+dur, nodes) != nil || p.Occupy(s, s+dur, nodes) != nil {
+					return false
+				}
+				gs = s
+			}
+			wt, wf := want.Breakpoints()
+			gt, gf := p.Breakpoints()
+			if gs != ws || !slices.Equal(gt, wt) || !slices.Equal(gf, wf) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickResetHoldsMatchesOccupy pins the sort-once build to its
+// definition: Reset to full capacity, then one Occupy from the origin per
+// hold. Holds come unsorted, often share a release time, and sometimes end
+// at or before the origin or hold more nodes than the system has (both
+// paths must then fail).
+func TestQuickResetHoldsMatchesOccupy(t *testing.T) {
+	p := New(0, 1, 1) // reused across cases, like the simulator's profile
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const size = 32
+		origin := rng.Int63n(1000)
+		holds := make([]Hold, rng.Intn(14))
+		for i := range holds {
+			holds[i] = Hold{Until: origin + 1 + rng.Int63n(12), Nodes: rng.Intn(6)}
+			if rng.Intn(40) == 0 {
+				holds[i].Until = origin - rng.Int63n(2) // an empty interval
+			}
+		}
+		want := New(0, size, size)
+		want.Reset(origin, size, size)
+		var wantErr error
+		for _, h := range holds {
+			if wantErr = want.Occupy(origin, h.Until, h.Nodes); wantErr != nil {
+				break
+			}
+		}
+		err := p.ResetHolds(origin, size, holds)
+		if (err != nil) != (wantErr != nil) {
+			return false
+		}
+		if err != nil {
+			return true
+		}
+		wt, wf := want.Breakpoints()
+		gt, gf := p.Breakpoints()
+		return p.Size() == size && slices.Equal(gt, wt) && slices.Equal(gf, wf) && p.CheckInvariants() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -77,6 +77,9 @@ type conservativeEngine struct {
 	impBuf []*reservedJob // improvement / placement order
 	dueBuf []*reservedJob // due-reservation starts
 	qBuf   []*job.Job     // queued() result
+	// spare recycles started jobs' queue entries, so an arrival allocates
+	// nothing once the engine is warm.
+	spare []*reservedJob
 
 	// noCache forces the from-scratch path on every event: the reference
 	// behaviour the differential tests compare the cache against.
@@ -117,7 +120,14 @@ func (e *conservativeEngine) reset() {
 }
 
 func (e *conservativeEngine) arrive(env sim.Env, j *job.Job) {
-	e.queue = append(e.queue, &reservedJob{job: j})
+	var q *reservedJob
+	if n := len(e.spare); n > 0 {
+		q, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		q = new(reservedJob)
+	}
+	*q = reservedJob{job: j}
+	e.queue = append(e.queue, q)
 	e.schedule(env)
 }
 
@@ -252,6 +262,7 @@ func (e *conservativeEngine) schedule(env sim.Env) {
 		if e.dynamic {
 			e.pruneLastOrder(due)
 		}
+		e.spare = append(e.spare, due...)
 	}
 	e.dueBuf = due
 	clear(e.queue[len(kept):]) // drop started jobs' pointers from the tail
@@ -547,20 +558,21 @@ func (e *conservativeEngine) improve(env sim.Env) {
 	for pass := 0; pass < improvementPasses; pass++ {
 		changed := false
 		for _, q := range improved {
+			// The read-only probe answers what releasing the reservation
+			// and searching again would; a job that keeps its reservation
+			// leaves the profile untouched.
 			est := q.job.Estimate
+			s, ok := e.prof.EarliestMove(now, q.res, est, q.job.Nodes)
+			if !ok {
+				continue
+			}
 			if err := e.prof.Release(q.res, q.res+est, q.job.Nodes); err != nil {
 				panic(fmt.Sprintf("sched: release: %v", err))
-			}
-			s, ok := e.prof.EarliestFit(now, est, q.job.Nodes)
-			if !ok || s > q.res {
-				s = q.res // keep the existing reservation
 			}
 			if err := e.prof.Occupy(s, s+est, q.job.Nodes); err != nil {
 				panic(fmt.Sprintf("sched: re-reserve: %v", err))
 			}
-			if s < q.res {
-				changed = true
-			}
+			changed = true
 			q.res = s
 		}
 		if !changed {

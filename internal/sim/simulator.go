@@ -112,6 +112,9 @@ type Simulator struct {
 	avail      profile.Profile
 	availDirty bool
 	availInit  bool
+	// holds is Availability's reused scratch: the running jobs' promised
+	// releases, sorted by ResetHolds.
+	holds []profile.Hold
 }
 
 // New creates a simulator for the given configuration and policy.
@@ -146,12 +149,13 @@ func (s *Simulator) Fairshare() *fairshare.Tracker { return s.fs }
 // from the running set; Start and the advancing clock invalidate it.
 func (s *Simulator) Availability() *profile.Profile {
 	if !s.availInit || s.availDirty {
-		s.avail.Reset(s.now, s.cfg.SystemSize, s.cfg.SystemSize)
+		s.holds = s.holds[:0]
 		for _, r := range s.running {
-			if err := s.avail.Occupy(s.now, r.EstimatedCompletion(s.now), r.Job.Nodes); err != nil {
-				// Running jobs always fit: they were started within capacity.
-				panic(fmt.Sprintf("sim: availability occupancy: %v", err))
-			}
+			s.holds = append(s.holds, profile.Hold{Until: r.EstimatedCompletion(s.now), Nodes: r.Job.Nodes})
+		}
+		if err := s.avail.ResetHolds(s.now, s.cfg.SystemSize, s.holds); err != nil {
+			// Running jobs always fit: they were started within capacity.
+			panic(fmt.Sprintf("sim: availability occupancy: %v", err))
 		}
 		s.availInit = true
 		s.availDirty = false
