@@ -51,21 +51,6 @@ func New(origin int64, free, size int) *Profile {
 	return p
 }
 
-// Reset reinitializes the profile in place to `free` nodes available from
-// origin onwards out of `size`, reusing the breakpoint backing array. It is
-// the allocation-free equivalent of New for hot paths that rebuild a profile
-// every scheduling event.
-func (p *Profile) Reset(origin int64, free, size int) {
-	if free > size {
-		free = size
-	}
-	p.size = size
-	p.bps = append(p.bps[:0], breakpoint{t: origin, free: free})
-	if free != size {
-		p.bps = append(p.bps, breakpoint{t: Horizon, free: size})
-	}
-}
-
 // Hold is one running job's claim on the machine: Nodes stay busy until
 // Until, the job's promised release time.
 type Hold struct {
@@ -78,8 +63,10 @@ type Hold struct {
 // breakpoint backing array. It sorts holds in place by Until and writes the
 // breakpoints in one pass: free capacity only rises after origin, and holds
 // releasing at the same instant share one breakpoint. The result equals
-// Reset(origin, size, size) followed by Occupy(origin, h.Until, h.Nodes)
-// per hold, at O(R log R) for R holds instead of O(R²). On error (a hold
+// New(origin, size, size) followed by Occupy(origin, h.Until, h.Nodes)
+// per hold, at O(R log R) for R holds instead of O(R²), and it is the
+// allocation-free equivalent of New for hot paths that rebuild a profile
+// every scheduling event. On error (a hold
 // ending at or before origin, negative nodes, or more nodes held than the
 // system has) the profile is left unchanged.
 func (p *Profile) ResetHolds(origin int64, size int, holds []Hold) error {

@@ -205,7 +205,9 @@ func TestResetReusesBackingArray(t *testing.T) {
 	if err := p.Occupy(5, 20, 4); err != nil {
 		t.Fatal(err)
 	}
-	p.Reset(100, 8, 16)
+	if err := p.ResetHolds(100, 16, []Hold{{Until: Horizon, Nodes: 8}}); err != nil {
+		t.Fatal(err)
+	}
 	if p.Size() != 16 || p.Origin() != 100 {
 		t.Fatalf("reset profile: size=%d origin=%d", p.Size(), p.Origin())
 	}
@@ -219,7 +221,9 @@ func TestResetReusesBackingArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reset to full capacity drops the horizon breakpoint.
-	p.Reset(0, 12, 12)
+	if err := p.ResetHolds(0, 12, nil); err != nil {
+		t.Fatal(err)
+	}
 	if times, _ := p.Breakpoints(); len(times) != 1 {
 		t.Fatalf("full-capacity reset kept %d breakpoints", len(times))
 	}

@@ -209,7 +209,7 @@ func TestQuickEarliestMoveMatchesReleaseRefit(t *testing.T) {
 }
 
 // TestQuickResetHoldsMatchesOccupy pins the sort-once build to its
-// definition: Reset to full capacity, then one Occupy from the origin per
+// definition: a full-capacity profile, then one Occupy from the origin per
 // hold. Holds come unsorted, often share a release time, and sometimes end
 // at or before the origin or hold more nodes than the system has (both
 // paths must then fail).
@@ -226,8 +226,7 @@ func TestQuickResetHoldsMatchesOccupy(t *testing.T) {
 				holds[i].Until = origin - rng.Int63n(2) // an empty interval
 			}
 		}
-		want := New(0, size, size)
-		want.Reset(origin, size, size)
+		want := New(origin, size, size)
 		var wantErr error
 		for _, h := range holds {
 			if wantErr = want.Occupy(origin, h.Until, h.Nodes); wantErr != nil {
