@@ -28,7 +28,8 @@ type breakpoint struct {
 }
 
 // Profile is a free-capacity step function over [origin, +inf). The zero
-// value is not usable; construct with New.
+// value is not usable; construct with New, or fill it with ResetHolds or
+// CopyFrom.
 type Profile struct {
 	size int // system size; free capacity beyond the last breakpoint
 	bps  []breakpoint
@@ -66,9 +67,9 @@ type Hold struct {
 // New(origin, size, size) followed by Occupy(origin, h.Until, h.Nodes)
 // per hold, at O(R log R) for R holds instead of O(R²), and it is the
 // allocation-free equivalent of New for hot paths that rebuild a profile
-// every scheduling event. On error (a hold
-// ending at or before origin, negative nodes, or more nodes held than the
-// system has) the profile is left unchanged.
+// every scheduling event. On error (a hold ending at or before origin,
+// negative nodes, or more nodes held than the system has) the profile is
+// left unchanged.
 func (p *Profile) ResetHolds(origin int64, size int, holds []Hold) error {
 	slices.SortFunc(holds, func(a, b Hold) int { return cmp.Compare(a.Until, b.Until) })
 	held := 0
