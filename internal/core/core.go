@@ -162,12 +162,6 @@ func Execute(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, error) {
 		// classic path.
 		Preemptable: spec.PreemptTrigger != "",
 	}
-	if simCfg.Preemptable && simCfg.MaxRuntime > 0 {
-		// Preemption and max-runtime splitting both drive the chain
-		// machinery and do not compose (see sim.Run); surface the conflict
-		// here with the policy name attached rather than mid-run.
-		return nil, fmt.Errorf("core: %s: checkpoint preemption does not compose with max-runtime splitting", spec.String())
-	}
 	col := metrics.NewCollector(cfg.SystemSize)
 	observers := []sim.Observer{col}
 	var fst *fairness.HybridFST

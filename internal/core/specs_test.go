@@ -217,6 +217,20 @@ func TestExecuteRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsPreemptWithMax: a preemptive spec given a maximum
+// runtime fails in sched.New, before any simulator is configured.
+func TestExecuteRejectsPreemptWithMax(t *testing.T) {
+	spec, err := SpecByKey("easy.preempt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.MaxRuntime = 72 * 3600
+	_, err = Execute(StudyConfig{SystemSize: 128}, spec, tinyWorkload())
+	if err == nil || !strings.Contains(err.Error(), "preempt is incompatible with max") {
+		t.Fatalf("Execute(easy.preempt with max) = %v, want sched's preempt/max rejection", err)
+	}
+}
+
 func TestExecuteWithEquality(t *testing.T) {
 	spec, _ := SpecByKey("easy")
 	run, err := Execute(StudyConfig{SystemSize: 128, Equality: true}, spec, tinyWorkload())

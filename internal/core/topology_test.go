@@ -260,29 +260,33 @@ func TestPartitionParallelDeterminism(t *testing.T) {
 // TestTopologyRejects: routing and configuration errors must surface as
 // errors, not silent misroutes.
 func TestTopologyRejects(t *testing.T) {
-	jobs := tinyWorkload()
-	spec, err := SpecByKey("cplant24.nomax.all")
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo := topology.MustParse("part=main,queue=a,queue=b:sjf")
-
-	var bq topology.PlacementBuilder
+	var bq, bp topology.PlacementBuilder
 	bq.SetQueue(1, "nope")
-	if _, err := Execute(StudyConfig{SystemSize: 128, Topology: topo, Placement: bq.Build()}, spec, jobs); err == nil ||
-		!strings.Contains(err.Error(), "not a declared leaf") {
-		t.Errorf("undeclared queue tag: err = %v", err)
-	}
-
-	var bp topology.PlacementBuilder
 	bp.SetPartition(1, "ghost")
-	if _, err := Execute(StudyConfig{SystemSize: 128, Topology: topo, Placement: bp.Build()}, spec, jobs); err == nil ||
-		!strings.Contains(err.Error(), "does not declare") {
-		t.Errorf("undeclared partition tag: err = %v", err)
+	cases := []struct {
+		name, spec string
+		cfg        StudyConfig
+		wantSub    string
+	}{
+		{"undeclared queue tag", "cplant24.nomax.all",
+			StudyConfig{SystemSize: 128, Topology: topo, Placement: bq.Build()}, "not a declared leaf"},
+		{"undeclared partition tag", "cplant24.nomax.all",
+			StudyConfig{SystemSize: 128, Topology: topo, Placement: bp.Build()}, "does not declare"},
+		{"equality+topology", "cplant24.nomax.all",
+			StudyConfig{SystemSize: 128, Topology: topo, Equality: true}, "equality"},
+		{"srpt+topology", "srpt",
+			StudyConfig{SystemSize: 128, Topology: topo}, "checkpoint preemption is not supported with a topology"},
+		{"edf+topology", "edf",
+			StudyConfig{SystemSize: 128, Topology: topo}, "order=edf is not supported with a topology"},
 	}
-
-	if _, err := Execute(StudyConfig{SystemSize: 128, Topology: topo, Equality: true}, spec, jobs); err == nil ||
-		!strings.Contains(err.Error(), "equality") {
-		t.Errorf("equality+topology: err = %v", err)
+	for _, c := range cases {
+		spec, err := SpecByKey(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(c.cfg, spec, tinyWorkload()); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: err = %v, want it to contain %q", c.name, err, c.wantSub)
+		}
 	}
 }

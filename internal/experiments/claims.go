@@ -20,7 +20,7 @@ import (
 // (fig8-72h-entry-reduces-unfair, fig8-72max-reduces-unfair-load) hold on
 // the reference seed and 9/10 seeds; tier 3 (fig16-cons-helps-wide) is the
 // known-fragile wide-category claim recorded in EXPERIMENTS.md.
-var paperClaims = []struct{ spec, statement string }{
+var paperClaims = []claim{
 	{
 		"claim fig8-fair-reduces-unfair: cplant24.nomax.fair < cplant24.nomax.all on unfair_pct seeds 42..51",
 		"Barring heavy users from the starvation queue reduces the percent of unfair jobs",
@@ -105,16 +105,19 @@ var paperClaims = []struct{ spec, statement string }{
 	},
 }
 
-// PaperHypotheses returns the paper's claims as hypothesis specs, paper
-// order. The specs parse from the grammar at first use; a claim that stops
-// parsing (a renamed policy, a dropped metric key) panics loudly rather
-// than silently vanishing from the checklist.
-func PaperHypotheses() []hypothesis.Spec {
-	out := make([]hypothesis.Spec, len(paperClaims))
-	for i, c := range paperClaims {
+// claim is one row of a claim table: the claim in the hypothesis grammar
+// and the prose statement the reports print.
+type claim struct{ spec, statement string }
+
+// parseClaims parses a claim table into hypothesis specs, in table order.
+// A claim that stops parsing (a renamed policy, a dropped metric key)
+// panics loudly rather than silently vanishing from the checklist.
+func parseClaims(table string, claims []claim) []hypothesis.Spec {
+	out := make([]hypothesis.Spec, len(claims))
+	for i, c := range claims {
 		s, err := hypothesis.Parse(c.spec)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: paper claim %d: %v", i, err))
+			panic(fmt.Sprintf("experiments: %s claim %d: %v", table, i, err))
 		}
 		s.Statement = c.statement
 		out[i] = s
@@ -122,10 +125,22 @@ func PaperHypotheses() []hypothesis.Spec {
 	return out
 }
 
+// PaperHypotheses returns the paper's claims as hypothesis specs, paper
+// order.
+func PaperHypotheses() []hypothesis.Spec { return parseClaims("paper", paperClaims) }
+
+// init registers every claim table: the paper's claims first, then the
+// population, preemption and queue demonstrations.
 func init() {
-	for _, s := range PaperHypotheses() {
-		hypothesis.Register(s)
+	register := func(table string, claims []claim) {
+		for _, s := range parseClaims(table, claims) {
+			hypothesis.Register(s)
+		}
 	}
+	register("paper", paperClaims)
+	register("population", populationClaims)
+	register("preempt", preemptClaims)
+	register("queue", queueClaims)
 }
 
 // resultsResolver adapts one full nine-policy sweep (a *Results) to the

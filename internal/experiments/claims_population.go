@@ -1,11 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-
-	"fairsched/internal/hypothesis"
-)
-
 // populationClaims exercise the population-scale generative workload layer
 // end to end: the population-100k builtin scenario replaces the incoming
 // trace with a generated 100k-user, 25k-job campaign cell, so evaluating
@@ -15,7 +9,7 @@ import (
 // but NOT part of PaperHypotheses — the paper's case study is a ~640-user
 // trace; these pin the test-bed's million-user ambition into CI. Tier 3: a
 // flipped seed reports but never gates.
-var populationClaims = []struct{ spec, statement string }{
+var populationClaims = []claim{
 	{
 		// The 100k-user population is underloaded at the default 1000-node
 		// system (util ~30%), so arrivals are compressed 3x to develop real
@@ -25,24 +19,4 @@ var populationClaims = []struct{ spec, statement string }{
 			" tier 3 seeds 42..44",
 		"On a generated 100k-user population with arrivals compressed 3x, EASY backfill keeps average bounded slowdown at or below plain FCFS",
 	},
-}
-
-// PopulationHypotheses returns the population-scale demonstration claims.
-func PopulationHypotheses() []hypothesis.Spec {
-	out := make([]hypothesis.Spec, len(populationClaims))
-	for i, c := range populationClaims {
-		s, err := hypothesis.Parse(c.spec)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: population claim %d: %v", i, err))
-		}
-		s.Statement = c.statement
-		out[i] = s
-	}
-	return out
-}
-
-func init() {
-	for _, s := range PopulationHypotheses() {
-		hypothesis.Register(s)
-	}
 }

@@ -1,11 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-
-	"fairsched/internal/hypothesis"
-)
-
 // preemptClaims evaluate the checkpoint-preemption extension (the preempt=
 // scheduler component) against plain EASY backfilling. The scenario gives
 // every user one 30-minute wait target with arrivals compressed 1.5x, so
@@ -25,7 +19,7 @@ import (
 // checkpoint creates the next breacher, and attainment collapses to
 // ~15-19% vs EASY's ~30-37%. Preemption only pays when the order sends the
 // freed nodes somewhere better — which is exactly what srpt shows.
-var preemptClaims = []struct{ spec, statement string }{
+var preemptClaims = []claim{
 	{
 		// Holds 10/10 at full scale with ~30-60x margins (avg_bsld
 		// ~50-143 vs ~2700-4100): preempting the lowest-priority running
@@ -60,24 +54,4 @@ var preemptClaims = []struct{ spec, statement string }{
 			" tier 3 seeds 42..51",
 		"Under a uniform wait target, deadline-triggered preemption (edf.preempt) attains at most plain EASY's rate: with every deadline equally near, each breach-triggered checkpoint just creates the next breacher",
 	},
-}
-
-// PreemptHypotheses returns the checkpoint-preemption demonstration claims.
-func PreemptHypotheses() []hypothesis.Spec {
-	out := make([]hypothesis.Spec, len(preemptClaims))
-	for i, c := range preemptClaims {
-		s, err := hypothesis.Parse(c.spec)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: preempt claim %d: %v", i, err))
-		}
-		s.Statement = c.statement
-		out[i] = s
-	}
-	return out
-}
-
-func init() {
-	for _, s := range PreemptHypotheses() {
-		hypothesis.Register(s)
-	}
 }

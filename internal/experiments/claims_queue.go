@@ -1,11 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-
-	"fairsched/internal/hypothesis"
-)
-
 // queueClaims are demonstration claims over the per-queue metric plane
 // (metrics keys "queue.<path>.<field>"): the scenario's queue= transform
 // routes users into queue-tree leaves, the slo= transform gives every user
@@ -13,7 +7,7 @@ import (
 // leaves. They are registered alongside the paper claims (cmd/hypotheses
 // runs them) but are NOT part of PaperHypotheses — the paper has no queue
 // tree; these exercise the partition/queue subsystem end to end.
-var queueClaims = []struct{ spec, statement string }{
+var queueClaims = []claim{
 	{
 		// Holds unanimously over seeds 42–51 at full scale (light ≈ 36–41%
 		// vs heavy ≈ 34–38%); at reduced scales the load is too light for
@@ -26,24 +20,4 @@ var queueClaims = []struct{ spec, statement string }{
 			" seeds 42..51",
 		"With arrivals compressed 1.5x and one 30m wait target for everyone, the lightest half of the users (queue \"light\") attain at least the heavy half's rate under fairshare ordering",
 	},
-}
-
-// QueueHypotheses returns the per-queue demonstration claims.
-func QueueHypotheses() []hypothesis.Spec {
-	out := make([]hypothesis.Spec, len(queueClaims))
-	for i, c := range queueClaims {
-		s, err := hypothesis.Parse(c.spec)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: queue claim %d: %v", i, err))
-		}
-		s.Statement = c.statement
-		out[i] = s
-	}
-	return out
-}
-
-func init() {
-	for _, s := range QueueHypotheses() {
-		hypothesis.Register(s)
-	}
 }

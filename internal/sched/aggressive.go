@@ -2,33 +2,33 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"fairsched/internal/job"
+	"fairsched/internal/profile"
 	"fairsched/internal/sim"
 )
 
 // aggressiveEngine is the aggressive backfill family — the disciplines
 // whose reservations (if any) are rebuilt from the running jobs at every
-// scheduling event:
+// scheduling event. They are one pass, backfill, differing only in how many
+// main-queue heads hold a reservation:
 //
-//   - mode noguarantee: any main-queue job that fits starts, in queue
-//     order, with no internal reservations (CPlant §2.1);
-//   - mode easy: only the blocked main-queue head holds a reservation
-//     (Lifka's EASY, Figure 2 semantics);
-//   - mode depth: the first depth main-queue heads hold reservations (the
-//     spectrum between aggressive and conservative backfilling).
+//   - noguarantee reserves 0: any job that fits starts, in queue order
+//     (CPlant §2.1);
+//   - easy reserves 1, the blocked head (Lifka's EASY, Figure 2 semantics);
+//   - depth reserves the first k (the spectrum between aggressive and
+//     conservative backfilling).
 //
 // The optional starvation component composes with noguarantee and easy: a
-// job queued longer than the threshold moves to an FCFS starvation queue
-// whose first reserve-depth heads hold reservations; while starved jobs
-// exist they own the reservation set and every other job (starvation-queue
-// tail first, then the main queue in queue order) may start only where it
-// delays none of them.
+// job queued longer than the threshold moves to an FCFS starvation queue. While
+// starved jobs exist the same pass runs over the starvation queue instead,
+// reserving its first reserve-depth heads, with the main queue (in queue
+// order) as the tail backfilled after the rest of the starvation queue.
 type aggressiveEngine struct {
 	comp   *Composite
 	order  Order
-	mode   string // BackfillNoGuarantee, BackfillEASY or BackfillDepth
-	depth  int    // reserved queue heads in mode depth
+	depth  int // reserved main-queue heads: 0 noguarantee, 1 easy, k depth
 	starve *starvation
 
 	main    []*job.Job
@@ -67,225 +67,123 @@ func (e *aggressiveEngine) queued() []*job.Job {
 func (e *aggressiveEngine) schedule(env sim.Env) {
 	if e.starve != nil {
 		e.main, e.starved = e.starve.promote(env, e.main, e.starved)
-		// Drain starvation-queue heads that fit right now.
-		for len(e.starved) > 0 && e.starved[0].Nodes <= env.FreeNodes() {
-			var head *job.Job
-			e.starved, head = popHead(e.starved)
-			if err := env.Start(head); err != nil {
-				panic(err)
-			}
-		}
+		// The starved heads start before the main queue is ordered: a start
+		// can change what the order reads (edf's breach risk).
+		startHeads(env, &e.starved)
 	}
 	sortQueue(env, e.order, e.main)
-	if len(e.starved) == 0 {
-		switch e.mode {
-		case BackfillNoGuarantee:
-			// No reservations at all: start everything that fits, in queue
-			// order (no-guarantee backfilling).
-			e.main = startAllFitting(env, e.main)
-		case BackfillEASY:
-			e.easyPass(env)
-		default: // BackfillDepth
-			e.depthPass(env)
-		}
+	if len(e.starved) > 0 {
+		e.starved, e.main = e.backfill(env, e.starved, e.starve.depth, e.main)
 		return
 	}
-	e.starvedPass(env)
+	startHeads(env, &e.main)
+	e.main, _ = e.backfill(env, e.main, e.depth, nil)
 }
 
-// startAllFitting starts every job that fits the free nodes, in queue
-// order, and returns the jobs kept queued.
-func startAllFitting(env sim.Env, q []*job.Job) []*job.Job {
-	kept := q[:0]
-	for _, c := range q {
-		if c.Nodes <= env.FreeNodes() {
-			if err := env.Start(c); err != nil {
+// startHeads starts the heads of *q while they fit the free nodes. It
+// shortens *q before each start, because observers may read the queue
+// (sim.Policy.Queued) from inside env.Start.
+func startHeads(env sim.Env, q *[]*job.Job) {
+	for len(*q) > 0 && (*q)[0].Nodes <= env.FreeNodes() {
+		var head *job.Job
+		*q, head = popHead(*q)
+		if err := env.Start(head); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// backfill reserves q's first depth jobs and starts every other job of q,
+// then of tail, in order, that delays none of those reservations. It
+// returns the jobs of q and of tail left queued.
+//
+// Up to one reservation needs no mutable profile. The shared availability
+// profile only gains capacity over time, so the head's reservation time and
+// the shadow nodes left beside it decide every candidate (canBackfill); no
+// reservation is the same test with the reservation at the end of time.
+// Deeper reservations are placed on the composite's scratch profile, which
+// each candidate must fit from now on (fitsNow).
+// TestShadowRuleMatchesProfileRule pins that the two tests agree at depth 1.
+func (e *aggressiveEngine) backfill(env sim.Env, q []*job.Job, depth int, tail []*job.Job) ([]*job.Job, []*job.Job) {
+	depth = min(depth, len(q))
+	now := env.Now()
+	resAt, shadow := int64(math.MaxInt64), 0
+	var prof *profile.Profile
+	switch {
+	case depth == 1:
+		resAt, shadow = reservation(env, q[0].Nodes)
+	case depth > 1:
+		prof = e.comp.scratchFrom(env)
+		for _, r := range q[:depth] {
+			if _, err := reserve(prof, now, r); err != nil {
 				panic(err)
 			}
-			continue
 		}
-		kept = append(kept, c)
+	}
+	admit := func(c *job.Job) bool {
+		if prof == nil {
+			if !canBackfill(env, c, resAt, shadow) {
+				return false
+			}
+			if now+c.Estimate > resAt {
+				shadow -= c.Nodes
+			}
+		} else {
+			if c.Nodes > env.FreeNodes() || !fitsNow(prof, now, c) {
+				return false
+			}
+			if err := prof.Occupy(now, now+c.Estimate, c.Nodes); err != nil {
+				panic(fmt.Sprintf("sched: backfill: %v", err))
+			}
+		}
+		if err := env.Start(c); err != nil {
+			panic(err)
+		}
+		return true
+	}
+	rest := startAdmitted(q[depth:], admit)
+	return q[:depth+len(rest)], startAdmitted(tail, admit)
+}
+
+// startAdmitted offers each job of q, in order, to admit, which starts the
+// jobs it accepts, and returns the rest compacted in place.
+func startAdmitted(q []*job.Job, admit func(*job.Job) bool) []*job.Job {
+	kept := q[:0]
+	for _, c := range q {
+		if !admit(c) {
+			kept = append(kept, c)
+		}
 	}
 	clear(q[len(kept):]) // drop started jobs' pointers from the vacated tail
 	return kept
 }
 
-// easyPass runs aggressive backfilling on the main queue: start heads while
-// they fit, give the blocked head the only reservation, backfill the rest
-// against it.
-func (e *aggressiveEngine) easyPass(env sim.Env) {
-	for len(e.main) > 0 && e.main[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		e.main, head = popHead(e.main)
-		if err := env.Start(head); err != nil {
-			panic(err)
-		}
+// reserve occupies r's earliest fit on prof from now on and returns its
+// start.
+func reserve(prof *profile.Profile, now int64, r *job.Job) (int64, error) {
+	s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
+	if !ok {
+		return 0, fmt.Errorf("sched: reservation impossible for %v", r)
 	}
-	if len(e.main) == 0 {
-		return
-	}
-	resAt, shadow := reservation(env, e.main[0].Nodes)
-	rest := e.main[1:]
-	kept := rest[:0]
-	for _, c := range rest {
-		if canBackfill(env, c, resAt, shadow) {
-			if env.Now()+c.Estimate > resAt {
-				shadow -= c.Nodes
-			}
-			if err := env.Start(c); err != nil {
-				panic(err)
-			}
-			continue
-		}
-		kept = append(kept, c)
-	}
-	clear(rest[len(kept):])
-	e.main = e.main[:1+len(kept)]
+	return s, prof.Occupy(s, s+r.Estimate, r.Nodes)
 }
 
-// depthPass reserves the first depth main-queue heads on the shared
-// availability profile and backfills the rest into the remaining holes.
-func (e *aggressiveEngine) depthPass(env sim.Env) {
-	now := env.Now()
-	for len(e.main) > 0 && e.main[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		e.main, head = popHead(e.main)
-		if err := env.Start(head); err != nil {
-			panic(err)
-		}
-	}
-	if len(e.main) == 0 {
-		return
-	}
-	prof := e.comp.scratchFrom(env)
-	depth := e.depth
-	if depth > len(e.main) {
-		depth = len(e.main)
-	}
-	for _, r := range e.main[:depth] {
-		s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
-		if !ok {
-			panic(fmt.Sprintf("sched: depth reservation impossible for %v", r))
-		}
-		if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
-			panic(fmt.Sprintf("sched: depth reserve: %v", err))
-		}
-	}
-	// Backfill the rest: a candidate may start now only if its rectangle
-	// fits the reserved profile starting immediately.
-	kept := e.main[:depth]
-	for _, c := range e.main[depth:] {
-		if c.Nodes <= env.FreeNodes() && fitsNow(prof, now, c) {
-			if err := prof.Occupy(now, now+c.Estimate, c.Nodes); err != nil {
-				panic(fmt.Sprintf("sched: depth backfill: %v", err))
-			}
-			if err := env.Start(c); err != nil {
-				panic(err)
-			}
-			continue
-		}
-		kept = append(kept, c)
-	}
-	clear(e.main[len(kept):])
-	e.main = kept
-}
-
-// starvedPass schedules while starved jobs exist: the first reserve-depth
-// starvation-queue jobs hold reservations (CPlant reserved only the head);
-// everything else (rest of the starvation queue FCFS, then the main queue
-// in queue order) may start only where it delays no reservation.
-func (e *aggressiveEngine) starvedPass(env sim.Env) {
-	depth := e.starve.depth
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > len(e.starved) {
-		depth = len(e.starved)
-	}
-	if depth == 1 {
-		// The production fast path: a single reservation needs no mutable
-		// profile copy — the shared availability profile answers it directly.
-		resAt, shadow := reservation(env, e.starved[0].Nodes)
-		backfill := func(q []*job.Job) []*job.Job {
-			kept := q[:0]
-			for _, c := range q {
-				if canBackfill(env, c, resAt, shadow) {
-					if env.Now()+c.Estimate > resAt {
-						shadow -= c.Nodes
-					}
-					if err := env.Start(c); err != nil {
-						panic(err)
-					}
-					continue
-				}
-				kept = append(kept, c)
-			}
-			clear(q[len(kept):])
-			return kept
-		}
-		rest := backfill(e.starved[1:])
-		e.starved = e.starved[:1+len(rest)]
-		e.main = backfill(e.main)
-		return
-	}
-	prof := e.comp.scratchFrom(env)
-	now := env.Now()
-	for _, r := range e.starved[:depth] {
-		s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
-		if !ok {
-			panic(fmt.Sprintf("sched: starvation reservation impossible for %v", r))
-		}
-		if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
-			panic(fmt.Sprintf("sched: starvation reserve: %v", err))
-		}
-	}
-	backfill := func(q []*job.Job) []*job.Job {
-		kept := q[:0]
-		for _, c := range q {
-			if c.Nodes <= env.FreeNodes() && fitsNow(prof, now, c) {
-				if err := prof.Occupy(now, now+c.Estimate, c.Nodes); err != nil {
-					panic(fmt.Sprintf("sched: starvation backfill: %v", err))
-				}
-				if err := env.Start(c); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			kept = append(kept, c)
-		}
-		clear(q[len(kept):])
-		return kept
-	}
-	rest := backfill(e.starved[depth:])
-	e.starved = e.starved[:depth+len(rest)]
-	e.main = backfill(e.main)
-}
-
-// depthReservations computes the reservation starts a fresh depth-mode
+// depthReservations computes the reservation starts a fresh bf=depth
 // scheduling pass would place (tests and diagnostics). It works on its own
 // profile copy, NOT the composite's scratch: observers may call it from
 // inside a scheduling pass (env.Start fires JobStarted synchronously while
 // the engine still holds reservations in the scratch profile), and
 // clobbering the scratch mid-pass would corrupt the pass.
 func (e *aggressiveEngine) depthReservations(env sim.Env) map[job.ID]int64 {
-	now := env.Now()
 	prof := env.Availability().Clone()
 	q := append([]*job.Job(nil), e.main...)
 	sortQueue(env, e.order, q)
-	depth := e.depth
-	if depth > len(q) {
-		depth = len(q)
-	}
-	out := make(map[job.ID]int64, depth)
-	for _, r := range q[:depth] {
-		s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
-		if !ok {
-			continue
+	q = q[:min(e.depth, len(q))]
+	out := make(map[job.ID]int64, len(q))
+	for _, r := range q {
+		if s, err := reserve(prof, env.Now(), r); err == nil {
+			out[r.ID] = s
 		}
-		if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
-			continue
-		}
-		out[r.ID] = s
 	}
 	return out
 }

@@ -77,13 +77,14 @@ func New(spec Spec) (*Composite, error) {
 			dynamic: norm.Backfill == BackfillConservativeDynamic,
 		}
 	case BackfillNoGuarantee, BackfillEASY, BackfillDepth:
-		c.engine = &aggressiveEngine{
-			comp:   c,
-			order:  ord,
-			mode:   norm.Backfill,
-			depth:  norm.Depth,
-			starve: newStarvation(norm),
+		depth := 0 // noguarantee reserves no head
+		switch norm.Backfill {
+		case BackfillEASY:
+			depth = 1
+		case BackfillDepth:
+			depth = norm.Depth
 		}
+		c.engine = &aggressiveEngine{comp: c, order: ord, depth: depth, starve: newStarvation(norm)}
 	default:
 		return nil, fmt.Errorf("sched: policy %q: unknown backfill %q", spec.String(), norm.Backfill)
 	}
@@ -213,7 +214,7 @@ func (c *Composite) Reservations(env sim.Env) map[job.ID]int64 {
 	case *conservativeEngine:
 		return e.reservations()
 	case *aggressiveEngine:
-		if e.mode == BackfillDepth {
+		if c.spec.Backfill == BackfillDepth {
 			return e.depthReservations(env)
 		}
 	}

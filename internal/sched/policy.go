@@ -25,6 +25,11 @@
 // in the simulator; Spec.MaxRuntime records them so a spec fully names a
 // configuration, and they compose with every policy here.
 //
+// The aggressive disciplines are one backfill pass that differs only in
+// how many queue heads hold a reservation: noguarantee 0, easy 1, depth k.
+// The starvation queue runs the same pass over its own heads, with the
+// main queue as the tail backfilled after it.
+//
 // All components of one scheduling pass share the environment's per-event
 // availability profile (sim.Env.Availability) instead of re-deriving the
 // running jobs' release times independently; see DESIGN.md §9.
@@ -69,8 +74,8 @@ func sortFCFS(q []*job.Job) {
 
 // reservation computes the earliest time a job needing `nodes` nodes could
 // start given only the running jobs' estimated completions (no queued-job
-// reservations) — the reservation EASY backfilling and the starvation-queue
-// head use. It reads the environment's shared availability profile rather
+// reservations) — the one reservation of a depth-1 backfill pass (EASY's
+// blocked head, the starvation-queue head). It reads the environment's shared availability profile rather
 // than re-deriving release times from the running set. It returns the
 // reservation time and the "shadow" capacity: the nodes left over at that
 // time after the job is placed, which bounds what backfilled jobs running

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"fairsched/internal/fairshare"
@@ -84,19 +85,25 @@ func TestStartValidation(t *testing.T) {
 }
 
 func TestRunRejectsInvalidWorkload(t *testing.T) {
-	jobs := []*job.Job{{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 100}}
-	if _, err := New(Config{SystemSize: 4}, &greedy{}).Run(jobs); err == nil {
-		t.Fatal("too-wide job accepted")
+	one := &job.Job{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 1}
+	cases := []struct {
+		name    string
+		cfg     Config
+		pol     Policy
+		jobs    []*job.Job
+		wantSub string
+	}{
+		{"too-wide job", Config{SystemSize: 4}, &greedy{},
+			[]*job.Job{{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 100}}, ""},
+		{"duplicate ids", Config{SystemSize: 4}, &greedy{}, []*job.Job{one, one}, ""},
+		{"nil policy", Config{SystemSize: 4}, nil, nil, "nil policy"},
+		{"preempt with max", Config{SystemSize: 4, Preemptable: true, MaxRuntime: 5}, &greedy{},
+			[]*job.Job{one}, "mutually exclusive"},
 	}
-	dup := []*job.Job{
-		{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 1},
-		{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 1},
-	}
-	if _, err := New(Config{SystemSize: 4}, &greedy{}).Run(dup); err == nil {
-		t.Fatal("duplicate ids accepted")
-	}
-	if _, err := New(Config{SystemSize: 4}, nil).Run(nil); err == nil {
-		t.Fatal("nil policy accepted")
+	for _, c := range cases {
+		if _, err := New(c.cfg, c.pol).Run(c.jobs); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: err = %v, want it to contain %q", c.name, err, c.wantSub)
+		}
 	}
 }
 

@@ -71,6 +71,8 @@ func TestParseErrors(t *testing.T) {
 		{"queue=a:fcfs:sjf", "second policy"},
 		{"queue=a:order=bogus", "unknown"},
 		{"queue=a:max=24h", "cannot set max="},
+		{"queue=a:easy.preempt", "cannot set preempt="},
+		{"queue=a:edf", "cannot use order=edf"},
 		{"queue=org:fcfs,queue=org/a", "inner nodes carry shares, not schedulers"},
 		{"part=x,part=y,queue=org:part=x,queue=org/a:part=y", "cannot span partitions"},
 	}
