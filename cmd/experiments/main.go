@@ -14,6 +14,7 @@
 //	experiments -seeds 10       # tally claim robustness across 10 seeds
 //	experiments -markdown       # also emit EXPERIMENTS.md-style tables
 //	experiments -cpuprofile cpu.out   # profile the run (go tool pprof cpu.out)
+//	experiments -memprofile mem.out   # allocation profile of the run
 //
 // Campaign mode (any -trace, -scenario, -policy or -window flag):
 //
@@ -42,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -92,6 +94,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "binary trace-cache directory for manifest traces (empty: stream SWF every load)")
 		listTraces = flag.Bool("list-traces", false, "list the manifest's traces (name, path, overrides), then exit (needs -manifest)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the whole run to this file at exit (inspect with go tool pprof)")
 	)
 	flag.Var(&traces, "trace", "campaign: an SWF trace file, or with -manifest a trace name (repeatable; default: the synthetic trace / every manifest entry)")
 	flag.Var(&scenarios, "scenario", "campaign: a scenario name or transform chain (repeatable; see -list-scenarios)")
@@ -107,6 +110,21 @@ func main() {
 		}
 		stopProfile = func() {
 			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			fatal(err)
+		}
+		stopCPU := stopProfile
+		stopProfile = func() {
+			stopCPU()
+			runtime.GC() // settle the in-use statistics
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
+			}
 			f.Close()
 		}
 	}
@@ -439,8 +457,8 @@ func sortedScenarios() []scenario.Scenario {
 	return ss
 }
 
-// stopProfile flushes the -cpuprofile output; fatal calls it too, since
-// os.Exit skips deferred calls.
+// stopProfile flushes the -cpuprofile and -memprofile outputs; fatal calls
+// it too, since os.Exit skips deferred calls.
 var stopProfile = func() {}
 
 func fatal(err error) {

@@ -15,6 +15,7 @@
 //	hypotheses -markdown              # the EXPERIMENTS.md checklist table
 //	hypotheses -trace ross.swf        # claims over a real SWF trace
 //	hypotheses -manifest traces.toml -cache-dir .cache  # trace-scoped claims
+//	hypotheses -cpuprofile cpu.out    # profile the run (go tool pprof cpu.out)
 //
 // Exit status: 1 when any tier ≤ 2 claim among those run is REFUTED (its
 // reference seed failed), or when any campaign cell failed (the report
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"fairsched/internal/core"
@@ -61,10 +63,25 @@ func main() {
 		burst    = flag.Float64("burst", 0, "synthetic workload burst gamma (default 0.3)")
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		parallel = flag.Int("parallel", 0, "worker pool size (0: one per CPU; 1: serial — output is byte-identical at every setting)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	)
 	flag.Var(&claimIDs, "claim", "run one registered claim by id (repeatable)")
 	flag.Var(&specTexts, "spec", "run an ad-hoc claim written in the grammar (repeatable)")
 	flag.Parse()
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	defer stopProfile()
 
 	if *list {
 		for _, s := range hypothesis.Registered() {
@@ -129,6 +146,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hypotheses:", err)
 	}
 	if len(failed) > 0 || err != nil {
+		stopProfile()
 		os.Exit(1)
 	}
 }
@@ -170,7 +188,12 @@ func selectSpecs(claimIDs, specTexts stringList, tier int) ([]hypothesis.Spec, e
 	return specs, nil
 }
 
+// stopProfile flushes the -cpuprofile output; every os.Exit path calls it,
+// since os.Exit skips deferred calls.
+var stopProfile = func() {}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "hypotheses:", err)
 	os.Exit(1)
 }

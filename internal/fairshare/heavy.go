@@ -1,15 +1,24 @@
 package fairshare
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
-// HeavyClassifier decides whether a user counts as "heavy"/"unfair" for the
+// HeavyClassifier decides which users count as "heavy"/"unfair" for the
 // purpose of barring them from the starvation queue (paper §5.2). The paper
 // does not pin down the rule, so three classifiers are provided; AboveMean
 // is the default used by the *.fair policies.
+//
+// Every rule is "decayed usage above a threshold over the live users", so a
+// classifier reports the threshold and the caller compares: user u is heavy
+// iff t.Usage(u) > Threshold(t, liveUsers). A scheduling pass computes the
+// threshold once and tests each candidate with one comparison.
 type HeavyClassifier interface {
-	// IsHeavy reports whether user is heavy given the tracker state and the
-	// set of users who currently have live (queued or running) work.
-	IsHeavy(t *Tracker, user int, liveUsers []int) bool
+	// Threshold returns the usage above which a user is heavy given the
+	// tracker state and the users who currently have live (queued or
+	// running) work. A rule that marks no one heavy returns +Inf.
+	Threshold(t *Tracker, liveUsers []int) float64
 	Name() string
 }
 
@@ -20,14 +29,15 @@ type AboveMean struct{ Factor float64 }
 // Name implements HeavyClassifier.
 func (a AboveMean) Name() string { return "above-mean" }
 
-// IsHeavy implements HeavyClassifier.
-func (a AboveMean) IsHeavy(t *Tracker, user int, liveUsers []int) bool {
+// Threshold implements HeavyClassifier: Factor times the live mean, or +Inf
+// when there are no live users or the mean is not positive.
+func (a AboveMean) Threshold(t *Tracker, liveUsers []int) float64 {
 	f := a.Factor
 	if f <= 0 {
 		f = 1.0
 	}
 	if len(liveUsers) == 0 {
-		return false
+		return math.Inf(1)
 	}
 	var sum float64
 	for _, u := range liveUsers {
@@ -35,9 +45,9 @@ func (a AboveMean) IsHeavy(t *Tracker, user int, liveUsers []int) bool {
 	}
 	mean := sum / float64(len(liveUsers))
 	if mean <= 0 {
-		return false
+		return math.Inf(1)
 	}
-	return t.Usage(user) > f*mean
+	return f * mean
 }
 
 // AboveQuantile marks a user heavy when their decayed usage is above the
@@ -48,26 +58,27 @@ type AboveQuantile struct{ Q float64 }
 // Name implements HeavyClassifier.
 func (a AboveQuantile) Name() string { return "above-quantile" }
 
-// IsHeavy implements HeavyClassifier.
-func (a AboveQuantile) IsHeavy(t *Tracker, user int, liveUsers []int) bool {
+// Threshold implements HeavyClassifier: the live users' q-th usage
+// quantile, or +Inf when there are no live users or the quantile is not
+// positive.
+func (a AboveQuantile) Threshold(t *Tracker, liveUsers []int) float64 {
 	q := a.Q
 	if q <= 0 || q >= 1 {
 		q = 0.75
 	}
 	if len(liveUsers) == 0 {
-		return false
+		return math.Inf(1)
 	}
 	us := make([]float64, 0, len(liveUsers))
 	for _, u := range liveUsers {
 		us = append(us, t.Usage(u))
 	}
 	sort.Float64s(us)
-	idx := int(q * float64(len(us)-1))
-	threshold := us[idx]
+	threshold := us[int(q*float64(len(us)-1))]
 	if threshold <= 0 {
-		return false
+		return math.Inf(1)
 	}
-	return t.Usage(user) > threshold
+	return threshold
 }
 
 // AboveAbsolute marks a user heavy when their decayed usage exceeds a fixed
@@ -77,10 +88,8 @@ type AboveAbsolute struct{ ProcSeconds float64 }
 // Name implements HeavyClassifier.
 func (a AboveAbsolute) Name() string { return "above-absolute" }
 
-// IsHeavy implements HeavyClassifier.
-func (a AboveAbsolute) IsHeavy(t *Tracker, user int, _ []int) bool {
-	return t.Usage(user) > a.ProcSeconds
-}
+// Threshold implements HeavyClassifier: ProcSeconds, whoever is live.
+func (a AboveAbsolute) Threshold(*Tracker, []int) float64 { return a.ProcSeconds }
 
 // Never marks no one heavy (the *.all policies).
 type Never struct{}
@@ -88,5 +97,5 @@ type Never struct{}
 // Name implements HeavyClassifier.
 func (Never) Name() string { return "never" }
 
-// IsHeavy implements HeavyClassifier.
-func (Never) IsHeavy(*Tracker, int, []int) bool { return false }
+// Threshold implements HeavyClassifier.
+func (Never) Threshold(*Tracker, []int) float64 { return math.Inf(1) }

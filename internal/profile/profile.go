@@ -61,9 +61,10 @@ type Hold struct {
 
 // ResetHolds reinitializes the profile in place to `size` nodes from origin
 // onwards, less every hold's nodes on [origin, hold.Until), reusing the
-// breakpoint backing array. It sorts holds in place by Until and writes the
-// breakpoints in one pass: free capacity only rises after origin, and holds
-// releasing at the same instant share one breakpoint. The result equals
+// breakpoint backing array. It sorts holds in place by Until (holds already
+// in that order are left as they are) and writes the breakpoints in one
+// pass: free capacity only rises after origin, and holds releasing at the
+// same instant share one breakpoint. The result equals
 // New(origin, size, size) followed by Occupy(origin, h.Until, h.Nodes)
 // per hold, at O(R log R) for R holds instead of O(R²), and it is the
 // allocation-free equivalent of New for hot paths that rebuild a profile
@@ -71,7 +72,10 @@ type Hold struct {
 // negative nodes, or more nodes held than the system has) the profile is
 // left unchanged.
 func (p *Profile) ResetHolds(origin int64, size int, holds []Hold) error {
-	slices.SortFunc(holds, func(a, b Hold) int { return cmp.Compare(a.Until, b.Until) })
+	byUntil := func(a, b Hold) int { return cmp.Compare(a.Until, b.Until) }
+	if !slices.IsSortedFunc(holds, byUntil) {
+		slices.SortFunc(holds, byUntil)
+	}
 	held := 0
 	for _, h := range holds {
 		if h.Until <= origin {

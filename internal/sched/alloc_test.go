@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"fairsched/internal/fairshare"
@@ -78,5 +79,64 @@ func TestConservativeArrivalAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state cons.nomax arrival allocates %.1f times, want 0", allocs)
+	}
+}
+
+// starvationArrivalAllocs measures a warm arrival of a starvation policy on
+// a full machine one day after most of a standing queue was submitted:
+// those jobs are past the starvation threshold, and user 1 — far above the
+// mean usage — is the heavy user a .fair policy keeps in the main queue, so
+// each of its passes classifies live users. A few recent jobs keep both
+// policies' main queues longer than one job, so both pay the same queue
+// sort. Each run withdraws the fresh job so every run starts from the same
+// state. It returns the allocations per arrival and the number of
+// starvation-eligible jobs left in the main queue after warm-up.
+func starvationArrivalAllocs(t *testing.T, spec string) (allocs float64, heldBack int) {
+	t.Helper()
+	env := newBusyEnv(hours24 + 1000)
+	pol := MustParse(spec)
+	pol.Reset(env)
+	eng := pol.engine.(*aggressiveEngine)
+	env.fs.Charge(1, 1e6)
+	for u := 2; u <= 5; u++ {
+		env.fs.Charge(u, 10)
+	}
+	for i := 0; i < 20; i++ {
+		pol.Arrive(env, &job.Job{ID: job.ID(i + 1), User: i%5 + 1, Submit: int64(i),
+			Runtime: 50, Estimate: int64(100 + 10*i), Nodes: 1 + i%busySize})
+	}
+	for i := 20; i < 23; i++ {
+		pol.Arrive(env, &job.Job{ID: job.ID(i + 1), User: i%5 + 1, Submit: env.now - 10,
+			Runtime: 50, Estimate: 60, Nodes: 3})
+	}
+	for _, j := range eng.main {
+		if env.now-j.Submit >= hours24 {
+			heldBack++
+		}
+	}
+	fresh := &job.Job{ID: 99, User: 3, Submit: env.now, Runtime: 50, Estimate: 70, Nodes: 2}
+	allocs = testing.AllocsPerRun(100, func() {
+		pol.Arrive(env, fresh)
+		i := slices.Index(eng.main, fresh)
+		if i < 0 {
+			t.Fatal("fresh arrival not in the main queue")
+		}
+		eng.main = slices.Delete(eng.main, i, i+1)
+	})
+	return allocs, heldBack
+}
+
+// TestFairStarvationArrivalAllocatesNoMoreThanAll: classifying heavy users
+// once per pass, into reused buffers, costs a warm cplant24.nomax.fair
+// arrival no allocations beyond those of the cplant24.nomax.all arrival,
+// which never classifies.
+func TestFairStarvationArrivalAllocatesNoMoreThanAll(t *testing.T) {
+	fair, fairHeld := starvationArrivalAllocs(t, "cplant24.nomax.fair")
+	all, allHeld := starvationArrivalAllocs(t, "cplant24.nomax.all")
+	if fairHeld == 0 || allHeld != 0 {
+		t.Fatalf("eligible jobs held in the main queue: fair %d (want the heavy user's), all %d (want 0)", fairHeld, allHeld)
+	}
+	if fair > all {
+		t.Fatalf("warm cplant24.nomax.fair arrival allocates %.1f times, cplant24.nomax.all %.1f", fair, all)
 	}
 }

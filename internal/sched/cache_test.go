@@ -82,9 +82,19 @@ func TestConservativeCacheMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cached := runRecords(t, MustParse(spec), c.cfg, jobs)
+				pol := MustParse(spec)
+				cached := runRecords(t, pol, c.cfg, jobs)
 				ref := runRecords(t, mustParseNoCache(t, spec), c.cfg, jobs)
 				assertSameSchedule(t, spec+"/"+c.name, cached, ref)
+				if eng := pol.engine.(*conservativeEngine); spec == "consdyn.nomax" && c.name == "contended" &&
+					(eng.insertHits == 0 || eng.insertMisses == 0) {
+					// Both branches of the dynamic arrival path must be
+					// exercised for the match above to cover them. (Under
+					// lxf the order moves with the clock, so an arrival
+					// rarely leaves the rest of the order intact.)
+					t.Errorf("%s/contended: in-place inserts %d, refused %d; want both > 0",
+						spec, eng.insertHits, eng.insertMisses)
+				}
 			})
 		}
 	}

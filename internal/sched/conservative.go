@@ -72,6 +72,13 @@ type conservativeEngine struct {
 	// last placement; the longest unchanged reserved prefix keeps its
 	// reservations, everything after it is re-placed.
 	lastOrder []job.ID
+	// pre (dynamic only) is insertInPlace's scratch: Availability plus the
+	// reservations ahead of the arrival.
+	pre profile.Profile
+	// insertHits and insertMisses count the single arrivals insertInPlace
+	// placed in place and those it handed back to the suffix replay (read
+	// by the differential tests).
+	insertHits, insertMisses int
 
 	// Reused scratch buffers.
 	impBuf []*reservedJob // improvement / placement order
@@ -418,9 +425,9 @@ func (e *conservativeEngine) revalidate(env sim.Env) {
 // since the last placement: the longest prefix with unchanged membership
 // and order keeps its reservations (placing it again would replay the
 // identical profile operations), everything after it is released and
-// re-placed in the new order.
+// re-placed in the new order — unless the change is a single arrival that
+// insertInPlace can slot in without moving anyone.
 func (e *conservativeEngine) revalidateDynamic(env sim.Env) {
-	now := env.Now()
 	if e.holes {
 		// Capacity grew: reservations may move earlier, which is a replay of
 		// the whole priority-order placement by definition — but the hole is
@@ -452,6 +459,63 @@ func (e *conservativeEngine) revalidateDynamic(env sim.Env) {
 		e.queue[k].hasRes && e.queue[k].job.ID == e.lastOrder[k] {
 		k++
 	}
+	if !e.insertInPlace(env, k) {
+		e.replaySuffix(env, k)
+	}
+	e.lastOrder = e.lastOrder[:0]
+	for _, q := range e.queue {
+		e.lastOrder = append(e.lastOrder, q.job.ID)
+	}
+}
+
+// insertInPlace is the dynamic engine's arrival path. When the sorted queue
+// is the last placement's order with exactly one fresh job J inserted at
+// index k < n-1, it places J at its earliest fit s on the prefix-only
+// profile (Availability plus queue[:k], as the replay would see it) and, if
+// [s, s+J.Estimate) also fits in the standing profile, occupies it there and
+// reports true: the replay of every later job would land on its old slot.
+// J only removes capacity, so each later job's old slot stays feasible (the
+// full profile with J added is non-negative), and no earlier slot opens
+// (nothing before that job moved). Otherwise it reports false having
+// touched only its scratch profile, and the caller replays the suffix.
+func (e *conservativeEngine) insertInPlace(env sim.Env, k int) bool {
+	n := len(e.queue)
+	if k >= n-1 || len(e.lastOrder) != n-1 || e.queue[k].hasRes {
+		return false
+	}
+	for i, q := range e.queue[k+1:] {
+		if !q.hasRes || q.job.ID != e.lastOrder[k+i] {
+			return false
+		}
+	}
+	e.pre.CopyFrom(env.Availability())
+	for _, q := range e.queue[:k] {
+		if err := e.pre.Occupy(q.res, q.res+q.job.Estimate, q.job.Nodes); err != nil {
+			panic(fmt.Sprintf("sched: insert prefix re-occupy: %v", err))
+		}
+	}
+	j := e.queue[k]
+	est := j.job.Estimate
+	s, ok := e.pre.EarliestFit(env.Now(), est, j.job.Nodes)
+	if !ok {
+		panic(fmt.Sprintf("sched: no fit for %v on %d nodes", j.job, env.SystemSize()))
+	}
+	if _, fits := e.prof.EarliestFitBefore(s, s+1, est, j.job.Nodes); !fits {
+		e.insertMisses++
+		return false
+	}
+	if err := e.prof.Occupy(s, s+est, j.job.Nodes); err != nil {
+		panic(fmt.Sprintf("sched: insert reserve: %v", err))
+	}
+	j.res, j.hasRes = s, true
+	e.insertHits++
+	return true
+}
+
+// replaySuffix releases the reservations of queue[k:] and re-places those
+// jobs in queue order: the from-scratch replay from index k on.
+func (e *conservativeEngine) replaySuffix(env sim.Env, k int) {
+	now := env.Now()
 	for _, q := range e.queue[k:] {
 		if !q.hasRes {
 			continue
@@ -462,10 +526,6 @@ func (e *conservativeEngine) revalidateDynamic(env sim.Env) {
 	}
 	for _, q := range e.queue[k:] {
 		e.place(env, q, now)
-	}
-	e.lastOrder = e.lastOrder[:0]
-	for _, q := range e.queue {
-		e.lastOrder = append(e.lastOrder, q.job.ID)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/sim"
+	"fairsched/internal/userdex"
 )
 
 // starvation is the starvation-promotion component (paper §2.1, §5.2): a
@@ -19,6 +20,11 @@ type starvation struct {
 	wait  int64
 	heavy fairshare.HeavyClassifier
 	depth int
+
+	// live and seen are liveUsers' reused result buffer and seen-set (the
+	// set is emptied again before liveUsers returns).
+	live []int
+	seen userdex.Map[struct{}]
 }
 
 // newStarvation builds the component from the spec's starvation axis;
@@ -76,40 +82,51 @@ func (st *starvation) nextPromotion(now int64, main []*job.Job) (int64, bool) {
 // promote moves starvation-eligible jobs from main to the FCFS starvation
 // queue and returns the two updated queues. Heavy users' jobs stay in the
 // main queue and are re-evaluated at later events ("temporarily
-// restricted").
+// restricted"). The heavy threshold depends only on the live users and the
+// tracker, neither of which the pass changes, so it is computed once, at the
+// first eligible job.
 func (st *starvation) promote(env sim.Env, main, starved []*job.Job) (m, s []*job.Job) {
 	now := env.Now()
-	var live []int
+	_, never := st.heavy.(fairshare.Never)
+	var limit float64
+	haveLimit, appended := false, false
 	kept := main[:0]
 	for _, j := range main {
 		if now-j.Submit < st.wait {
 			kept = append(kept, j)
 			continue
 		}
-		if _, isNever := st.heavy.(fairshare.Never); !isNever {
-			if live == nil {
-				live = liveUsers(env, main, starved)
+		if !never {
+			if !haveLimit {
+				// Every job before j was kept, so main is still intact here.
+				limit = st.heavy.Threshold(env.Fairshare(), st.liveUsers(env, main, starved))
+				haveLimit = true
 			}
-			if st.heavy.IsHeavy(env.Fairshare(), j.User, live) {
+			if env.Fairshare().Usage(j.User) > limit {
 				kept = append(kept, j)
 				continue
 			}
 		}
 		starved = append(starved, j)
+		appended = true
 	}
 	clear(main[len(kept):]) // drop moved jobs' pointers from the vacated tail
-	sortFCFS(starved)
+	if appended {
+		// The standing starvation queue is already FCFS: only starts ever
+		// remove from it, and they preserve order.
+		sortFCFS(starved)
+	}
 	return kept, starved
 }
 
 // liveUsers returns the distinct users with queued or running jobs, for the
-// heavy classifier.
-func liveUsers(env sim.Env, main, starved []*job.Job) []int {
-	seen := make(map[int]bool)
-	var out []int
+// heavy classifier, in order of first appearance (running, then starved,
+// then main). The result lives in a buffer reused by the next call.
+func (st *starvation) liveUsers(env sim.Env, main, starved []*job.Job) []int {
+	out := st.live[:0]
 	add := func(u int) {
-		if !seen[u] {
-			seen[u] = true
+		if _, ok := st.seen.Get(u); !ok {
+			st.seen.Set(u, struct{}{})
 			out = append(out, u)
 		}
 	}
@@ -122,5 +139,9 @@ func liveUsers(env sim.Env, main, starved []*job.Job) []int {
 	for _, j := range main {
 		add(j.User)
 	}
+	for _, u := range out {
+		st.seen.Delete(u)
+	}
+	st.live = out
 	return out
 }

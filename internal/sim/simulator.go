@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fairsched/internal/eventq"
@@ -112,9 +114,24 @@ type Simulator struct {
 	avail      profile.Profile
 	availDirty bool
 	availInit  bool
-	// holds is Availability's reused scratch: the running jobs' promised
-	// releases, sorted by ResetHolds.
+	// byRelease is the running set ordered by promised release time. The
+	// first Availability call builds it (availInit); from then on Start,
+	// release and Preempt keep it sorted, so runs whose policy never reads
+	// the profile never pay for it. An entry's until is the job's
+	// EstimatedCompletion as of some earlier instant, which stays exact
+	// while it lies in the future; Availability re-derives the entries the
+	// clock has reached.
+	byRelease []pendingRelease
+	// holds is Availability's reused scratch: byRelease as profile holds,
+	// already in ResetHolds' order.
 	holds []profile.Hold
+}
+
+// pendingRelease is one byRelease entry: a running job and its promised
+// release time.
+type pendingRelease struct {
+	until int64
+	run   RunningJob
 }
 
 // New creates a simulator for the given configuration and policy.
@@ -149,9 +166,18 @@ func (s *Simulator) Fairshare() *fairshare.Tracker { return s.fs }
 // from the running set; Start and the advancing clock invalidate it.
 func (s *Simulator) Availability() *profile.Profile {
 	if !s.availInit || s.availDirty {
+		if !s.availInit {
+			s.byRelease = s.byRelease[:0]
+			for _, r := range s.running {
+				s.byRelease = append(s.byRelease, pendingRelease{until: r.EstimatedCompletion(s.now), run: r})
+			}
+			slices.SortFunc(s.byRelease, func(a, b pendingRelease) int { return cmp.Compare(a.until, b.until) })
+		} else {
+			s.refreshOverruns()
+		}
 		s.holds = s.holds[:0]
-		for _, r := range s.running {
-			s.holds = append(s.holds, profile.Hold{Until: r.EstimatedCompletion(s.now), Nodes: r.Job.Nodes})
+		for _, p := range s.byRelease {
+			s.holds = append(s.holds, profile.Hold{Until: p.until, Nodes: p.run.Job.Nodes})
 		}
 		if err := s.avail.ResetHolds(s.now, s.cfg.SystemSize, s.holds); err != nil {
 			// Running jobs always fit: they were started within capacity.
@@ -161,6 +187,52 @@ func (s *Simulator) Availability() *profile.Profile {
 		s.availDirty = false
 	}
 	return &s.avail
+}
+
+// refreshOverruns re-derives the promised release of every byRelease entry
+// the clock has reached — a job running past its estimate, whose release
+// backs off (EstimatedCompletion) — and moves it to its sorted place. A
+// release still in the future needs nothing: EstimatedCompletion only
+// changes when the clock crosses it.
+func (s *Simulator) refreshOverruns() {
+	b := s.byRelease
+	m := 0
+	for m < len(b) && b[m].until <= s.now {
+		m++
+	}
+	// b[m:] is sorted; insert the refreshed entries from the back, so the
+	// tail behind each one is sorted when it moves.
+	for i := m - 1; i >= 0; i-- {
+		p := b[i]
+		p.until = p.run.EstimatedCompletion(s.now)
+		k := sort.Search(len(b)-i-1, func(k int) bool { return b[i+1+k].until >= p.until })
+		copy(b[i:i+k], b[i+1:i+1+k])
+		b[i+k] = p
+	}
+}
+
+// trackStart adds a just-started job to byRelease, once the index exists.
+func (s *Simulator) trackStart(r RunningJob) {
+	if !s.availInit {
+		return
+	}
+	until := r.EstimatedCompletion(s.now)
+	i := sort.Search(len(s.byRelease), func(i int) bool { return s.byRelease[i].until > until })
+	s.byRelease = slices.Insert(s.byRelease, i, pendingRelease{until: until, run: r})
+}
+
+// untrack removes a job leaving the running set from byRelease, once the
+// index exists.
+func (s *Simulator) untrack(id job.ID) {
+	if !s.availInit {
+		return
+	}
+	for i, p := range s.byRelease {
+		if p.run.Job.ID == id {
+			s.byRelease = slices.Delete(s.byRelease, i, i+1)
+			return
+		}
+	}
 }
 
 // Start implements Env: a policy launches a queued job now.
@@ -183,6 +255,7 @@ func (s *Simulator) Start(j *job.Job) error {
 	s.used += j.Nodes
 	s.queuedNodes -= j.Nodes
 	s.running = append(s.running, RunningJob{Job: j, Start: s.now})
+	s.trackStart(s.running[len(s.running)-1])
 	s.addUserNodes(j.User, j.Nodes)
 	s.availDirty = true
 	runtime := j.Runtime
@@ -310,6 +383,7 @@ func (s *Simulator) Preempt(j *job.Job) error {
 	copy(s.running[idx:], s.running[idx+1:])
 	s.running[len(s.running)-1] = RunningJob{}
 	s.running = s.running[:len(s.running)-1]
+	s.untrack(j.ID)
 	s.used -= j.Nodes
 	s.addUserNodes(j.User, -j.Nodes)
 	s.availDirty = true
@@ -593,6 +667,7 @@ func (s *Simulator) release(j *job.Job, killed bool) (start int64, ok bool) {
 	copy(s.running[idx:], s.running[idx+1:])
 	s.running[len(s.running)-1] = RunningJob{} // drop the job pointer for the GC
 	s.running = s.running[:len(s.running)-1]
+	s.untrack(j.ID)
 	s.used -= j.Nodes
 	s.addUserNodes(j.User, -j.Nodes)
 	s.availDirty = true
@@ -746,6 +821,19 @@ func (s *Simulator) checkInvariants() error {
 	}
 	if queuedNodes != s.queuedNodes {
 		return fmt.Errorf("sim: queued nodes drift: tracked %d, actual %d", s.queuedNodes, queuedNodes)
+	}
+	if s.availInit {
+		if len(s.byRelease) != len(s.running) {
+			return fmt.Errorf("sim: release index drift: %d entries, %d running", len(s.byRelease), len(s.running))
+		}
+		for i, p := range s.byRelease {
+			if i > 0 && s.byRelease[i-1].until > p.until {
+				return fmt.Errorf("sim: release index out of order at entry %d", i)
+			}
+			if idx := s.runningIndex(p.run.Job.ID); idx < 0 || s.running[idx] != p.run {
+				return fmt.Errorf("sim: release index holds job %d, which is not running", p.run.Job.ID)
+			}
+		}
 	}
 	userNodes := make(map[int]int)
 	for _, r := range s.running {
