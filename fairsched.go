@@ -21,7 +21,6 @@
 package fairsched
 
 import (
-	"fmt"
 	"io"
 
 	"fairsched/internal/core"
@@ -118,10 +117,6 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Job, error) {
 // in the spec grammar ("order=fairshare+bf=easy+starve=24h.nonheavy").
 func PolicyByName(name string) (PolicySpec, error) { return core.SpecByKey(name) }
 
-// ParsePolicy is PolicyByName under the name mirroring ParseScenario: both
-// axes of a campaign resolve through the same kind of registry + grammar.
-func ParsePolicy(spec string) (PolicySpec, error) { return sched.ParseSpec(spec) }
-
 // PolicyNames lists every registered policy name (ad-hoc chains and
 // "depth<n>" names also resolve through PolicyByName).
 func PolicyNames() []string { return core.SpecKeys() }
@@ -149,17 +144,12 @@ func Run(cfg StudyConfig, spec PolicySpec, jobs []*Job) (*StudyRun, error) {
 	return core.Execute(cfg, spec, jobs)
 }
 
-// RunAll executes a set of policies sequentially over one workload.
-func RunAll(cfg StudyConfig, specs []PolicySpec, jobs []*Job) ([]*StudyRun, error) {
-	return core.ExecuteAll(cfg, specs, jobs)
-}
-
 // RunAllParallel executes a set of policies over one workload on at most
-// parallel workers (<= 0: one per CPU). Results come back in spec order and
-// are identical to RunAll's; a failed run never discards the others — the
-// returned error aggregates every casualty (see SweepErrors), and the
-// failed runs' slots in the returned slice are nil. On a non-nil error,
-// check each slot before use.
+// parallel workers (<= 0: one per CPU; 1: serially). Results come back in
+// spec order; a failed run never discards the others — the returned error
+// aggregates every casualty (see SweepErrors), and the failed runs' slots
+// in the returned slice are nil. On a non-nil error, check each slot before
+// use.
 func RunAllParallel(cfg StudyConfig, specs []PolicySpec, jobs []*Job, parallel int) ([]*StudyRun, error) {
 	return sweep.Map(parallel, specs,
 		func(s PolicySpec) string { return s.Key },
@@ -200,28 +190,6 @@ func NewSimulator(cfg SimConfig, pol Policy, observers ...Observer) *Simulator {
 // NewHybridFST builds the paper's fairness engine; attach it to a
 // simulator as an observer, then read the fair start times back.
 func NewHybridFST() *HybridFST { return fairness.NewHybridFST() }
-
-// NewEASY, NewFCFS, NewConservative and NewDepthBackfill expose common
-// points of the policy design space for custom studies; each is shorthand
-// for a registry name or spec chain through NewPolicy.
-func NewEASY() Policy { return sched.MustParse("easy") }
-func NewFCFS() Policy { return sched.MustParse("fcfs") }
-func NewConservative(dynamic bool) Policy {
-	if dynamic {
-		return sched.MustParse("consdyn.nomax")
-	}
-	return sched.MustParse("cons.nomax")
-}
-
-// NewDepthBackfill returns depth-n backfilling over the fairshare queue:
-// the first depth queued jobs hold reservations (the paper's spectrum
-// between aggressive and conservative backfilling).
-func NewDepthBackfill(depth int) Policy {
-	if depth < 1 {
-		depth = 1
-	}
-	return sched.MustParse(fmt.Sprintf("depth%d", depth))
-}
 
 // UserSummary aggregates one user's jobs in a run.
 type UserSummary = metrics.UserSummary

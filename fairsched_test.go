@@ -75,9 +75,16 @@ func TestPublicAPICustomSimulator(t *testing.T) {
 		{ID: 1, User: 1, Submit: 0, Runtime: 100, Estimate: 100, Nodes: 4},
 		{ID: 2, User: 2, Submit: 10, Runtime: 50, Estimate: 50, Nodes: 4},
 	}
+	spec, err := fairsched.PolicyByName("easy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := fairsched.NewPolicy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fst := fairsched.NewHybridFST()
-	s := fairsched.NewSimulator(fairsched.SimConfig{SystemSize: 8, Validate: true},
-		fairsched.NewEASY(), fst)
+	s := fairsched.NewSimulator(fairsched.SimConfig{SystemSize: 8, Validate: true}, pol, fst)
 	res, err := s.Run(jobs)
 	if err != nil {
 		t.Fatal(err)

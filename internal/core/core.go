@@ -226,20 +226,6 @@ func Execute(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, error) {
 	return run, nil
 }
 
-// ExecuteAll runs a list of specs sequentially and returns the runs keyed in
-// input order.
-func ExecuteAll(cfg StudyConfig, specs []Spec, workload []*job.Job) ([]*Run, error) {
-	runs := make([]*Run, 0, len(specs))
-	for _, spec := range specs {
-		r, err := Execute(cfg, spec, workload)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
-}
-
 // Starts is a fairness.StartsFunc over this study configuration and spec:
 // it re-runs the policy on an arbitrary workload and reports start times.
 // It feeds the Sabin no-later-arrivals FST.

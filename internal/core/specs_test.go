@@ -148,18 +148,6 @@ func TestStartsFeedsSabin(t *testing.T) {
 	}
 }
 
-func TestExecuteAllPreservesOrder(t *testing.T) {
-	runs, err := ExecuteAll(StudyConfig{SystemSize: 128}, MinorSpecs(), tinyWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range MinorSpecs() {
-		if runs[i].Spec.Key != s.Key {
-			t.Fatalf("run %d is %s, want %s", i, runs[i].Spec.Key, s.Key)
-		}
-	}
-}
-
 func TestExecuteSkipFST(t *testing.T) {
 	spec, _ := SpecByKey("cplant24.nomax.all")
 	run, err := Execute(StudyConfig{SystemSize: 128, SkipFST: true}, spec, tinyWorkload())

@@ -42,6 +42,15 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add("pop=users:0")
 	f.Add("pop=zipf:NaN")
 	f.Add("pop=users:100k+load=1.5")
+	f.Add("queue=p50:org/a,default:org/b")
+	f.Add("queue=p10:org/b,p60:org/a,user3:org/b+slo=p25:1h,p75:8x,user5:none")
+	f.Add("partition=p30:b,default:a")
+	f.Add("partition=p70:a,user2:b")
+	f.Add("users=top20+queue=p50:x,default:y")
+	f.Add("partition=p50:a/b")
+	f.Add("pop=users:99151249396188840m")
+	f.Add("window=15250284452471w..15250284452472w")
+	f.Add("burst=at:15250284452472w.jobs:1.nodes:1.runtime:1h")
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := Parse(in)
 		if err != nil {
@@ -84,6 +93,7 @@ func FuzzParsePop(f *testing.F) {
 	f.Add("zipf:NaN")
 	f.Add("alpha:Inf")
 	f.Add("users:1k,users:2k") // last key wins
+	f.Add("users:99151249396188840m")
 	f.Fuzz(func(t *testing.T, in string) {
 		p, err := ParsePop(in)
 		if err != nil {

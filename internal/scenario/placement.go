@@ -3,19 +3,14 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
 
 	"fairsched/internal/job"
 	"fairsched/internal/topology"
 )
 
-// PlaceClass is one band of a QueueTag or PartitionTag: a usage quantile,
-// the default band, or a single explicitly-named user, routed to Dest (a
-// queue path or partition name). The band semantics mirror SLOClass:
-// quantile bands rank users by total processor-seconds ascending, the
-// default band catches everyone above the bands, user overrides win last.
+// PlaceClass is one band of a PlaceTag (see band for the band semantics),
+// routed to Dest.
 type PlaceClass struct {
 	// Quantile, when in 1..100, covers the users whose processor-second
 	// rank percentile is at or below it and above every smaller band.
@@ -26,203 +21,86 @@ type PlaceClass struct {
 	User int
 	// Default catches every user no quantile band covers.
 	Default bool
-	// Dest is where the band's users route: a queue path for QueueTag, a
-	// partition name for PartitionTag.
+	// Dest is where the band's users route: a queue path for a queue tag,
+	// a partition name for a partition tag.
 	Dest string
 }
 
-// name renders the class name used in the canonical transform name.
-func (c PlaceClass) name() string {
-	switch {
-	case c.Quantile > 0:
-		return fmt.Sprintf("p%d", c.Quantile)
-	case c.Default:
-		return "default"
-	default:
-		return fmt.Sprintf("user%d", c.User)
-	}
-}
+func (c PlaceClass) band() band { return band{c.Quantile, c.IsUser, c.User, c.Default} }
 
-// QueueTag deterministically routes the workload's users to queue-tree
-// leaves (see package topology). Like SLOTag it is an identity transform
-// on the jobs — the routing is a placement contract, contributed through
-// the PlacementProvider interface and derived from the pipeline's final
-// transformed workload, so usage quantiles reflect every other rewrite.
-// With a topology configured the tagged queue decides the user's partition
-// and scheduler; without one, queue tags still group per-queue report rows
-// on the flat machine.
-type QueueTag struct {
+// PlaceTag deterministically routes the workload's users to queue-tree
+// leaves (Kind "queue", see package topology) or straight to named
+// partitions (Kind "partition"; the partition's first queue schedules
+// them). Like SLOTag it is an identity transform on the jobs — the routing
+// is a placement contract, contributed through the PlacementProvider
+// interface and derived from the pipeline's final transformed workload, so
+// usage quantiles reflect every other rewrite. With a topology configured
+// the tagged queue decides the user's partition and scheduler, and wins
+// over a partition tag for the users it covers; without one, queue tags
+// still group per-queue report rows on the flat machine.
+type PlaceTag struct {
+	Kind    string
 	Classes []PlaceClass
 }
 
-// Name implements Transform: the canonical queue= token (quantile bands
-// ascending, then default, then user overrides ascending).
-func (t QueueTag) Name() string { return "queue=" + canonicalPlaceValue(t.Classes) }
-
-// Apply implements Transform: the workload passes through untouched.
-func (t QueueTag) Apply(jobs []*job.Job, _ *rand.Rand) ([]*job.Job, error) {
-	if err := validatePlaceClasses("queue", t.Classes, topology.ValidPath); err != nil {
-		return nil, err
-	}
-	return jobs, nil
+// placeKind is what a PlaceTag's Kind decides: which destinations are
+// legal and which placement the users are tagged with.
+type placeKind struct {
+	validDest func(string) bool
+	set       func(b *topology.PlacementBuilder, user int, dest string)
 }
 
-// ContributePlacement implements PlacementProvider.
-func (t QueueTag) ContributePlacement(jobs []*job.Job, b *topology.PlacementBuilder) error {
-	if err := validatePlaceClasses("queue", t.Classes, topology.ValidPath); err != nil {
-		return err
-	}
-	forEachPlacedUser(t.Classes, jobs, b.SetQueue)
-	return nil
+var placeKinds = map[string]placeKind{
+	"queue":     {topology.ValidPath, (*topology.PlacementBuilder).SetQueue},
+	"partition": {topology.ValidName, (*topology.PlacementBuilder).SetPartition},
 }
 
-// PartitionTag deterministically routes the workload's users to named
-// partitions directly (the partition's first queue schedules them); a
-// QueueTag in the same pipeline wins for users it covers, since queue tags
-// imply a partition through the topology.
-type PartitionTag struct {
-	Classes []PlaceClass
-}
-
-// Name implements Transform: the canonical partition= token.
-func (t PartitionTag) Name() string { return "partition=" + canonicalPlaceValue(t.Classes) }
-
-// Apply implements Transform: the workload passes through untouched.
-func (t PartitionTag) Apply(jobs []*job.Job, _ *rand.Rand) ([]*job.Job, error) {
-	if err := validatePlaceClasses("partition", t.Classes, topology.ValidName); err != nil {
-		return nil, err
-	}
-	return jobs, nil
-}
-
-// ContributePlacement implements PlacementProvider.
-func (t PartitionTag) ContributePlacement(jobs []*job.Job, b *topology.PlacementBuilder) error {
-	if err := validatePlaceClasses("partition", t.Classes, topology.ValidName); err != nil {
-		return err
-	}
-	forEachPlacedUser(t.Classes, jobs, b.SetPartition)
-	return nil
-}
-
-// orderedPlaceClasses returns classes in canonical order: quantile bands
-// ascending, then the default band, then user overrides ascending.
-func orderedPlaceClasses(classes []PlaceClass) []PlaceClass {
-	out := append([]PlaceClass(nil), classes...)
-	rank := func(c PlaceClass) (int, int) {
-		switch {
-		case c.Quantile > 0:
-			return 0, c.Quantile
-		case c.Default:
-			return 1, 0
-		default:
-			return 2, c.User
-		}
-	}
-	sort.SliceStable(out, func(i, k int) bool {
-		gi, ki := rank(out[i])
-		gk, kk := rank(out[k])
-		if gi != gk {
-			return gi < gk
-		}
-		return ki < kk
-	})
-	return out
-}
-
-func canonicalPlaceValue(classes []PlaceClass) string {
-	ordered := orderedPlaceClasses(classes)
+// Name implements Transform: the canonical queue= or partition= token
+// (quantile bands ascending, then default, then user overrides ascending).
+func (t PlaceTag) Name() string {
+	ordered := orderBands(t.Classes)
 	parts := make([]string, len(ordered))
 	for i, c := range ordered {
-		parts[i] = c.name() + ":" + c.Dest
+		parts[i] = c.band().name() + ":" + c.Dest
 	}
-	return strings.Join(parts, ",")
+	return t.Kind + "=" + strings.Join(parts, ",")
 }
 
-// validatePlaceClasses reports the first structural problem with a tag.
-func validatePlaceClasses(kind string, classes []PlaceClass, validDest func(string) bool) error {
-	if len(classes) == 0 {
-		return fmt.Errorf("%s tag with no classes", kind)
+// validate resolves the tag's kind and reports the first problem with it.
+func (t PlaceTag) validate() (placeKind, error) {
+	k, ok := placeKinds[t.Kind]
+	if !ok {
+		return k, fmt.Errorf("placement tag kind %q unknown (want queue or partition)", t.Kind)
 	}
-	seenDefault := false
-	seenQ := make(map[int]bool)
-	seenUser := make(map[int]bool)
-	for _, c := range classes {
-		switch {
-		case c.Quantile < 0 || c.Quantile > 100:
-			return fmt.Errorf("%s quantile p%d out of range (want 1..100)", kind, c.Quantile)
-		case c.Quantile > 0:
-			if c.Default || c.IsUser {
-				return fmt.Errorf("%s band p%d also marked default or user", kind, c.Quantile)
-			}
-			if seenQ[c.Quantile] {
-				return fmt.Errorf("%s band p%d declared twice", kind, c.Quantile)
-			}
-			seenQ[c.Quantile] = true
-		case c.Default:
-			if c.IsUser {
-				return fmt.Errorf("%s default band also marked as a user override", kind)
-			}
-			if seenDefault {
-				return fmt.Errorf("%s default band declared twice", kind)
-			}
-			seenDefault = true
-		case c.IsUser:
-			if c.User < 0 {
-				return fmt.Errorf("%s user override with negative id %d", kind, c.User)
-			}
-			if seenUser[c.User] {
-				return fmt.Errorf("%s user%d override declared twice", kind, c.User)
-			}
-			seenUser[c.User] = true
-		default:
-			return fmt.Errorf("%s class is neither a quantile band, default nor a user override (set Quantile, Default or IsUser)", kind)
-		}
-		if !validDest(c.Dest) {
+	return k, validateBands(t.Kind, t.Classes, func(c PlaceClass) error {
+		if !k.validDest(c.Dest) {
 			return fmt.Errorf("%s class %s: bad destination %q (want '/'-joined segments of letters, digits, '_' or '-')",
-				kind, c.name(), c.Dest)
+				t.Kind, c.band().name(), c.Dest)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// forEachPlacedUser applies the band semantics over the workload's users
-// and calls set(user, dest) for every routed user, overrides last.
-func forEachPlacedUser(classes []PlaceClass, jobs []*job.Job, set func(user int, dest string)) {
-	ordered := orderedPlaceClasses(classes)
-	usage := userProcSeconds(jobs)
-	users := usersByUsage(usage, true)
-	var quantiles []PlaceClass
-	var def *PlaceClass
-	for i, c := range ordered {
-		if c.Quantile > 0 {
-			quantiles = append(quantiles, c) // already ascending
-		}
-		if c.Default {
-			def = &ordered[i]
-		}
+// Apply implements Transform: the workload passes through untouched.
+func (t PlaceTag) Apply(jobs []*job.Job, _ *rand.Rand) ([]*job.Job, error) {
+	if _, err := t.validate(); err != nil {
+		return nil, err
 	}
-	n := len(users)
-	for rank, u := range users {
-		pct := 100 * (rank + 1) / n
-		tagged := false
-		for _, c := range quantiles {
-			if pct <= c.Quantile {
-				set(u, c.Dest)
-				tagged = true
-				break
-			}
-		}
-		if !tagged && def != nil {
-			set(u, def.Dest)
-		}
+	return jobs, nil
+}
+
+// ContributePlacement implements PlacementProvider.
+func (t PlaceTag) ContributePlacement(jobs []*job.Job, b *topology.PlacementBuilder) error {
+	k, err := t.validate()
+	if err != nil {
+		return err
 	}
-	for _, c := range ordered {
-		if c.IsUser {
-			if _, present := usage[c.User]; present {
-				set(c.User, c.Dest)
-			}
+	assignBands(orderBands(t.Classes), jobs, func(c PlaceClass, users []int) {
+		for _, u := range users {
+			k.set(b, u, c.Dest)
 		}
-	}
+	})
+	return nil
 }
 
 // parsePlacement parses a queue= or partition= value: comma-separated
@@ -233,48 +111,20 @@ func forEachPlacedUser(classes []PlaceClass, jobs []*job.Job, set func(user int,
 //	queue=user7:org/vip                      explicit per-user override
 //	partition=p50:small,default:big          route users to partitions
 func parsePlacement(kind, val string) (Transform, error) {
-	if strings.TrimSpace(val) == "" {
-		return nil, fmt.Errorf("%s=: empty spec (want e.g. p50:org/a,default:org/b)", kind)
+	t := PlaceTag{Kind: kind}
+	err := parseBandEntries(kind, val, "p50:org/a,default:org/b", "destination",
+		func(_ string, b band, dest string) error {
+			t.Classes = append(t.Classes, PlaceClass{
+				Quantile: b.Quantile, IsUser: b.IsUser, User: b.User, Default: b.Default,
+				Dest: strings.TrimSpace(dest),
+			})
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	var classes []PlaceClass
-	for _, part := range strings.Split(val, ",") {
-		part = strings.TrimSpace(part)
-		name, dest, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("%s entry %q: want class:destination", kind, part)
-		}
-		var c PlaceClass
-		switch {
-		case name == "default":
-			c.Default = true
-		case strings.HasPrefix(name, "user"):
-			id, err := strconv.Atoi(name[len("user"):])
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("%s entry %q: bad user id", kind, part)
-			}
-			c.IsUser = true
-			c.User = id
-		case strings.HasPrefix(name, "p"):
-			q, err := strconv.Atoi(name[1:])
-			if err != nil || q < 1 || q > 100 {
-				return nil, fmt.Errorf("%s entry %q: want p1..p100", kind, part)
-			}
-			c.Quantile = q
-		default:
-			return nil, fmt.Errorf("%s entry %q: class must be p<1..100>, default or user<id>", kind, part)
-		}
-		c.Dest = strings.TrimSpace(dest)
-		classes = append(classes, c)
-	}
-	valid := topology.ValidPath
-	if kind == "partition" {
-		valid = topology.ValidName
-	}
-	if err := validatePlaceClasses(kind, classes, valid); err != nil {
+	if _, err := t.validate(); err != nil {
 		return nil, fmt.Errorf("%s=%s: %w", kind, val, err)
 	}
-	if kind == "partition" {
-		return PartitionTag{Classes: classes}, nil
-	}
-	return QueueTag{Classes: classes}, nil
+	return t, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -175,10 +176,12 @@ func ParsePop(val string) (Pop, error) {
 	return t, nil
 }
 
-// parseCount parses a non-negative integer with an optional k (10^3) or m
-// (10^6) suffix.
+// parseCount parses an integer with an optional k (10^3) or m (10^6)
+// suffix, rejecting a value that overflows int instead of wrapping (range
+// checks are Pop.validate's).
 func parseCount(s string) (int, error) {
 	s = strings.TrimSpace(s)
+	orig := s
 	mult := 1
 	if n := len(s); n > 0 {
 		switch s[n-1] {
@@ -191,6 +194,9 @@ func parseCount(s string) (int, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, fmt.Errorf("bad count %q (want e.g. 5000, 100k, 1m)", s)
+	}
+	if n > math.MaxInt/mult || n < math.MinInt/mult {
+		return 0, fmt.Errorf("count %q overflows", orig)
 	}
 	return n * mult, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fairsched/internal/sched"
 	"fairsched/internal/slo"
 )
 
@@ -162,11 +163,11 @@ func parseTransform(part string) (Transform, error) {
 		}
 		w := Window{}
 		var err error
-		if w.Start, err = parseDur(from); err != nil {
+		if w.Start, err = sched.ParseDur(from); err != nil {
 			return nil, fmt.Errorf("window start: %w", err)
 		}
 		if strings.TrimSpace(to) != "" {
-			if w.End, err = parseDur(to); err != nil {
+			if w.End, err = sched.ParseDur(to); err != nil {
 				return nil, fmt.Errorf("window end: %w", err)
 			}
 		}
@@ -216,17 +217,17 @@ func parseBurst(val string) (Transform, error) {
 		var err error
 		switch k {
 		case "at":
-			b.At, err = parseDur(v)
+			b.At, err = sched.ParseDur(v)
 		case "jobs":
 			b.Count, err = strconv.Atoi(v)
 		case "nodes":
 			b.Nodes, err = strconv.Atoi(v)
 		case "runtime":
-			b.Runtime, err = parseDur(v)
+			b.Runtime, err = sched.ParseDur(v)
 		case "est":
-			b.Estimate, err = parseDur(v)
+			b.Estimate, err = sched.ParseDur(v)
 		case "spread":
-			b.Spread, err = parseDur(v)
+			b.Spread, err = sched.ParseDur(v)
 		case "user":
 			b.User, err = strconv.Atoi(v)
 		default:
@@ -243,34 +244,6 @@ const (
 	daySeconds  = 24 * 3600
 	weekSeconds = 7 * daySeconds
 )
-
-// parseDur parses a duration with optional unit suffix s/m/h/d/w; a bare
-// number is seconds. Durations with a "." would collide with the spec
-// grammar's list separator, so only integers are accepted.
-func parseDur(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("empty duration")
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 's':
-		s = s[:len(s)-1]
-	case 'm':
-		mult, s = 60, s[:len(s)-1]
-	case 'h':
-		mult, s = 3600, s[:len(s)-1]
-	case 'd':
-		mult, s = daySeconds, s[:len(s)-1]
-	case 'w':
-		mult, s = weekSeconds, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad duration %q (want e.g. 90, 15m, 2h, 7d, 4w)", s)
-	}
-	return n * mult, nil
-}
 
 // fmtDur renders seconds compactly for transform names (exact multiples of
 // a unit use the unit; everything else stays in seconds).

@@ -186,6 +186,19 @@ func TestParseBuiltinsAndChains(t *testing.T) {
 	}
 }
 
+// Grammar numbers whose seconds or counts overflow are rejected, not
+// wrapped into a small or negative value that would pass validation.
+func TestParseRejectsOverflow(t *testing.T) {
+	for _, in := range []string{
+		"pop=users:99151249396188840m",            // wraps to 64,000 users
+		"window=15250284452471w..15250284452472w", // end wraps negative
+	} {
+		if s, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) accepted as %+v", in, s.Transforms)
+		}
+	}
+}
+
 func TestSourceJobsAndSyntheticSeed(t *testing.T) {
 	src := Jobs("lit", testJobs(), 128)
 	wl, err := src.Load(0)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
 	"fairsched/internal/job"
+	"fairsched/internal/sched"
 	"fairsched/internal/slo"
 )
 
@@ -36,17 +36,7 @@ type SLOClass struct {
 	Target slo.Target
 }
 
-// name renders the class name used in assignments and reports.
-func (c SLOClass) name() string {
-	switch {
-	case c.Quantile > 0:
-		return fmt.Sprintf("p%d", c.Quantile)
-	case c.Default:
-		return "default"
-	default:
-		return fmt.Sprintf("user%d", c.User)
-	}
-}
+func (c SLOClass) band() band { return band{c.Quantile, c.IsUser, c.User, c.Default} }
 
 // SLOTag deterministically tags the workload's users with SLO targets. It
 // is an identity transform on the jobs themselves — the SLO assignment is
@@ -54,13 +44,8 @@ func (c SLOClass) name() string {
 // assignment through the SLOProvider interface, derived from the final
 // transformed workload of its pipeline (usage quantiles therefore reflect
 // whatever load scaling, slicing or filtering the other transforms did).
-//
-// Quantile bands rank users by total processor-seconds ascending (ties
-// toward the lower user id); user k of n (1-based, as in DESIGN.md §11)
-// has percentile 100*k/n (integer division), and belongs to the smallest
-// band covering it. Users
-// above every band fall to the default band when present, else stay
-// untagged. Explicit user overrides apply last, in spec order.
+// Users fall into quantile bands, the default band or user overrides as
+// the band type describes.
 type SLOTag struct {
 	Classes []SLOClass
 }
@@ -68,104 +53,41 @@ type SLOTag struct {
 // Name implements Transform: the canonical slo= token (quantile bands
 // ascending, then default, then user overrides ascending; a band with both
 // a wait and a slowdown target renders as two entries, wait first).
-func (t SLOTag) Name() string { return "slo=" + t.canonicalValue() }
-
-func (t SLOTag) canonicalValue() string {
-	ordered := t.orderedClasses()
+func (t SLOTag) Name() string {
 	var parts []string
-	for _, c := range ordered {
+	for _, c := range orderBands(t.Classes) {
+		name := c.band().name()
 		if c.Target.Wait > 0 {
-			parts = append(parts, fmt.Sprintf("%s:%s", c.name(), fmtDur(c.Target.Wait)))
+			parts = append(parts, name+":"+fmtDur(c.Target.Wait))
 		}
 		if c.Target.Slowdown > 0 {
 			// 'f' (never 'g'): an exponent form like 1e+06 would re-split
 			// on the chain grammar's '+' separator.
-			parts = append(parts, fmt.Sprintf("%s:%sx", c.name(),
-				strconv.FormatFloat(c.Target.Slowdown, 'f', -1, 64)))
+			parts = append(parts, name+":"+strconv.FormatFloat(c.Target.Slowdown, 'f', -1, 64)+"x")
 		}
 		if c.Target.IsZero() {
-			parts = append(parts, c.name()+":none")
+			parts = append(parts, name+":none")
 		}
 	}
-	return strings.Join(parts, ",")
+	return "slo=" + strings.Join(parts, ",")
 }
 
-// orderedClasses returns the classes in canonical order: quantile bands
-// ascending, then the default band, then user overrides ascending.
-func (t SLOTag) orderedClasses() []SLOClass {
-	out := append([]SLOClass(nil), t.Classes...)
-	rank := func(c SLOClass) (int, int) {
-		switch {
-		case c.Quantile > 0:
-			return 0, c.Quantile
-		case c.Default:
-			return 1, 0
-		default: // user override
-			return 2, c.User
-		}
-	}
-	sort.SliceStable(out, func(i, k int) bool {
-		gi, ki := rank(out[i])
-		gk, kk := rank(out[k])
-		if gi != gk {
-			return gi < gk
-		}
-		return ki < kk
-	})
-	return out
-}
-
-// validate reports the first structural problem with the tag.
+// validate reports the first structural or target problem with the tag.
 func (t SLOTag) validate() error {
-	if len(t.Classes) == 0 {
-		return fmt.Errorf("slo tag with no classes")
-	}
-	seenDefault := false
-	seenQ := make(map[int]bool)
-	seenUser := make(map[int]bool)
-	for _, c := range t.Classes {
-		switch {
-		case c.Quantile < 0 || c.Quantile > 100:
-			return fmt.Errorf("slo quantile p%d out of range (want 1..100)", c.Quantile)
-		case c.Quantile > 0:
-			if c.Default || c.IsUser {
-				return fmt.Errorf("slo band p%d also marked default or user", c.Quantile)
-			}
-			if seenQ[c.Quantile] {
-				return fmt.Errorf("slo band p%d declared twice", c.Quantile)
-			}
-			seenQ[c.Quantile] = true
-		case c.Default:
-			if c.IsUser {
-				return fmt.Errorf("slo default band also marked as a user override")
-			}
-			if seenDefault {
-				return fmt.Errorf("slo default band declared twice")
-			}
-			seenDefault = true
-		case c.IsUser:
-			if c.User < 0 {
-				return fmt.Errorf("slo user override with negative id %d", c.User)
-			}
-			if seenUser[c.User] {
-				return fmt.Errorf("slo user%d override declared twice", c.User)
-			}
-			seenUser[c.User] = true
-		default:
-			return fmt.Errorf("slo class is neither a quantile band, default nor a user override (set Quantile, Default or IsUser)")
-		}
+	return validateBands("slo", t.Classes, func(c SLOClass) error {
+		name := c.band().name()
 		if c.Target.Wait < 0 {
-			return fmt.Errorf("slo class %s: negative wait target", c.name())
+			return fmt.Errorf("slo class %s: negative wait target", name)
 		}
 		if math.IsNaN(c.Target.Slowdown) || math.IsInf(c.Target.Slowdown, 0) {
-			return fmt.Errorf("slo class %s: slowdown target must be finite", c.name())
+			return fmt.Errorf("slo class %s: slowdown target must be finite", name)
 		}
 		if c.Target.Slowdown < 0 || (c.Target.Slowdown > 0 && c.Target.Slowdown < 1) {
 			return fmt.Errorf("slo class %s: slowdown target %v below 1 (a slowdown is never < 1)",
-				c.name(), c.Target.Slowdown)
+				name, c.Target.Slowdown)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Apply implements Transform: the workload passes through untouched (the
@@ -183,122 +105,20 @@ func (t SLOTag) ContributeSLO(jobs []*job.Job, b *slo.Builder) error {
 	if err := t.validate(); err != nil {
 		return err
 	}
-	ordered := t.orderedClasses()
+	ordered := orderBands(t.Classes)
 	for _, c := range ordered {
-		b.AddClass(c.name(), c.Target)
+		b.AddClass(c.band().name(), c.Target)
 	}
 	// Rank users by total processor-seconds ascending (the same heaviness
 	// measure UserFilter's top-K uses; ties toward the lower id in both).
-	usage := userProcSeconds(jobs)
-	var quantiles []SLOClass
-	var hasDefault bool
-	for _, c := range ordered {
-		if c.Quantile > 0 {
-			quantiles = append(quantiles, c) // already ascending
+	// Builder.Build sorts its tagged users, so the within-band order is free.
+	assignBands(ordered, jobs, func(c SLOClass, users []int) {
+		name := c.band().name()
+		for _, u := range users {
+			b.Tag(u, name)
 		}
-		if c.Default {
-			hasDefault = true
-		}
-	}
-	// Band membership needs only the partition of the rank order at each
-	// band boundary, never the full order: user k of n (1-based) has
-	// percentile 100*k/n, so band q covers exactly the quantileBoundary(q, n)
-	// lightest users not claimed by a smaller band. Successive quickselects
-	// at the boundary ranks therefore give membership identical to the full
-	// sort — the (usage, id) order is strict, so "the k lightest users" is a
-	// unique set — at O(n) instead of O(n log n), which matters when bands
-	// tag a population-scale user set (DESIGN.md §15). Builder.Build sorts
-	// its tagged users, so the within-band tag order is free.
-	users := make([]int, 0, len(usage))
-	for u := range usage {
-		users = append(users, u)
-	}
-	n := len(users)
-	less := func(a, b int) bool {
-		if usage[a] != usage[b] {
-			return usage[a] < usage[b]
-		}
-		return a < b
-	}
-	lo := 0
-	for _, c := range quantiles {
-		k := quantileBoundary(c.Quantile, n)
-		if k < lo {
-			k = lo // boundaries are monotone in q; defensive
-		}
-		if k > lo && k < n {
-			selectSmallest(users[lo:], k-lo, less)
-		}
-		for _, u := range users[lo:k] {
-			b.Tag(u, c.name())
-		}
-		lo = k
-	}
-	if hasDefault {
-		for _, u := range users[lo:] {
-			b.Tag(u, "default")
-		}
-	}
-	// Explicit overrides win; users absent from the workload are skipped
-	// (the assignment describes this workload's population).
-	for _, c := range ordered {
-		if c.IsUser {
-			if _, present := usage[c.User]; present {
-				b.Tag(c.User, c.name())
-			}
-		}
-	}
+	})
 	return nil
-}
-
-// quantileBoundary returns how many of n ranked users fall at or below
-// quantile q: the largest 1-based rank k with 100*k/n <= q under integer
-// division — 100k/n <= q ⟺ 100k < (q+1)n ⟺ k <= ((q+1)n − 1)/100 —
-// capped at n.
-func quantileBoundary(q, n int) int {
-	k := ((q+1)*n - 1) / 100
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// selectSmallest partially orders s so s[:k] holds the k smallest elements
-// under less (within-segment order unspecified): iterative quickselect with
-// a median-of-three pivot, expected O(len(s)). less must be a strict total
-// order; 0 < k < len(s).
-func selectSmallest(s []int, k int, less func(a, b int) bool) {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if less(s[mid], s[lo]) {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if less(s[hi], s[lo]) {
-			s[hi], s[lo] = s[lo], s[hi]
-		}
-		if less(s[hi], s[mid]) {
-			s[hi], s[mid] = s[mid], s[hi]
-		}
-		s[mid], s[hi] = s[hi], s[mid]
-		pivot := s[hi]
-		i := lo
-		for j := lo; j < hi; j++ {
-			if less(s[j], pivot) {
-				s[i], s[j] = s[j], s[i]
-				i++
-			}
-		}
-		s[i], s[hi] = s[hi], s[i]
-		switch {
-		case i == k:
-			return
-		case i < k:
-			lo = i + 1
-		default:
-			hi = i - 1
-		}
-	}
 }
 
 // parseSLO parses the slo= value: comma-separated class:target entries.
@@ -311,43 +131,10 @@ func selectSmallest(s []int, k int, less func(a, b int) bool) {
 //	slo=user7:30m                 explicit per-user override (wins)
 //	slo=p50:2h,default:none       explicitly best-effort band
 func parseSLO(val string) (Transform, error) {
-	if strings.TrimSpace(val) == "" {
-		return nil, fmt.Errorf("slo=: empty spec (want e.g. p50:2h,p90:24h)")
-	}
-	type key struct {
-		q, user int
-		def     bool
-		isUser  bool
-	}
-	idx := make(map[key]int)
+	idx := make(map[band]int)
 	var t SLOTag
-	for _, part := range strings.Split(val, ",") {
-		part = strings.TrimSpace(part)
-		name, target, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("slo entry %q: want class:target", part)
-		}
-		var c SLOClass
-		switch {
-		case name == "default":
-			c.Default = true
-		case strings.HasPrefix(name, "user"):
-			id, err := strconv.Atoi(name[len("user"):])
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("slo entry %q: bad user id", part)
-			}
-			c.IsUser = true
-			c.User = id
-		case strings.HasPrefix(name, "p"):
-			q, err := strconv.Atoi(name[1:])
-			if err != nil || q < 1 || q > 100 {
-				return nil, fmt.Errorf("slo entry %q: want p1..p100", part)
-			}
-			c.Quantile = q
-		default:
-			return nil, fmt.Errorf("slo entry %q: class must be p<1..100>, default or user<id>", part)
-		}
-		k := key{q: c.Quantile, user: c.User, def: c.Default, isUser: c.IsUser}
+	err := parseBandEntries("slo", val, "p50:2h,p90:24h", "target", func(part string, k band, target string) error {
+		c := SLOClass{Quantile: k.Quantile, IsUser: k.IsUser, User: k.User, Default: k.Default}
 		switch {
 		case target == "none":
 			// Explicit best-effort: a zero target. Combining none with a
@@ -355,45 +142,50 @@ func parseSLO(val string) (Transform, error) {
 			// contradictory, like any other duplicate declaration.
 			if i, seen := idx[k]; seen {
 				if t.Classes[i].Target.IsZero() {
-					return nil, fmt.Errorf("slo entry %q: band declared best-effort twice", part)
+					return fmt.Errorf("slo entry %q: band declared best-effort twice", part)
 				}
-				return nil, fmt.Errorf("slo entry %q: band already has a target", part)
+				return fmt.Errorf("slo entry %q: band already has a target", part)
 			}
 		case strings.HasSuffix(target, "x"):
 			f, err := strconv.ParseFloat(target[:len(target)-1], 64)
 			if err != nil || f < 1 || math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("slo entry %q: want a finite slowdown multiple >= 1 (e.g. 8x)", part)
+				return fmt.Errorf("slo entry %q: want a finite slowdown multiple >= 1 (e.g. 8x)", part)
 			}
 			c.Target.Slowdown = f
 		default:
-			d, err := parseDur(target)
+			d, err := sched.ParseDur(target)
 			if err != nil {
-				return nil, fmt.Errorf("slo entry %q: %w", part, err)
+				return fmt.Errorf("slo entry %q: %w", part, err)
 			}
 			if d < 1 {
-				return nil, fmt.Errorf("slo entry %q: wait target must be positive", part)
+				return fmt.Errorf("slo entry %q: wait target must be positive", part)
 			}
 			c.Target.Wait = d
 		}
-		if i, seen := idx[k]; seen {
-			prev := &t.Classes[i]
-			if prev.Target.IsZero() && !c.Target.IsZero() {
-				return nil, fmt.Errorf("slo entry %q: band already declared best-effort", part)
-			}
-			if (c.Target.Wait > 0 && prev.Target.Wait > 0) ||
-				(c.Target.Slowdown > 0 && prev.Target.Slowdown > 0) {
-				return nil, fmt.Errorf("slo entry %q: duplicate target kind for this band", part)
-			}
-			if c.Target.Wait > 0 {
-				prev.Target.Wait = c.Target.Wait
-			}
-			if c.Target.Slowdown > 0 {
-				prev.Target.Slowdown = c.Target.Slowdown
-			}
-			continue
+		i, seen := idx[k]
+		if !seen {
+			idx[k] = len(t.Classes)
+			t.Classes = append(t.Classes, c)
+			return nil
 		}
-		idx[k] = len(t.Classes)
-		t.Classes = append(t.Classes, c)
+		prev := &t.Classes[i]
+		if prev.Target.IsZero() && !c.Target.IsZero() {
+			return fmt.Errorf("slo entry %q: band already declared best-effort", part)
+		}
+		if (c.Target.Wait > 0 && prev.Target.Wait > 0) ||
+			(c.Target.Slowdown > 0 && prev.Target.Slowdown > 0) {
+			return fmt.Errorf("slo entry %q: duplicate target kind for this band", part)
+		}
+		if c.Target.Wait > 0 {
+			prev.Target.Wait = c.Target.Wait
+		}
+		if c.Target.Slowdown > 0 {
+			prev.Target.Slowdown = c.Target.Slowdown
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := t.validate(); err != nil {
 		return nil, fmt.Errorf("slo=%s: %w", val, err)

@@ -8,6 +8,7 @@ import (
 
 	"fairsched/internal/job"
 	"fairsched/internal/slo"
+	"fairsched/internal/topology"
 )
 
 // sloJobs builds a workload with a clear usage ladder: user 1 lightest,
@@ -289,7 +290,9 @@ func referenceQuantileAssign(usage map[int]int64, quantiles []int, hasDefault bo
 // TestSLOSelectionMatchesSort pins the O(n) quickselect band assignment
 // bit-identical to the full-sort reference over random populations: 30
 // seeds x three contention shapes (mirroring the policy differential
-// suites), random band sets, usage maps with deliberate ties.
+// suites), random band sets, usage maps with deliberate ties. The same
+// bands as a queue= or partition= tag (alternating by seed) must place
+// users identically.
 func TestSLOSelectionMatchesSort(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -344,6 +347,31 @@ func TestSLOSelectionMatchesSort(t *testing.T) {
 			for u, cls := range want {
 				if got[u] != cls {
 					t.Fatalf("%s seed %d: user %d in %q, reference says %q", sh.name, seed, u, got[u], cls)
+				}
+			}
+
+			// Destinations named after the bands make the placement
+			// directly comparable with the reference.
+			place := PlaceTag{Kind: "queue"}
+			lookup := (*topology.Placement).Queue
+			if seed%4 >= 2 {
+				place.Kind, lookup = "partition", (*topology.Placement).PartitionTag
+			}
+			for _, c := range tag.Classes {
+				place.Classes = append(place.Classes, PlaceClass{
+					Quantile: c.Quantile, Default: c.Default, Dest: c.band().name(),
+				})
+			}
+			pb := &topology.PlacementBuilder{}
+			if err := place.ContributePlacement(jobs, pb); err != nil {
+				t.Fatalf("%s seed %d: %s: %v", sh.name, seed, place.Kind, err)
+			}
+			placed := pb.Build()
+			for u := range usage {
+				dest, ok := lookup(placed, u)
+				if cls, tagged := want[u]; ok != tagged || dest != cls {
+					t.Fatalf("%s seed %d: %s placed user %d at %q (ok=%v), reference says %q",
+						sh.name, seed, place.Kind, u, dest, ok, cls)
 				}
 			}
 		}

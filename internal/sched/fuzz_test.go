@@ -19,6 +19,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("starve=24h.q75")
 	f.Add("starve=24h.q07")
 	f.Add("order=sjf+bf=easy+starve=72h.abs280h")
+	f.Add("order=fcfs+bf=easy+max=3074457345618258603m")
 	f.Add("starve=24h.abs1008000")
 	f.Add("starve=24h.abs100001")
 	f.Add("starve=24h.q100")

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -63,7 +64,7 @@ func normalizeHeavy(tok string) (string, error) {
 		return fmt.Sprintf("q%d", n), nil
 	}
 	if rest, ok := strings.CutPrefix(tok, "abs"); ok {
-		sec, err := parseDur(rest)
+		sec, err := ParseDur(rest)
 		if err != nil {
 			return "", fmt.Errorf("heavy absolute threshold %q: %v", tok, err)
 		}
@@ -409,7 +410,7 @@ func parseComponent(part string, pos int, seen map[string]int, s *Spec) error {
 		return fmt.Errorf("position %d: unknown backfill %q (want %s)", valPos, val, strings.Join(backfills, ", "))
 	case "starve":
 		dur, heavy, _ := strings.Cut(val, ".")
-		w, err := parseDur(dur)
+		w, err := ParseDur(dur)
 		if err != nil {
 			return fmt.Errorf("position %d: starve wait: %w", valPos, err)
 		}
@@ -431,7 +432,7 @@ func parseComponent(part string, pos int, seen map[string]int, s *Spec) error {
 		}
 		s.Depth = n
 	case "max":
-		m, err := parseDur(val)
+		m, err := ParseDur(val)
 		if err != nil {
 			return fmt.Errorf("position %d: max runtime: %w", valPos, err)
 		}
@@ -465,13 +466,17 @@ const (
 	weekSeconds = 7 * daySeconds
 )
 
-// parseDur parses a duration with optional unit suffix s/m/h/d/w; a bare
-// number is seconds (the scenario grammar's convention).
-func parseDur(s string) (int64, error) {
+// ParseDur parses a duration with optional unit suffix s/m/h/d/w; a bare
+// number is seconds. Durations with a "." would collide with the spec
+// grammars' list separator, so only integers are accepted, and a value
+// whose seconds overflow int64 is rejected rather than wrapped. The policy
+// and scenario grammars share it.
+func ParseDur(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, fmt.Errorf("empty duration")
 	}
+	orig := s
 	mult := int64(1)
 	switch s[len(s)-1] {
 	case 's':
@@ -487,7 +492,10 @@ func parseDur(s string) (int64, error) {
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad duration %q (want e.g. 90, 15m, 24h, 3d)", s)
+		return 0, fmt.Errorf("bad duration %q (want e.g. 90, 15m, 2h, 7d, 4w)", s)
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("duration %q overflows int64 seconds", orig)
 	}
 	return n * mult, nil
 }

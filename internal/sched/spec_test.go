@@ -235,14 +235,22 @@ func TestParseDurUnits(t *testing.T) {
 		in   string
 		want int64
 	}{{"90", 90}, {"90s", 90}, {"15m", 900}, {"24h", 86400}, {"3d", 3 * 86400}, {"2w", 14 * 86400}} {
-		got, err := parseDur(tc.in)
+		got, err := ParseDur(tc.in)
 		if err != nil || got != tc.want {
-			t.Errorf("parseDur(%q) = %d,%v want %d", tc.in, got, err, tc.want)
+			t.Errorf("ParseDur(%q) = %d,%v want %d", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "1.5h", "h"} {
-		if _, err := parseDur(bad); err == nil {
-			t.Errorf("parseDur(%q) accepted", bad)
+	for _, bad := range []string{"", "x", "1.5h", "h",
+		"3074457345618258603m", // wraps to 20s
+		"15250284452472w",      // wraps negative
+		"-15250284452472w",     // wraps positive
+	} {
+		if got, err := ParseDur(bad); err == nil {
+			t.Errorf("ParseDur(%q) accepted as %d", bad, got)
 		}
+	}
+	// The same overflow through the policy grammar's max= component.
+	if s, err := ParseSpec("order=fcfs+bf=easy+max=3074457345618258603m"); err == nil {
+		t.Errorf("overflowing max= accepted as %s", s.Canonical())
 	}
 }

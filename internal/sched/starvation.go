@@ -55,7 +55,7 @@ func heavyClassifier(tok string) fairshare.HeavyClassifier {
 		}
 		return fairshare.AboveQuantile{Q: float64(n) / 100}
 	case strings.HasPrefix(tok, "abs"):
-		sec, err := parseDur(tok[3:])
+		sec, err := ParseDur(tok[3:])
 		if err != nil || sec <= 0 {
 			panic(fmt.Sprintf("sched: unvalidated heavy threshold %q", tok))
 		}
