@@ -16,6 +16,7 @@
 //	hypotheses -trace ross.swf        # claims over a real SWF trace
 //	hypotheses -manifest traces.toml -cache-dir .cache  # trace-scoped claims
 //	hypotheses -cpuprofile cpu.out    # profile the run (go tool pprof cpu.out)
+//	hypotheses -memprofile mem.out    # allocation profile of the run
 //
 // Exit status: 1 when any tier ≤ 2 claim among those run is REFUTED (its
 // reference seed failed), or when any campaign cell failed (the report
@@ -27,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 
@@ -64,6 +66,7 @@ func main() {
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		parallel = flag.Int("parallel", 0, "worker pool size (0: one per CPU; 1: serial — output is byte-identical at every setting)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole run to this file at exit (inspect with go tool pprof)")
 	)
 	flag.Var(&claimIDs, "claim", "run one registered claim by id (repeatable)")
 	flag.Var(&specTexts, "spec", "run an ad-hoc claim written in the grammar (repeatable)")
@@ -78,6 +81,21 @@ func main() {
 		}
 		stopProfile = func() {
 			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			fatal(err)
+		}
+		stopCPU := stopProfile
+		stopProfile = func() {
+			stopCPU()
+			runtime.GC() // settle the in-use statistics
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				fmt.Fprintln(os.Stderr, "hypotheses: memprofile:", err)
+			}
 			f.Close()
 		}
 	}
@@ -188,8 +206,8 @@ func selectSpecs(claimIDs, specTexts stringList, tier int) ([]hypothesis.Spec, e
 	return specs, nil
 }
 
-// stopProfile flushes the -cpuprofile output; every os.Exit path calls it,
-// since os.Exit skips deferred calls.
+// stopProfile flushes the -cpuprofile and -memprofile outputs; every
+// os.Exit path calls it, since os.Exit skips deferred calls.
 var stopProfile = func() {}
 
 func fatal(err error) {

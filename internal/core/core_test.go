@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"fairsched/internal/job"
@@ -38,6 +39,31 @@ func TestExecuteAllSpecsOnTinyWorkload(t *testing.T) {
 		if run.Summary.LossOfCapacity < 0 || run.Summary.LossOfCapacity > 1 {
 			t.Errorf("%s: LOC %f out of range", spec.Key, run.Summary.LossOfCapacity)
 		}
+	}
+}
+
+// TestExecuteRejectsTimesPastTheHorizon: estimates beyond job.MaxTime once
+// wrapped the conservative engines' reservation sums into a panic. Every
+// policy must refuse such a workload with an error instead.
+func TestExecuteRejectsTimesPastTheHorizon(t *testing.T) {
+	huge := []*job.Job{
+		{ID: 1, User: 1, Submit: 0, Runtime: 100, Estimate: 9e18, Nodes: 4},
+		{ID: 2, User: 2, Submit: 10, Runtime: 100, Estimate: 200, Nodes: 8},
+		{ID: 3, User: 3, Submit: 20, Runtime: 100, Estimate: 1 << 62, Nodes: 8},
+		{ID: 4, User: 4, Submit: 30, Runtime: 100, Estimate: 300, Nodes: 2},
+	}
+	for _, spec := range AllSpecs() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic: %v", spec.Key, r)
+				}
+			}()
+			_, err := Execute(StudyConfig{SystemSize: 10, Validate: true}, spec, huge)
+			if err == nil || !strings.Contains(err.Error(), "horizon") {
+				t.Errorf("%s: err = %v, want the horizon rejection", spec.Key, err)
+			}
+		}()
 	}
 }
 

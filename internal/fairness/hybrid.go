@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/sim"
 )
@@ -134,31 +135,9 @@ func (h *HybridFST) JobArrived(env sim.Env, j *job.Job, queued []*job.Job) {
 func aheadLess(a, b aheadJob) bool { return aheadCmp(a, b) < 0 }
 
 // aheadCmp is the fairshare queue order over precomputed keys as a
-// three-way comparison: lower decayed usage first, then earlier
-// submission, then lower id — exactly fairshare.Tracker.Less, without
-// re-reading the usage map. A total order over distinct jobs, so it never
-// answers 0 for different jobs.
-func aheadCmp(a, b aheadJob) int {
-	switch {
-	case a.usage != b.usage:
-		if a.usage < b.usage {
-			return -1
-		}
-		return 1
-	case a.job.Submit != b.job.Submit:
-		if a.job.Submit < b.job.Submit {
-			return -1
-		}
-		return 1
-	case a.job.ID != b.job.ID:
-		if a.job.ID < b.job.ID {
-			return -1
-		}
-		return 1
-	default:
-		return 0
-	}
-}
+// three-way comparison (fairshare.Compare), without re-reading the usage
+// ledger.
+func aheadCmp(a, b aheadJob) int { return fairshare.Compare(a.usage, a.job, b.usage, b.job) }
 
 // FST returns the fair start time recorded for a job.
 func (h *HybridFST) FST(id job.ID) (int64, bool) {

@@ -3,6 +3,7 @@ package fairness
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"fairsched/internal/job"
@@ -36,7 +37,8 @@ func (h *referenceFST) JobArrived(env sim.Env, j *job.Job, queued []*job.Job) {
 		order = append(order, q)
 	}
 	order = append(order, j)
-	env.Fairshare().SortJobs(order)
+	fs := env.Fairshare()
+	sort.SliceStable(order, func(i, k int) bool { return fs.Less(order[i], order[k]) })
 
 	avail := newAvailability(env.Now(), env.FreeNodes(), env.Running())
 	for _, q := range order {

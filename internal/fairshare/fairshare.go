@@ -269,18 +269,36 @@ func (t *Tracker) Charge(user int, procSeconds float64) {
 func (t *Tracker) Less(a, b *job.Job) bool {
 	ua, _ := t.settled(a.User)
 	ub, _ := t.settled(b.User)
-	if ua != ub {
-		return ua < ub
-	}
-	if a.Submit != b.Submit {
-		return a.Submit < b.Submit
-	}
-	return a.ID < b.ID
+	return Compare(ua, a, ub, b) < 0
 }
 
-// SortJobs sorts jobs into fairshare priority order (stable, deterministic).
-func (t *Tracker) SortJobs(jobs []*job.Job) {
-	sort.SliceStable(jobs, func(i, k int) bool { return t.Less(jobs[i], jobs[k]) })
+// Compare is the fairshare queue order over precomputed priority keys as a
+// three-way comparison: the lower key first, then earlier submission, then
+// lower job id. With each job's decayed usage as its key it is exactly
+// Tracker.Less; callers that read every usage once per pass (the scheduling
+// engines, the hybrid FST engine) compare through it instead of re-reading
+// the ledger per comparison. Job ids are unique within a workload, so it
+// never answers 0 for different jobs.
+func Compare(ka float64, a *job.Job, kb float64, b *job.Job) int {
+	switch {
+	case ka != kb:
+		if ka < kb {
+			return -1
+		}
+		return 1
+	case a.Submit != b.Submit:
+		if a.Submit < b.Submit {
+			return -1
+		}
+		return 1
+	case a.ID != b.ID:
+		if a.ID < b.ID {
+			return -1
+		}
+		return 1
+	default:
+		return 0
+	}
 }
 
 // Snapshot returns a copy of the per-user usage map (for metric engines that

@@ -2,6 +2,7 @@ package fairshare
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -185,7 +186,7 @@ func TestLessOrdersByUsageThenSubmitThenID(t *testing.T) {
 	}
 }
 
-func TestSortJobsIsDeterministic(t *testing.T) {
+func TestCompareSortIsDeterministic(t *testing.T) {
 	tr := NewTracker(DefaultConfig(), 0)
 	tr.Charge(1, 10)
 	tr.Charge(2, 20)
@@ -196,11 +197,21 @@ func TestSortJobsIsDeterministic(t *testing.T) {
 		{ID: 3, User: 3, Submit: 0},
 		{ID: 4, User: 1, Submit: 5},
 	}
-	tr.SortJobs(jobs)
+	slices.SortFunc(jobs, func(a, b *job.Job) int {
+		return Compare(tr.Usage(a.User), a, tr.Usage(b.User), b)
+	})
 	wantIDs := []job.ID{3, 1, 4, 2}
 	for i, w := range wantIDs {
 		if jobs[i].ID != w {
 			t.Fatalf("order %v, want %v at %d", jobs[i].ID, w, i)
+		}
+	}
+	for _, a := range jobs {
+		for _, b := range jobs {
+			c := Compare(tr.Usage(a.User), a, tr.Usage(b.User), b)
+			if less := tr.Less(a, b); less != (c < 0) || (a == b) != (c == 0) {
+				t.Errorf("Compare(%d, %d) = %d disagrees with Less = %v", a.ID, b.ID, c, less)
+			}
 		}
 	}
 }

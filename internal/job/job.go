@@ -51,6 +51,16 @@ func (j *Job) EffectiveRuntime() int64 {
 	return j.Runtime
 }
 
+// MaxTime is the horizon, in seconds (about 34,800 years), that Validate
+// holds Submit, Runtime, Estimate and ChainRuntime to. The engines add
+// these times without overflow checks: a reservation is the clock plus the
+// estimates of the jobs running or queued ahead of it. With each term at
+// most 2^40, fewer than 2^22 (about four million) such jobs sum to under
+// 2^62, far from wrapping int64, where one estimate near 2^63 wrapped the
+// first sum it entered. The bound also keeps every estimate exact as a
+// float64 priority key (2^40 < 2^53).
+const MaxTime = 1 << 40
+
 // Validate reports the first structural problem with the job, or nil.
 func (j *Job) Validate(systemSize int) error {
 	switch {
@@ -64,6 +74,14 @@ func (j *Job) Validate(systemSize int) error {
 		return fmt.Errorf("job %d: runtime %d < 1", j.ID, j.Runtime)
 	case j.Estimate < 1:
 		return fmt.Errorf("job %d: estimate %d < 1", j.ID, j.Estimate)
+	case j.Submit > MaxTime:
+		return fmt.Errorf("job %d: submit time %d beyond the %ds horizon", j.ID, j.Submit, MaxTime)
+	case j.Runtime > MaxTime:
+		return fmt.Errorf("job %d: runtime %d beyond the %ds horizon", j.ID, j.Runtime, MaxTime)
+	case j.Estimate > MaxTime:
+		return fmt.Errorf("job %d: estimate %d beyond the %ds horizon", j.ID, j.Estimate, MaxTime)
+	case j.ChainRuntime > MaxTime:
+		return fmt.Errorf("job %d: chain runtime %d beyond the %ds horizon", j.ID, j.ChainRuntime, MaxTime)
 	case j.Nodes < 1:
 		return fmt.Errorf("job %d: nodes %d < 1", j.ID, j.Nodes)
 	case systemSize > 0 && j.Nodes > systemSize:

@@ -29,6 +29,10 @@ func TestValidateRejections(t *testing.T) {
 		{"zero estimate", func(j *Job) { j.Estimate = 0 }, "estimate"},
 		{"zero nodes", func(j *Job) { j.Nodes = 0 }, "nodes"},
 		{"too wide", func(j *Job) { j.Nodes = 2048 }, "exceed system size"},
+		{"submit past horizon", func(j *Job) { j.Submit = MaxTime + 1 }, "horizon"},
+		{"runtime past horizon", func(j *Job) { j.Runtime = MaxTime + 1 }, "horizon"},
+		{"estimate past horizon", func(j *Job) { j.Estimate = 9e18 }, "horizon"},
+		{"chain runtime past horizon", func(j *Job) { j.ChainRuntime = 1 << 62 }, "horizon"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +46,14 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+func TestValidateAcceptsTheHorizon(t *testing.T) {
+	j := validJob()
+	j.Submit, j.Runtime, j.Estimate, j.ChainRuntime = MaxTime, MaxTime, MaxTime, MaxTime
+	if err := j.Validate(1024); err != nil {
+		t.Fatalf("times at the horizon rejected: %v", err)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // order) as the tail backfilled after the rest of the starvation queue.
 type aggressiveEngine struct {
 	comp   *Composite
-	order  Order
+	prio   queueSorter[*job.Job]
 	depth  int // reserved main-queue heads: 0 noguarantee, 1 easy, k depth
 	starve *starvation
 
@@ -71,7 +71,7 @@ func (e *aggressiveEngine) schedule(env sim.Env) {
 		// can change what the order reads (edf's breach risk).
 		startHeads(env, &e.starved)
 	}
-	sortQueue(env, e.order, e.main)
+	e.prio.sort(env, e.main, nil)
 	if len(e.starved) > 0 {
 		e.starved, e.main = e.backfill(env, e.starved, e.starve.depth, e.main)
 		return
@@ -177,7 +177,7 @@ func reserve(prof *profile.Profile, now int64, r *job.Job) (int64, error) {
 func (e *aggressiveEngine) depthReservations(env sim.Env) map[job.ID]int64 {
 	prof := env.Availability().Clone()
 	q := append([]*job.Job(nil), e.main...)
-	sortQueue(env, e.order, q)
+	e.prio.sort(env, q, nil)
 	q = q[:min(e.depth, len(q))]
 	out := make(map[job.ID]int64, len(q))
 	for _, r := range q {

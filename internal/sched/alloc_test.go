@@ -82,6 +82,59 @@ func TestConservativeArrivalAllocatesNothing(t *testing.T) {
 	}
 }
 
+// standingQueue queues n jobs of five users with distinct usages on a full
+// busyEnv, so every pass keeps them all queued.
+func standingQueue(env *busyEnv, pol *Composite, n int) {
+	for i := 0; i < n; i++ {
+		j := &job.Job{ID: job.ID(i + 1), User: i%5 + 1, Submit: env.now,
+			Runtime: int64(50 + i), Estimate: int64(100 + 10*i), Nodes: 1 + i%busySize}
+		env.fs.Charge(j.User, float64(i))
+		pol.Arrive(env, j)
+	}
+}
+
+// TestAggressivePassAllocatesNothing: a warm cplant24.nomax.all scheduling
+// pass whose standing queue is out of priority order sorts it through the
+// reused key buffer and allocates nothing.
+func TestAggressivePassAllocatesNothing(t *testing.T) {
+	env := newBusyEnv(100)
+	pol := MustParse("cplant24.nomax.all")
+	pol.Reset(env)
+	eng := pol.engine.(*aggressiveEngine)
+	standingQueue(env, pol, 32)
+	allocs := testing.AllocsPerRun(100, func() {
+		slices.Reverse(eng.main)
+		pol.Wake(env)
+		if len(eng.main) != 32 {
+			t.Fatal("a job left the standing queue")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm cplant24.nomax.all pass allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestConservativeImproveAllocatesNothing: a warm cons.nomax improvement
+// pass, sorting its out-of-order standing queue in place, allocates
+// nothing.
+func TestConservativeImproveAllocatesNothing(t *testing.T) {
+	env := newBusyEnv(100)
+	pol := MustParse("cons.nomax")
+	pol.Reset(env)
+	eng := pol.engine.(*conservativeEngine)
+	standingQueue(env, pol, 32)
+	allocs := testing.AllocsPerRun(100, func() {
+		slices.Reverse(eng.queue)
+		eng.improve(env)
+		if eng.holes {
+			t.Fatal("improvement did not reach its fixpoint")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm cons.nomax improve pass allocates %.1f times, want 0", allocs)
+	}
+}
+
 // starvationArrivalAllocs measures a warm arrival of a starvation policy on
 // a full machine one day after most of a standing queue was submitted:
 // those jobs are past the starvation threshold, and user 1 — far above the

@@ -70,10 +70,10 @@ func New(spec Spec) (*Composite, error) {
 	}
 	switch norm.Backfill {
 	case BackfillNone:
-		c.engine = &listEngine{order: ord}
+		c.engine = &listEngine{prio: jobSorter(ord)}
 	case BackfillConservative, BackfillConservativeDynamic:
 		c.engine = &conservativeEngine{
-			order:   ord,
+			prio:    newQueueSorter(ord, func(q *reservedJob) *job.Job { return q.job }),
 			dynamic: norm.Backfill == BackfillConservativeDynamic,
 		}
 	case BackfillNoGuarantee, BackfillEASY, BackfillDepth:
@@ -84,7 +84,7 @@ func New(spec Spec) (*Composite, error) {
 		case BackfillDepth:
 			depth = norm.Depth
 		}
-		c.engine = &aggressiveEngine{comp: c, order: ord, depth: depth, starve: newStarvation(norm)}
+		c.engine = &aggressiveEngine{comp: c, prio: jobSorter(ord), depth: depth, starve: newStarvation(norm)}
 	default:
 		return nil, fmt.Errorf("sched: policy %q: unknown backfill %q", spec.String(), norm.Backfill)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -39,7 +40,7 @@ import (
 // proof obligation: reservations must be byte-identical to the from-scratch
 // schedule at every event (DESIGN.md §10).
 type conservativeEngine struct {
-	order   Order
+	prio    queueSorter[*reservedJob]
 	dynamic bool
 
 	queue []*reservedJob
@@ -81,9 +82,9 @@ type conservativeEngine struct {
 	insertHits, insertMisses int
 
 	// Reused scratch buffers.
-	impBuf []*reservedJob // improvement / placement order
-	dueBuf []*reservedJob // due-reservation starts
-	qBuf   []*job.Job     // queued() result
+	freshBuf []*reservedJob // unreserved arrivals, in placement order
+	dueBuf   []*reservedJob // due-reservation starts
+	qBuf     []*job.Job     // queued() result
 	// spare recycles started jobs' queue entries, so an arrival allocates
 	// nothing once the engine is warm.
 	spare []*reservedJob
@@ -248,12 +249,7 @@ func (e *conservativeEngine) schedule(env sim.Env) {
 		kept = append(kept, q)
 	}
 	if len(due) > 0 {
-		sort.SliceStable(due, func(i, k int) bool {
-			if due[i].res != due[k].res {
-				return due[i].res < due[k].res
-			}
-			return e.order.Less(env, due[i].job, due[k].job)
-		})
+		e.prio.sort(env, due, byReservation)
 		for _, q := range due {
 			if err := env.Start(q.job); err != nil {
 				panic(fmt.Sprintf("sched: start reserved job: %v", err))
@@ -327,23 +323,12 @@ func (e *conservativeEngine) rebuild(env sim.Env, refreshSnaps bool) {
 
 	if e.dynamic {
 		// Discard everything; rebuild in queue priority order.
-		sort.SliceStable(e.queue, func(i, k int) bool {
-			return e.order.Less(env, e.queue[i].job, e.queue[k].job)
-		})
+		e.prio.sort(env, e.queue, nil)
 	} else {
 		// Re-validate preserving reservation order (unreserved arrivals
 		// last), so existing reservations only move later under estimate
 		// overruns; then improve in queue priority order below.
-		sort.SliceStable(e.queue, func(i, k int) bool {
-			qi, qk := e.queue[i], e.queue[k]
-			if qi.hasRes != qk.hasRes {
-				return qi.hasRes
-			}
-			if qi.hasRes && qi.res != qk.res {
-				return qi.res < qk.res
-			}
-			return e.order.Less(env, qi.job, qk.job)
-		})
+		e.prio.sort(env, e.queue, byReservation)
 	}
 	for _, q := range e.queue {
 		after := now
@@ -396,21 +381,17 @@ func (e *conservativeEngine) revalidate(env sim.Env) {
 	}
 	// Place fresh arrivals (queue-priority order among themselves, matching
 	// the from-scratch revalidation sort, which puts unreserved jobs last).
-	fresh := e.impBuf[:0]
+	fresh := e.freshBuf[:0]
 	for _, q := range e.queue {
 		if !q.hasRes {
 			fresh = append(fresh, q)
 		}
 	}
-	if len(fresh) > 1 {
-		sort.SliceStable(fresh, func(i, k int) bool {
-			return e.order.Less(env, fresh[i].job, fresh[k].job)
-		})
-	}
+	e.prio.sort(env, fresh, nil)
 	for _, q := range fresh {
 		e.place(env, q, env.Now())
 	}
-	e.impBuf = fresh
+	e.freshBuf = fresh
 	if e.holes {
 		// Early completions grew capacity: reservations are all still
 		// feasible in place, but the priority pass may now compress them
@@ -437,23 +418,12 @@ func (e *conservativeEngine) revalidateDynamic(env sim.Env) {
 		return
 	}
 	// Fast path: starts only remove entries, so e.queue is still in the last
-	// placement's priority order. If every entry is placed and adjacent
-	// pairs are still ordered under the current (usage-dependent) order —
-	// Less is a strict total order, so pairwise order implies sortedness —
-	// the discipline's rebuild would replay identical placements: skip it.
-	intact := true
-	for i, q := range e.queue {
-		if !q.hasRes || (i > 0 && !e.order.Less(env, e.queue[i-1].job, q.job)) {
-			intact = false
-			break
-		}
-	}
-	if intact {
+	// placement's priority order. If the sort leaves it untouched under the
+	// current (usage-dependent) order and every entry is placed, the
+	// discipline's rebuild would replay identical placements: skip it.
+	if !e.prio.sort(env, e.queue, nil) && allPlaced(e.queue) {
 		return
 	}
-	sort.SliceStable(e.queue, func(i, k int) bool {
-		return e.order.Less(env, e.queue[i].job, e.queue[k].job)
-	})
 	k := 0
 	for k < len(e.queue) && k < len(e.lastOrder) &&
 		e.queue[k].hasRes && e.queue[k].job.ID == e.lastOrder[k] {
@@ -551,9 +521,7 @@ func (e *conservativeEngine) replaySuffix(env sim.Env, k int) {
 // over — matching rebuild(env, false) semantics.
 func (e *conservativeEngine) partialRebuild(env sim.Env) {
 	now := env.Now()
-	sort.SliceStable(e.queue, func(i, k int) bool {
-		return e.order.Less(env, e.queue[i].job, e.queue[k].job)
-	})
+	e.prio.sort(env, e.queue, nil)
 	stable := 0
 	for stable < len(e.queue) && stable < len(e.lastOrder) &&
 		e.queue[stable].hasRes && e.queue[stable].job.ID == e.lastOrder[stable] {
@@ -588,6 +556,31 @@ func (e *conservativeEngine) partialRebuild(env sim.Env) {
 	e.holeEnd = 0
 }
 
+// byReservation orders placed entries by reservation start, unplaced ones
+// after them (the static revalidation order; every due entry is placed).
+func byReservation(a, b *reservedJob) int {
+	if a.hasRes != b.hasRes {
+		if a.hasRes {
+			return -1
+		}
+		return 1
+	}
+	if a.hasRes {
+		return cmp.Compare(a.res, b.res)
+	}
+	return 0
+}
+
+// allPlaced reports whether every entry of q holds a reservation.
+func allPlaced(q []*reservedJob) bool {
+	for _, r := range q {
+		if !r.hasRes {
+			return false
+		}
+	}
+	return true
+}
+
 // place reserves q at the earliest fit of its rectangle no earlier than
 // `after` and occupies it in the cached profile.
 func (e *conservativeEngine) place(env sim.Env, q *reservedJob, after int64) {
@@ -608,16 +601,16 @@ func (e *conservativeEngine) place(env sim.Env, q *reservedJob, after int64) {
 // pass repeats until no reservation improves (bounded; each pass strictly
 // reduces total reserved start time). An exhausted pass budget is recorded
 // in holes so the next event resumes the loop.
+//
+// The queue is sorted in place: nothing else in the static engine depends
+// on its order (every other sort is total), and the next pass then starts
+// from the last pass's priority order.
 func (e *conservativeEngine) improve(env sim.Env) {
 	now := env.Now()
-	improved := append(e.impBuf[:0], e.queue...)
-	sort.SliceStable(improved, func(i, k int) bool {
-		return e.order.Less(env, improved[i].job, improved[k].job)
-	})
-	e.impBuf = improved
+	e.prio.sort(env, e.queue, nil)
 	for pass := 0; pass < improvementPasses; pass++ {
 		changed := false
-		for _, q := range improved {
+		for _, q := range e.queue {
 			// The read-only probe answers what releasing the reservation
 			// and searching again would; a job that keeps its reservation
 			// leaves the profile untouched.

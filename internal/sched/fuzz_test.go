@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzParseSpec asserts the parse/canonical round trip: any input the
 // parser accepts must render a canonical chain that re-parses to the
@@ -60,5 +63,18 @@ func FuzzParseSpec(f *testing.F) {
 		if pol := MustNew(s); pol == nil {
 			t.Fatal("nil policy")
 		}
+	})
+}
+
+// FuzzQueueKeyOrder drives checkQueueSorter: the priority-key sort of every
+// order must equal sort.SliceStable over Order.Less on random queues, and
+// report a change exactly when its input was out of order.
+func FuzzQueueKeyOrder(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(2), uint8(2))
+	f.Add(int64(3), uint8(17))
+	f.Add(int64(4), uint8(63))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		checkQueueSorter(t, rand.New(rand.NewSource(seed)), int(n%64))
 	})
 }

@@ -12,7 +12,7 @@ import (
 // poor utilization); over the fairshare queue it is the reference
 // discipline of the hybrid FST metric (paper §4.1).
 type listEngine struct {
-	order Order
+	prio  queueSorter[*job.Job]
 	queue []*job.Job
 }
 
@@ -30,7 +30,7 @@ func (e *listEngine) nextWake(int64) (int64, bool) { return 0, false }
 func (e *listEngine) queued() []*job.Job { return e.queue }
 
 func (e *listEngine) schedule(env sim.Env) {
-	sortQueue(env, e.order, e.queue)
+	e.prio.sort(env, e.queue, nil)
 	for len(e.queue) > 0 && e.queue[0].Nodes <= env.FreeNodes() {
 		var head *job.Job
 		e.queue, head = popHead(e.queue)

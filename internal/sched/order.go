@@ -2,9 +2,11 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/sim"
 )
@@ -13,6 +15,12 @@ import (
 // ordering over queued jobs, evaluated against the live environment (the
 // fairshare order reads decayed usage, the expansion-factor order reads the
 // clock). Orders are stateless; all state lives in the environment.
+//
+// Most orders are also keyOrders: within one scheduling pass their priority
+// is a per-job key, so the engines sort (key, entry) pairs instead of
+// calling Less per comparison. lxf and edf are the comparator exceptions:
+// lxf's cross-multiplied integer compare must not become a float, and edf's
+// breach-risk signal can change mid-pass, as jobs start.
 type Order interface {
 	// Name is the grammar token ("fairshare", "fcfs", "sjf", ...).
 	Name() string
@@ -22,9 +30,101 @@ type Order interface {
 	Less(env sim.Env, a, b *job.Job) bool
 }
 
-// sortQueue stable-sorts q into the order's priority order.
-func sortQueue(env sim.Env, o Order, q []*job.Job) {
-	sort.SliceStable(q, func(i, k int) bool { return o.Less(env, q[i], q[k]) })
+// keyOrder is an Order whose priority is a per-pass key: within one pass,
+// Less(a, b) holds exactly when fairshare.Compare(key(a), a, key(b), b) < 0
+// — the lower key first, ties by submission then id. fs is the pass's
+// fairshare tracker, fetched once per pass (nil in environments without
+// one; only the fairshare order reads it).
+type keyOrder interface {
+	Order
+	key(fs *fairshare.Tracker, j *job.Job) float64
+}
+
+// queueSorter sorts an engine's queue entries (E is *job.Job or an engine's
+// wrapper around one) into the order's priority order. A keyOrder's keys
+// are read once per entry per sort into a reused buffer, so a warm sort
+// allocates nothing; lxf and edf go through Less. Job ids are unique, so
+// the priority order is total and both paths produce exactly the stable
+// sort over Less.
+type queueSorter[E any] struct {
+	order Order
+	keys  keyOrder // order as a keyOrder, nil for the comparator orders
+	jobOf func(E) *job.Job
+	buf   []keyedEntry[E]
+}
+
+// keyedEntry is one queue entry with its per-pass priority key.
+type keyedEntry[E any] struct {
+	key float64
+	job *job.Job
+	e   E
+}
+
+func newQueueSorter[E any](o Order, jobOf func(E) *job.Job) queueSorter[E] {
+	ko, _ := o.(keyOrder)
+	return queueSorter[E]{order: o, keys: ko, jobOf: jobOf}
+}
+
+// jobSorter is the queueSorter over plain job queues.
+func jobSorter(o Order) queueSorter[*job.Job] {
+	return newQueueSorter(o, func(j *job.Job) *job.Job { return j })
+}
+
+// sort stable-sorts q into priority order and reports whether it was out of
+// order (false means q is untouched). A non-nil pre orders entries ahead of
+// the priority — the conservative engine's reservation starts — and answers
+// 0 to fall through to it.
+func (s *queueSorter[E]) sort(env sim.Env, q []E, pre func(a, b E) int) bool {
+	if len(q) < 2 {
+		return false
+	}
+	if s.keys == nil {
+		return s.sortByLess(env, q, pre)
+	}
+	fs := env.Fairshare()
+	buf := s.buf[:0]
+	for _, e := range q {
+		j := s.jobOf(e)
+		buf = append(buf, keyedEntry[E]{key: s.keys.key(fs, j), job: j, e: e})
+	}
+	s.buf = buf
+	cmp := func(a, b keyedEntry[E]) int {
+		if pre != nil {
+			if c := pre(a.e, b.e); c != 0 {
+				return c
+			}
+		}
+		return fairshare.Compare(a.key, a.job, b.key, b.job)
+	}
+	moved := !slices.IsSortedFunc(buf, cmp)
+	if moved {
+		slices.SortStableFunc(buf, cmp)
+		for i := range buf {
+			q[i] = buf[i].e
+		}
+	}
+	return moved
+}
+
+// sortByLess is sort for the comparator orders. Its order check runs from
+// the tail, where arrivals land, so an out-of-order arrival costs one Less
+// call before the sort.
+func (s *queueSorter[E]) sortByLess(env sim.Env, q []E, pre func(a, b E) int) bool {
+	less := func(a, b E) bool {
+		if pre != nil {
+			if c := pre(a, b); c != 0 {
+				return c < 0
+			}
+		}
+		return s.order.Less(env, s.jobOf(a), s.jobOf(b))
+	}
+	for n := len(q) - 1; n > 0; n-- {
+		if less(q[n], q[n-1]) {
+			sort.SliceStable(q, func(i, k int) bool { return less(q[i], q[k]) })
+			return true
+		}
+	}
+	return false
 }
 
 // arrivalLess is the shared FCFS tie-break: submission time then job id.
@@ -38,8 +138,9 @@ func arrivalLess(a, b *job.Job) bool {
 // fcfsOrder schedules in arrival order (Figure 1 semantics).
 type fcfsOrder struct{}
 
-func (fcfsOrder) Name() string                       { return "fcfs" }
-func (fcfsOrder) Less(_ sim.Env, a, b *job.Job) bool { return arrivalLess(a, b) }
+func (fcfsOrder) Name() string                             { return "fcfs" }
+func (fcfsOrder) Less(_ sim.Env, a, b *job.Job) bool       { return arrivalLess(a, b) }
+func (fcfsOrder) key(*fairshare.Tracker, *job.Job) float64 { return 0 }
 
 // fairshareOrder is the Sandia decaying-usage priority: lowest decayed usage
 // first (paper §2.1), ties FCFS.
@@ -49,6 +150,7 @@ func (fairshareOrder) Name() string { return "fairshare" }
 func (fairshareOrder) Less(env sim.Env, a, b *job.Job) bool {
 	return env.Fairshare().Less(a, b)
 }
+func (fairshareOrder) key(fs *fairshare.Tracker, j *job.Job) float64 { return fs.Usage(j.User) }
 
 // sjfOrder is shortest-job-first by the user's wall-clock estimate — the
 // size-based ordering whose fairness trade-offs Dell'Amico et al. ("On Fair
@@ -62,6 +164,9 @@ func (sjfOrder) Less(_ sim.Env, a, b *job.Job) bool {
 	}
 	return arrivalLess(a, b)
 }
+
+// key is exact: estimates are bounded by job.MaxTime < 2^53.
+func (sjfOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return float64(j.Estimate) }
 
 // lxfOrder is largest-expansion-factor first: (wait + estimate)/estimate,
 // descending — the slowdown-driven ordering of the heSRPT line of work
@@ -101,6 +206,7 @@ func (widestOrder) Less(_ sim.Env, a, b *job.Job) bool {
 	}
 	return arrivalLess(a, b)
 }
+func (widestOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return -float64(j.Nodes) }
 
 type narrowestOrder struct{}
 
@@ -111,6 +217,7 @@ func (narrowestOrder) Less(_ sim.Env, a, b *job.Job) bool {
 	}
 	return arrivalLess(a, b)
 }
+func (narrowestOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return float64(j.Nodes) }
 
 // DeadlineSource supplies per-user SLO wait targets: a user's deadline for
 // a queued job is submit + target. slo.Assignment implements it; the

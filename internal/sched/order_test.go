@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"fairsched/internal/fairshare"
@@ -101,5 +104,87 @@ func TestLXFGrowsWithWait(t *testing.T) {
 	// Much later the short job's factor exploded: (100000+100)/100 >> 11.
 	if !o.Less(late, fresh, patient) {
 		t.Error("waiting short job should overtake on expansion factor")
+	}
+}
+
+// randomQueue builds n jobs with unique, shuffled ids and heavily tied
+// users, submissions, estimates and widths, so every tie-break is exercised.
+func randomQueue(r *rand.Rand, n int) []*job.Job {
+	ids := r.Perm(n)
+	q := make([]*job.Job, n)
+	for i := range q {
+		q[i] = &job.Job{ID: job.ID(ids[i] + 1), User: 1 + r.Intn(4), Submit: 10 * int64(r.Intn(3)),
+			Estimate: 1 + 100*int64(r.Intn(3)), Nodes: 1 + r.Intn(3)}
+	}
+	return q
+}
+
+// checkQueueSorter sorts a random queue, and then its sorted form, with a
+// queueSorter under every order and checks the result against
+// sort.SliceStable over Order.Less, and that sort reports a change exactly
+// when its input was out of order. The reservation-first form
+// (byReservation) is checked the same way against the equivalent Less-based
+// comparator.
+func checkQueueSorter(t *testing.T, r *rand.Rand, n int) {
+	t.Helper()
+	env := &orderEnv{now: 1000, fs: fairshare.NewTracker(fairshare.Config{}, 0)}
+	env.fs.Charge(2, 5) // users 2 and 3 tie; user 1 has no usage
+	env.fs.Charge(3, 5)
+	env.fs.Charge(4, 10)
+	q := randomQueue(r, n)
+	res := make([]*reservedJob, n)
+	for i, j := range q {
+		res[i] = &reservedJob{job: j, res: int64(r.Intn(3)), hasRes: r.Intn(4) > 0}
+	}
+	for _, name := range OrderNames() {
+		o := mustOrder(t, name)
+		want := slices.Clone(q)
+		sort.SliceStable(want, func(i, k int) bool { return o.Less(env, want[i], want[k]) })
+		s := jobSorter(o)
+		for _, in := range [][]*job.Job{q, want} {
+			got := slices.Clone(in)
+			moved := s.sort(env, got, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: sorted %v, want %v", name, ids(got), ids(want))
+			}
+			if moved != !slices.Equal(in, want) {
+				t.Fatalf("%s: sort of %v reported moved=%v", name, ids(in), moved)
+			}
+		}
+
+		wantRes := slices.Clone(res)
+		sort.SliceStable(wantRes, func(i, k int) bool {
+			qi, qk := wantRes[i], wantRes[k]
+			if qi.hasRes != qk.hasRes {
+				return qi.hasRes
+			}
+			if qi.hasRes && qi.res != qk.res {
+				return qi.res < qk.res
+			}
+			return o.Less(env, qi.job, qk.job)
+		})
+		rs := newQueueSorter(o, func(q *reservedJob) *job.Job { return q.job })
+		gotRes := slices.Clone(res)
+		if moved := rs.sort(env, gotRes, byReservation); !slices.Equal(gotRes, wantRes) || moved != !slices.Equal(res, wantRes) {
+			t.Fatalf("%s: reservation-first sort disagrees with the comparator (moved=%v)", name, moved)
+		}
+	}
+}
+
+// TestQueueSorterMatchesComparator is the differential property test of the
+// priority-key path over seeded random queues.
+func TestQueueSorterMatchesComparator(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for range 300 {
+		checkQueueSorter(t, r, r.Intn(40))
+	}
+}
+
+func TestKeyedOrders(t *testing.T) {
+	for _, name := range OrderNames() {
+		_, keyed := mustOrder(t, name).(keyOrder)
+		if want := name != "lxf" && name != "edf"; keyed != want {
+			t.Errorf("%s: keyed = %v, want %v", name, keyed, want)
+		}
 	}
 }
