@@ -49,6 +49,12 @@ func main() {
 		keepCanc  = flag.Bool("keep-cancelled", false, "keep cancelled (status 5) trace records, the pre-filtering behaviour")
 	)
 	flag.Parse()
+	if err := fairshare.CheckDecayFactor(*decay); err != nil {
+		badFlag("decay", err)
+	}
+	if err := (fairshare.Config{DecayInterval: *interval}).Validate(); err != nil {
+		badFlag("decay-interval", err)
+	}
 
 	if *list {
 		fmt.Println(strings.Join(core.SpecKeys(), "\n"))
@@ -206,4 +212,11 @@ func duration(seconds int64) string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cplantsim:", err)
 	os.Exit(1)
+}
+
+// badFlag reports an invalid flag value and exits 2, the flag package's
+// usage-error status.
+func badFlag(name string, err error) {
+	fmt.Fprintf(os.Stderr, "cplantsim: -%s: %v\n", name, err)
+	os.Exit(2)
 }

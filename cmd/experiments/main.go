@@ -100,6 +100,9 @@ func main() {
 	flag.Var(&scenarios, "scenario", "campaign: a scenario name or transform chain (repeatable; see -list-scenarios)")
 	flag.Var(&policies, "policy", "campaign: a policy name or component chain (repeatable; see -list-policies; default: the paper's nine)")
 	flag.Parse()
+	if err := fairshare.CheckDecayFactor(*decay); err != nil {
+		badFlag("decay", err)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -465,4 +468,11 @@ func fatal(err error) {
 	stopProfile()
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
+}
+
+// badFlag reports an invalid flag value and exits 2, the flag package's
+// usage-error status.
+func badFlag(name string, err error) {
+	fmt.Fprintf(os.Stderr, "experiments: -%s: %v\n", name, err)
+	os.Exit(2)
 }

@@ -71,6 +71,9 @@ func main() {
 	flag.Var(&claimIDs, "claim", "run one registered claim by id (repeatable)")
 	flag.Var(&specTexts, "spec", "run an ad-hoc claim written in the grammar (repeatable)")
 	flag.Parse()
+	if err := fairshare.CheckDecayFactor(*decay); err != nil {
+		badFlag("decay", err)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -214,4 +217,11 @@ func fatal(err error) {
 	stopProfile()
 	fmt.Fprintln(os.Stderr, "hypotheses:", err)
 	os.Exit(1)
+}
+
+// badFlag reports an invalid flag value and exits 2, the flag package's
+// usage-error status.
+func badFlag(name string, err error) {
+	fmt.Fprintf(os.Stderr, "hypotheses: -%s: %v\n", name, err)
+	os.Exit(2)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fairsched/internal/job"
 )
@@ -134,23 +135,37 @@ func TestLazyDecayBitIdenticalToEager(t *testing.T) {
 	}
 }
 
-// TestAccrueAggregatedMatchesAccrue: the pre-aggregated entry point must
-// charge exactly like Accrue over the equivalent duplicated streams.
-func TestAccrueAggregatedMatchesAccrue(t *testing.T) {
+// TestAddRunningMatchesAccrue: the running table (AddRunning + Advance)
+// must charge exactly like Accrue over the equivalent duplicated streams,
+// and the table empties back into the ledger when the work stops.
+func TestAddRunningMatchesAccrue(t *testing.T) {
 	a := NewTracker(Config{DecayFactor: 0.5, DecayInterval: 100}, 0)
 	b := NewTracker(Config{DecayFactor: 0.5, DecayInterval: 100}, 0)
 	if err := a.Accrue(250, []Usage{{User: 1, Nodes: 2}, {User: 2, Nodes: 1}, {User: 1, Nodes: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AccrueAggregated(250, []Usage{{User: 1, Nodes: 5}, {User: 2, Nodes: 1}}); err != nil {
+	b.AddRunning(1, 2)
+	b.AddRunning(2, 1)
+	b.AddRunning(1, 3)
+	if err := b.Advance(250); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range []int{1, 2} {
 		if a.Usage(u) != b.Usage(u) {
-			t.Fatalf("user %d: Accrue %v != AccrueAggregated %v", u, a.Usage(u), b.Usage(u))
+			t.Fatalf("user %d: Accrue %v != AddRunning+Advance %v", u, a.Usage(u), b.Usage(u))
 		}
 	}
-	if err := b.AccrueAggregated(100, nil); err == nil {
+	b.AddRunning(1, -5)
+	b.AddRunning(2, -1)
+	if n := len(b.AppendRunning(nil)); n != 0 {
+		t.Fatalf("running table holds %d users after every job stopped", n)
+	}
+	for _, u := range []int{1, 2} {
+		if a.Usage(u) != b.Usage(u) {
+			t.Fatalf("user %d: written-back usage %v, want %v", u, b.Usage(u), a.Usage(u))
+		}
+	}
+	if err := b.Advance(100); err == nil {
 		t.Fatal("time reversal accepted")
 	}
 }
@@ -259,5 +274,77 @@ func TestQuickUsageNonNegativeAndMonotoneDecay(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigValidate: zero fields mean the defaults; a set factor must be
+// a finite number in (0, 1] and the interval must not be negative.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{{}, DefaultConfig(), {DecayFactor: 1}, {DecayFactor: 1e-9, DecayInterval: 1}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+	for _, c := range []Config{
+		{DecayFactor: -0.5}, {DecayFactor: 2}, {DecayFactor: math.NaN()},
+		{DecayFactor: math.Inf(1)}, {DecayFactor: math.Inf(-1)}, {DecayInterval: -5},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+	if err := CheckDecayFactor(0); err == nil {
+		t.Error("CheckDecayFactor accepted an explicit 0")
+	}
+}
+
+// TestLedgerEntryIs16Bytes: every user ever charged keeps one ledger
+// entry, so at 10^6 users each extra 8 bytes is 8 MB of resident memory.
+// Running users are marked in place (negative gen), not with a field.
+func TestLedgerEntryIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(decayedUsage{}); got != 16 {
+		t.Fatalf("ledger entry is %d bytes, want 16", got)
+	}
+}
+
+// TestWarmAdvanceAllocatesNothing: accrual over a 1k-user running table,
+// decay boundaries included, is a walk over the table.
+func TestWarmAdvanceAllocatesNothing(t *testing.T) {
+	tr := NewTracker(Config{DecayFactor: 0.5, DecayInterval: 100}, 0)
+	for u := 0; u < 1000; u++ {
+		tr.AddRunning(u*3, u%7+1)
+	}
+	now := int64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		now += 37
+		if err := tr.Advance(now); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm Advance allocates %v times per call", allocs)
+	}
+}
+
+// TestWarmStartStopAllocatesNothing: once the ledger pages and the table's
+// capacity exist, starting and stopping jobs moves entries in place.
+func TestWarmStartStopAllocatesNothing(t *testing.T) {
+	tr := NewTracker(DefaultConfig(), 0)
+	cycle := func() {
+		for u := 0; u < 64; u++ {
+			tr.AddRunning(u*11, 4)
+		}
+		if err := tr.Advance(tr.Now() + 60); err != nil {
+			t.Fatal(err)
+		}
+		for u := 63; u >= 0; u -= 2 {
+			tr.AddRunning(u*11, -4)
+		}
+		for u := 0; u < 64; u += 2 {
+			tr.AddRunning(u*11, -4)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("warm start/stop cycle allocates %v times", allocs)
 	}
 }

@@ -73,6 +73,9 @@ func NewMultiQueue(queues []QueueConfig, route func(*job.Job) int, fsCfg fairsha
 	if route == nil {
 		return nil, fmt.Errorf("sched: multiqueue: nil route")
 	}
+	if err := fsCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sched: multiqueue: %w", err)
+	}
 	mq := &MultiQueue{cfgs: queues, route: route, fsCfg: fsCfg, epoch: foldEpoch(epoch, fsCfg)}
 	for _, qc := range queues {
 		if qc.Spec == nil {

@@ -29,6 +29,9 @@ func TestNewMultiQueueRejects(t *testing.T) {
 	if _, err := NewMultiQueue([]QueueConfig{{Path: "a"}}, route, fairshare.Config{}, 0); err == nil {
 		t.Error("tree with no leaf queues accepted")
 	}
+	if _, err := NewMultiQueue(one, route, fairshare.Config{DecayFactor: 2}, 0); err == nil {
+		t.Error("decay factor 2 accepted")
+	}
 	cons := Spec{Order: "fcfs", Backfill: BackfillConservative}
 	for name, qs := range map[string][]QueueConfig{
 		"cap-on-leaf": {{Path: "a", Spec: &cons, Cap: 0.5}},

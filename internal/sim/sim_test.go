@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -234,5 +235,16 @@ func TestRunWithDecayWakeups(t *testing.T) {
 	res := run(t, cfg, jobs)
 	if got := res.Records[1].Start; got != 2*86400 {
 		t.Fatalf("job 2 started at %d", got)
+	}
+}
+
+// TestRunRejectsInvalidFairshareConfig: a NaN or out-of-range decay factor
+// fails the run instead of poisoning usage or running as the default.
+func TestRunRejectsInvalidFairshareConfig(t *testing.T) {
+	for _, fs := range []fairshare.Config{{DecayFactor: math.NaN()}, {DecayFactor: 2}, {DecayInterval: -5}} {
+		s := New(Config{SystemSize: 10, Fairshare: fs}, &greedy{})
+		if _, err := s.Run([]*job.Job{{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 1}}); err == nil {
+			t.Errorf("fairshare %+v accepted", fs)
+		}
 	}
 }

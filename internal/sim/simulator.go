@@ -10,7 +10,6 @@ import (
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/profile"
-	"fairsched/internal/userdex"
 )
 
 // Event kinds on the future event list.
@@ -95,14 +94,6 @@ type Simulator struct {
 	// event time, one completion batch per completion instant).
 	batchBuf []*job.Job
 
-	// userNodes aggregates the running jobs' node counts per user (each
-	// user at most once), maintained incrementally by Start/release so
-	// advanceTo hands fairshare accrual a ready aggregation instead of
-	// rebuilding one per event. userIdx locates a user's entry; it rides
-	// the paged user index so population-scale id spaces (10^5..10^6
-	// users) pay two array indexes, not a hash probe, per start/release.
-	userNodes []fairshare.Usage
-	userIdx   userdex.Map[int32]
 	// queuedNodes tracks the total nodes requested by queued jobs
 	// (arrivals minus starts), so advanceTo does not walk the policy's
 	// queue at every event.
@@ -256,7 +247,7 @@ func (s *Simulator) Start(j *job.Job) error {
 	s.queuedNodes -= j.Nodes
 	s.running = append(s.running, RunningJob{Job: j, Start: s.now})
 	s.trackStart(s.running[len(s.running)-1])
-	s.addUserNodes(j.User, j.Nodes)
+	s.fs.AddRunning(j.User, j.Nodes)
 	s.availDirty = true
 	runtime := j.Runtime
 	if s.cfg.Kill == KillAlways && j.Estimate < runtime {
@@ -385,7 +376,7 @@ func (s *Simulator) Preempt(j *job.Job) error {
 	s.running = s.running[:len(s.running)-1]
 	s.untrack(j.ID)
 	s.used -= j.Nodes
-	s.addUserNodes(j.User, -j.Nodes)
+	s.fs.AddRunning(j.User, -j.Nodes)
 	s.availDirty = true
 	rec := s.records.get(j.ID)
 	rec.Complete = s.now
@@ -421,6 +412,9 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 	}
 	if err := job.ValidateAll(workload, s.cfg.SystemSize); err != nil {
 		return nil, err
+	}
+	if err := s.cfg.Fairshare.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if s.cfg.Preemptable && s.cfg.MaxRuntime > 0 {
 		// Both features drive the chain machinery: splitting derives segment
@@ -459,7 +453,7 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 	// The tracker's accrual frontier starts at the epoch; settle the empty
 	// pre-trace span [epoch, 0) now, or the first real accrual would charge
 	// it to whatever is running by then.
-	if err := s.fs.Accrue(0, nil); err != nil {
+	if err := s.fs.Advance(0); err != nil {
 		return nil, err
 	}
 	s.now = 0
@@ -469,7 +463,6 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 	s.q.Grow(2 * len(workload))
 	s.records = newRecordIndex(len(workload), maxID, s.sparseRecords)
 	s.order = make([]*Record, 0, len(workload))
-	s.userIdx = userdex.Map[int32]{}
 	for _, j := range workload {
 		for _, sub := range s.submissionsFor(j) {
 			if s.cfg.Preemptable && sub == j {
@@ -527,39 +520,20 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 }
 
 // advanceTo reports the elapsed interval to observers, settles fairshare
-// accrual, and moves the clock. Both the queued-node total and the per-user
-// running aggregation are maintained incrementally by the arrival/start/
+// accrual, and moves the clock. The queued-node total and the tracker's
+// running-user table are maintained incrementally by the arrival/start/
 // release bookkeeping, so no per-event walk of the queue or running set is
 // needed here.
 func (s *Simulator) advanceTo(t int64) {
 	for _, o := range s.observers {
 		o.Interval(s.now, t, s.used, s.queuedNodes)
 	}
-	if err := s.fs.AccrueAggregated(t, s.userNodes); err != nil {
-		// Accrue only fails on time reversal, which advanceTo precludes.
+	if err := s.fs.Advance(t); err != nil {
+		// Advance only fails on time reversal, which advanceTo precludes.
 		panic(err)
 	}
 	s.now = t
 	s.availDirty = true
-}
-
-// addUserNodes adjusts the per-user running-node aggregation by delta,
-// dropping users whose count returns to zero (so the aggregation always
-// mirrors an aggregation of the live running set).
-func (s *Simulator) addUserNodes(user, delta int) {
-	if i, ok := s.userIdx.Get(user); ok {
-		s.userNodes[i].Nodes += delta
-		if s.userNodes[i].Nodes == 0 {
-			last := len(s.userNodes) - 1
-			s.userNodes[i] = s.userNodes[last]
-			s.userIdx.Set(s.userNodes[i].User, i)
-			s.userNodes = s.userNodes[:last]
-			s.userIdx.Delete(user)
-		}
-		return
-	}
-	s.userIdx.Set(user, int32(len(s.userNodes)))
-	s.userNodes = append(s.userNodes, fairshare.Usage{User: user, Nodes: delta})
 }
 
 func (s *Simulator) handleArrival(j *job.Job) {
@@ -669,7 +643,7 @@ func (s *Simulator) release(j *job.Job, killed bool) (start int64, ok bool) {
 	s.running = s.running[:len(s.running)-1]
 	s.untrack(j.ID)
 	s.used -= j.Nodes
-	s.addUserNodes(j.User, -j.Nodes)
+	s.fs.AddRunning(j.User, -j.Nodes)
 	s.availDirty = true
 	rec := s.records.get(j.ID)
 	rec.Complete = s.now
@@ -839,10 +813,11 @@ func (s *Simulator) checkInvariants() error {
 	for _, r := range s.running {
 		userNodes[r.Job.User] += r.Job.Nodes
 	}
-	if len(userNodes) != len(s.userNodes) {
-		return fmt.Errorf("sim: user aggregation drift: tracked %d users, actual %d", len(s.userNodes), len(userNodes))
+	table := s.fs.AppendRunning(nil)
+	if len(userNodes) != len(table) {
+		return fmt.Errorf("sim: user aggregation drift: tracked %d users, actual %d", len(table), len(userNodes))
 	}
-	for _, u := range s.userNodes {
+	for _, u := range table {
 		if userNodes[u.User] != u.Nodes {
 			return fmt.Errorf("sim: user %d aggregation drift: tracked %d nodes, actual %d", u.User, u.Nodes, userNodes[u.User])
 		}

@@ -128,11 +128,16 @@ func (a *Assignment) Lookup(user int) (UserTarget, bool) {
 // seconds; ok is false when the user carries no wait target. It implements
 // sched.DeadlineSource: a queued job's SLO deadline is submit + target.
 func (a *Assignment) WaitTarget(user int) (int64, bool) {
-	ut, ok := a.Lookup(user)
-	if !ok || ut.Target.Wait <= 0 {
+	if a == nil {
 		return 0, false
 	}
-	return ut.Target.Wait, true
+	// The EDF order calls this in every comparison: read the one field
+	// rather than copying the user's whole UserTarget out through Lookup.
+	i, ok := a.idx.Get(user)
+	if !ok || a.users[i].Target.Wait <= 0 {
+		return 0, false
+	}
+	return a.users[i].Target.Wait, true
 }
 
 // Builder accumulates an Assignment: classes registered first (their

@@ -89,6 +89,25 @@ func TestNilAssignmentSafe(t *testing.T) {
 	}
 }
 
+// WaitTarget reads the wait field in place; it must agree with Lookup for
+// tagged users with and without a wait target, untagged users and the nil
+// assignment.
+func TestWaitTargetMatchesLookup(t *testing.T) {
+	for _, a := range []*Assignment{testAssignment(), nil} {
+		for _, u := range []int{1, 3, 4, 99} {
+			ut, ok := a.Lookup(u)
+			wantOK := ok && ut.Target.Wait > 0
+			want := int64(0)
+			if wantOK {
+				want = ut.Target.Wait
+			}
+			if got, gotOK := a.WaitTarget(u); got != want || gotOK != wantOK {
+				t.Errorf("WaitTarget(%d) = %d, %v; Lookup says %d, %v", u, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
 func TestTrackerWaitJudgment(t *testing.T) {
 	a := testAssignment()
 	tr := NewTracker(a)

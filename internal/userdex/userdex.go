@@ -1,6 +1,6 @@
 // Package userdex provides a compact paged map keyed by user id, the
 // interning layer behind the per-user hot paths (fairshare usage, SLO
-// assignment lookup, the simulator's running-set aggregation index).
+// assignment lookup, the starvation queue's seen-user set).
 //
 // Workload user-id spaces are dense in practice — archive traces and both
 // generators number users from a small base — so the map is a slice of
@@ -68,6 +68,23 @@ func (m *Map[V]) Get(k int) (V, bool) {
 	}
 	v, ok := m.sparse[k]
 	return v, ok
+}
+
+// Ptr returns a pointer to k's stored value, or nil when k is absent or
+// outside the paged range. Pages never move, so the pointer stays valid
+// until k is deleted: writing through it is a Set without the lookup.
+func (m *Map[V]) Ptr(k int) *V {
+	if uint(k) < DenseCap {
+		if pi := k >> pageBits; pi < len(m.pages) {
+			if p := m.pages[pi]; p != nil {
+				o := k & pageMask
+				if p.bits[o>>6]&(1<<(o&63)) != 0 {
+					return &p.vals[o]
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Set stores v under k.
