@@ -443,6 +443,9 @@ func runCampaign(sources []scenario.Source, traces, scenSpecs, polSpecs []string
 		Study:     study,
 		Parallel:  p.parallel,
 	}.Run()
+	if cells == nil && err != nil {
+		fatal(err) // a policy the topology cannot run: nothing was simulated
+	}
 	experiments.RenderCampaign(os.Stdout, cells)
 	fmt.Printf("campaign: %d cells × %d policies in %s\n",
 		len(cells), nPolicies, time.Since(t0).Round(time.Millisecond))

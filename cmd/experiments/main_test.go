@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -24,16 +23,24 @@ func TestMain(m *testing.M) {
 // runCLI runs the CLI on args and returns its exit status and stderr.
 func runCLI(t *testing.T, args string) (int, string) {
 	t.Helper()
+	code, _, stderr := runCLIOutput(t, args)
+	return code, stderr
+}
+
+// runCLIOutput runs the CLI on args and returns its exit status, stdout
+// and stderr.
+func runCLIOutput(t *testing.T, args string) (int, string, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "FAIRSCHED_CLI_ARGS="+args)
-	var stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
 	}
-	return cmd.ProcessState.ExitCode(), stderr.String()
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 }
 
 // TestBadDecayFlagsExitTwo: an out-of-range or NaN fairshare flag is a
@@ -49,5 +56,15 @@ func TestBadDecayFlagsExitTwo(t *testing.T) {
 	}
 	if code, stderr := runCLI(t, "-scale 0.02 -nodes 100 -policy list.fairshare -decay 1"); code != 0 {
 		t.Errorf("-decay 1: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestPolicyTopologyClashFailsBeforeAnyCell: a policy the topology cannot
+// run is one error, raised before any workload loads — no failed-cell
+// campaign table on stdout.
+func TestPolicyTopologyClashFailsBeforeAnyCell(t *testing.T) {
+	code, stdout, stderr := runCLIOutput(t, "-scale 0.02 -nodes 100 -topology queue=x,queue=y -policy order=edf+bf=easy")
+	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, `"order=edf+bf=easy"`) {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no stdout and one stderr line naming the policy", code, stdout, stderr)
 	}
 }

@@ -26,14 +26,8 @@ func executeTopology(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, err
 	if cfg.Equality {
 		return nil, fmt.Errorf("core: the resource-equality observer is not supported with a topology (it models one flat machine)")
 	}
-	if spec.PreemptTrigger != "" {
-		return nil, fmt.Errorf("core: %s: checkpoint preemption is not supported with a topology (partition loops have no requeue path)", spec.String())
-	}
-	if spec.Order == "edf" {
-		return nil, fmt.Errorf("core: %s: order=edf is not supported with a topology (partition loops carry no per-run SLO context)", spec.String())
-	}
 	topo := cfg.Topology
-	if err := topo.Validate(); err != nil {
+	if err := topo.Admit(spec); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	parts := topo.EffectivePartitions(cfg.SystemSize)

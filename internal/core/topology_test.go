@@ -275,10 +275,6 @@ func TestTopologyRejects(t *testing.T) {
 			StudyConfig{SystemSize: 128, Topology: topo, Placement: bp.Build()}, "does not declare"},
 		{"equality+topology", "cplant24.nomax.all",
 			StudyConfig{SystemSize: 128, Topology: topo, Equality: true}, "equality"},
-		{"srpt+topology", "srpt",
-			StudyConfig{SystemSize: 128, Topology: topo}, "checkpoint preemption is not supported with a topology"},
-		{"edf+topology", "edf",
-			StudyConfig{SystemSize: 128, Topology: topo}, "order=edf is not supported with a topology"},
 	}
 	for _, c := range cases {
 		spec, err := SpecByKey(c.spec)

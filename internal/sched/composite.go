@@ -54,16 +54,13 @@ type Composite struct {
 // New assembles the runnable policy for a spec.
 func New(spec Spec) (*Composite, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: policy %q: %w", spec.String(), err)
+		return nil, err
 	}
 	norm := spec.normalized()
 	if norm.Key == "" {
 		norm.Key = norm.Canonical()
 	}
-	ord, err := OrderByName(norm.Order)
-	if err != nil {
-		return nil, fmt.Errorf("sched: policy %q: %w", spec.String(), err)
-	}
+	ord, _ := OrderByName(norm.Order) // Validate vetted every component
 	c := &Composite{spec: norm, order: ord}
 	if e, ok := ord.(*edfOrder); ok {
 		e.ctx = &c.slo
@@ -76,7 +73,7 @@ func New(spec Spec) (*Composite, error) {
 			prio:    newQueueSorter(ord, func(q *reservedJob) *job.Job { return q.job }),
 			dynamic: norm.Backfill == BackfillConservativeDynamic,
 		}
-	case BackfillNoGuarantee, BackfillEASY, BackfillDepth:
+	default: // noguarantee, easy and depth
 		depth := 0 // noguarantee reserves no head
 		switch norm.Backfill {
 		case BackfillEASY:
@@ -85,8 +82,6 @@ func New(spec Spec) (*Composite, error) {
 			depth = norm.Depth
 		}
 		c.engine = &aggressiveEngine{comp: c, prio: jobSorter(ord), depth: depth, starve: newStarvation(norm)}
-	default:
-		return nil, fmt.Errorf("sched: policy %q: unknown backfill %q", spec.String(), norm.Backfill)
 	}
 	return c, nil
 }

@@ -23,9 +23,9 @@ type QueueConfig struct {
 	// Guarantee is the node's fair-share weight among siblings (0 = 1).
 	Guarantee float64
 	// Cap limits the subtree to this fraction of the system's nodes;
-	// 0 or 1 = no quota. Capped subtrees cannot use reservation-guaranteed
-	// backfill (conservative/consdyn) on their leaves: those disciplines
-	// start jobs on promised capacity the quota may not honour.
+	// 0 or 1 = no quota. Which leaf policies may run under a quota is the
+	// composition table's call (the Capped context), made before
+	// construction.
 	Cap float64
 }
 
@@ -85,13 +85,6 @@ func NewMultiQueue(queues []QueueConfig, route func(*job.Job) int, fsCfg fairsha
 		if err != nil {
 			return nil, fmt.Errorf("sched: multiqueue: queue %s: %w", qc.Path, err)
 		}
-		if capped(queues, qc.Path) {
-			switch qc.Spec.Backfill {
-			case BackfillConservative, BackfillConservativeDynamic:
-				return nil, fmt.Errorf("sched: multiqueue: queue %s: bf=%s starts jobs on reserved capacity and cannot run under a cap= quota",
-					qc.Path, qc.Spec.Backfill)
-			}
-		}
 		mq.qs = append(mq.qs, c)
 		mq.leafPaths = append(mq.leafPaths, qc.Path)
 		mq.leafCfg = append(mq.leafCfg, qc)
@@ -100,19 +93,6 @@ func NewMultiQueue(queues []QueueConfig, route func(*job.Job) int, fsCfg fairsha
 		return nil, fmt.Errorf("sched: multiqueue: no leaf queues")
 	}
 	return mq, nil
-}
-
-// capped reports whether path or any declared ancestor carries a quota.
-func capped(queues []QueueConfig, path string) bool {
-	for _, qc := range queues {
-		if qc.Cap == 0 || qc.Cap == 1 {
-			continue
-		}
-		if qc.Path == path || (len(path) > len(qc.Path) && strings.HasPrefix(path, qc.Path) && path[len(qc.Path)] == '/') {
-			return true
-		}
-	}
-	return false
 }
 
 // foldEpoch folds a positive epoch to its congruent value in

@@ -32,23 +32,6 @@ func TestNewMultiQueueRejects(t *testing.T) {
 	if _, err := NewMultiQueue(one, route, fairshare.Config{DecayFactor: 2}, 0); err == nil {
 		t.Error("decay factor 2 accepted")
 	}
-	cons := Spec{Order: "fcfs", Backfill: BackfillConservative}
-	for name, qs := range map[string][]QueueConfig{
-		"cap-on-leaf": {{Path: "a", Spec: &cons, Cap: 0.5}},
-		"cap-on-ancestor": {
-			{Path: "org", Cap: 0.5},
-			{Path: "org/a", Spec: &cons},
-		},
-	} {
-		_, err := NewMultiQueue(qs, route, fairshare.Config{}, 0)
-		if err == nil || !strings.Contains(err.Error(), "cannot run under a cap= quota") {
-			t.Errorf("%s: conservative leaf under a quota: err = %v, want construction error", name, err)
-		}
-	}
-	// The same leaf WITHOUT a quota is fine.
-	if _, err := NewMultiQueue([]QueueConfig{{Path: "a", Spec: &cons}}, route, fairshare.Config{}, 0); err != nil {
-		t.Errorf("uncapped conservative leaf rejected: %v", err)
-	}
 }
 
 // TestMultiQueueSingleLeafTransparent: with one leaf and no quotas the

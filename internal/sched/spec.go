@@ -1,9 +1,9 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,17 +110,6 @@ const (
 var preemptTriggers = []string{PreemptReserve, PreemptDeadline}
 var preemptVictims = []string{VictimLowPri, VictimNewest}
 
-// componentErr tags a cross-component validation error with the grammar key
-// of the offending component, so ParseSpec can report the byte position of
-// that component in the chain.
-type componentErr struct {
-	key string
-	err error
-}
-
-func (e *componentErr) Error() string { return e.err.Error() }
-func (e *componentErr) Unwrap() error { return e.err }
-
 // Spec is one point in the policy design space: pure data naming the
 // composed components. Specs are comparable, serializable and cheap to
 // copy; New assembles the runnable policy.
@@ -152,11 +141,8 @@ type Spec struct {
 	MaxRuntime int64
 	// PreemptTrigger, when non-empty, enables checkpoint preemption: the
 	// policy may terminate running jobs and resubmit their remainders as
-	// chained segments (see the Preempt* trigger constants). Compatible
-	// with the bf=none/easy/depth disciplines only — conservative promises
-	// and the starvation queue's reservation set would be broken by
-	// preemption, and noguarantee has no blocked-head reservation to
-	// protect.
+	// chained segments (see the Preempt* trigger constants). The
+	// composition table (see rules) names what it composes with.
 	PreemptTrigger string
 	// PreemptVictim selects which running jobs are checkpointed first
 	// (meaningful only with PreemptTrigger; default lowpri).
@@ -183,100 +169,10 @@ func (s Spec) normalized() Spec {
 	return s
 }
 
-// Validate checks the spec's components and their compatibility. New calls
-// it; callers constructing Specs directly can call it for early errors.
-func (s Spec) Validate() error {
-	s = s.normalized()
-	if _, err := OrderByName(s.Order); err != nil {
-		return err
-	}
-	valid := false
-	for _, b := range backfills {
-		if s.Backfill == b {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return fmt.Errorf("unknown backfill %q (want %s)", s.Backfill, strings.Join(backfills, ", "))
-	}
-	if s.Wait < 0 {
-		return fmt.Errorf("starvation wait %d is negative", s.Wait)
-	}
-	if s.Wait > 0 {
-		switch s.Backfill {
-		case BackfillNoGuarantee, BackfillEASY:
-		default:
-			return fmt.Errorf("starve is incompatible with bf=%s (reservations already bound waits; want bf=noguarantee or bf=easy)", s.Backfill)
-		}
-		if _, err := normalizeHeavy(s.Heavy); err != nil {
-			return err
-		}
-	} else {
-		if s.Heavy != "" {
-			return fmt.Errorf("heavy classifier %q without starve", s.Heavy)
-		}
-		if s.Depth != 0 && s.Backfill != BackfillDepth {
-			return fmt.Errorf("depth=%d needs starve or bf=depth", s.Depth)
-		}
-	}
-	if s.Depth < 0 || (s.Depth < 1 && s.Backfill == BackfillDepth) {
-		return fmt.Errorf("depth %d out of range (want >= 1)", s.Depth)
-	}
-	if s.Wait > 0 && s.Depth < 1 {
-		return fmt.Errorf("depth %d out of range (want >= 1)", s.Depth)
-	}
-	if s.MaxRuntime < 0 {
-		return fmt.Errorf("max runtime %d is negative", s.MaxRuntime)
-	}
-	if s.PreemptTrigger != "" {
-		if !containsToken(preemptTriggers, s.PreemptTrigger) {
-			return &componentErr{"preempt", fmt.Errorf("unknown preempt trigger %q (want %s)",
-				s.PreemptTrigger, strings.Join(preemptTriggers, ", "))}
-		}
-		if !containsToken(preemptVictims, s.PreemptVictim) {
-			return &componentErr{"preempt", fmt.Errorf("unknown preempt victim %q (want %s)",
-				s.PreemptVictim, strings.Join(preemptVictims, ", "))}
-		}
-		switch s.Backfill {
-		case BackfillNone, BackfillEASY, BackfillDepth:
-		case BackfillConservative, BackfillConservativeDynamic:
-			return &componentErr{"preempt", fmt.Errorf(
-				"preempt is incompatible with bf=%s (conservative start-time promises would be broken by checkpointing running jobs; want bf=none, easy or depth)", s.Backfill)}
-		default:
-			return &componentErr{"preempt", fmt.Errorf(
-				"preempt is incompatible with bf=%s (no blocked-head reservation to protect; want bf=none, easy or depth)", s.Backfill)}
-		}
-		if s.Wait > 0 {
-			return &componentErr{"preempt", errors.New(
-				"preempt is incompatible with starve (the starvation queue owns the reservation set preemption would override)")}
-		}
-		if s.MaxRuntime > 0 {
-			return &componentErr{"preempt", errors.New(
-				"preempt is incompatible with max (maximum-runtime splitting and preemption both extend checkpoint chains; their segment numbering conflicts)")}
-		}
-	} else if s.PreemptVictim != "" {
-		return &componentErr{"preempt", fmt.Errorf("preempt victim %q without a preempt trigger", s.PreemptVictim)}
-	}
-	if s.Order == "edf" {
-		switch s.Backfill {
-		case BackfillConservative, BackfillConservativeDynamic:
-			return &componentErr{"order", fmt.Errorf(
-				"order=edf is incompatible with bf=%s (the conservative revalidation cache assumes priorities change only with the clock and usage; deadline-risk promotion reorders on observer state it cannot see)", s.Backfill)}
-		}
-	}
-	return nil
-}
-
-// containsToken reports whether tok is one of the listed grammar tokens.
-func containsToken(list []string, tok string) bool {
-	for _, t := range list {
-		if t == tok {
-			return true
-		}
-	}
-	return false
-}
+// Validate is the flat-run walk of the composition table, Check(Flat).
+// New calls it; callers constructing Specs directly can call it for early
+// errors.
+func (s Spec) Validate() error { return s.Check(Flat) }
 
 // Canonical renders the normalized spec as its full grammar chain:
 // "order=fairshare+bf=noguarantee+starve=24h.all". Parsing the canonical
@@ -340,10 +236,8 @@ func (s Spec) String() string {
 //	                                                victim rule (default lowpri)
 //
 // Example: "order=fairshare+bf=easy+starve=24h.nonheavy+depth=2". Parse
-// errors name the byte position of the offending component; component
-// combinations the composition rules reject (preempt= over conservative
-// backfilling, order=edf over the revalidation cache, ...) are positional
-// errors too.
+// errors name the byte position of the offending component; so do the
+// combinations the composition table rejects for a flat run (see rules).
 func ParseSpec(spec string) (Spec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -356,43 +250,34 @@ func ParseSpec(spec string) (Spec, error) {
 		return Spec{}, fmt.Errorf("sched: unknown policy %q (want a registered name — see -list-policies — or an order=/bf=/starve=/depth=/max= chain)", spec)
 	}
 	var s Spec
-	seen := map[string]int{} // key -> position of first use, for duplicate errors
 	pos := 0
 	for _, part := range strings.Split(spec, "+") {
-		if err := parseComponent(part, pos, seen, &s); err != nil {
+		if err := parseComponent(spec, part, pos, &s); err != nil {
 			return Spec{}, fmt.Errorf("sched: policy spec %q: %w", spec, err)
 		}
 		pos += len(part) + 1 // the '+' separator
 	}
-	if err := s.Validate(); err != nil {
-		// Cross-component errors carry the offending component's grammar
-		// key; point at where that component appears in the chain.
-		var ce *componentErr
-		if errors.As(err, &ce) {
-			if p, ok := seen[ce.key]; ok {
-				return Spec{}, fmt.Errorf("sched: policy spec %q: position %d: %w", spec, p, ce.err)
-			}
-		}
-		return Spec{}, fmt.Errorf("sched: policy spec %q: %w", spec, err)
-	}
+	// parseComponent vetted each component; the table vets how they combine.
 	s = s.normalized()
+	if err := compose(spec, s, Flat); err != nil {
+		return Spec{}, err
+	}
 	s.Key = s.Canonical()
 	return s, nil
 }
 
 // parseComponent parses one key=value component at byte position pos of the
 // full spec, accumulating into s.
-func parseComponent(part string, pos int, seen map[string]int, s *Spec) error {
+func parseComponent(spec, part string, pos int, s *Spec) error {
 	trimmed := strings.TrimSpace(part)
 	pos += strings.Index(part, trimmed) // account for leading spaces
 	key, val, ok := strings.Cut(trimmed, "=")
 	if !ok {
 		return fmt.Errorf("position %d: component %q is not key=value (want order=, bf=, starve=, depth= or max=)", pos, trimmed)
 	}
-	if prev, dup := seen[key]; dup {
-		return fmt.Errorf("position %d: duplicate %s= (first at position %d)", pos, key, prev)
+	if first, _ := componentPos(spec, key); first != pos {
+		return fmt.Errorf("position %d: duplicate %s= (first at position %d)", pos, key, first)
 	}
-	seen[key] = pos
 	valPos := pos + len(key) + 1
 	switch key {
 	case "order":
@@ -401,13 +286,10 @@ func parseComponent(part string, pos int, seen map[string]int, s *Spec) error {
 		}
 		s.Order = val
 	case "bf":
-		for _, b := range backfills {
-			if val == b {
-				s.Backfill = val
-				return nil
-			}
+		if !slices.Contains(backfills, val) {
+			return fmt.Errorf("position %d: unknown backfill %q (want %s)", valPos, val, strings.Join(backfills, ", "))
 		}
-		return fmt.Errorf("position %d: unknown backfill %q (want %s)", valPos, val, strings.Join(backfills, ", "))
+		s.Backfill = val
 	case "starve":
 		dur, heavy, _ := strings.Cut(val, ".")
 		w, err := ParseDur(dur)
@@ -442,14 +324,14 @@ func parseComponent(part string, pos int, seen map[string]int, s *Spec) error {
 		s.MaxRuntime = m
 	case "preempt":
 		trigger, victim, hasVictim := strings.Cut(val, ".")
-		if !containsToken(preemptTriggers, trigger) {
+		if !slices.Contains(preemptTriggers, trigger) {
 			return fmt.Errorf("position %d: unknown preempt trigger %q (want %s)",
 				valPos, trigger, strings.Join(preemptTriggers, ", "))
 		}
 		if !hasVictim {
 			victim = VictimLowPri
 		}
-		if !containsToken(preemptVictims, victim) {
+		if !slices.Contains(preemptVictims, victim) {
 			return fmt.Errorf("position %d: unknown preempt victim %q (want %s)",
 				valPos+len(trigger)+1, victim, strings.Join(preemptVictims, ", "))
 		}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,6 +89,8 @@ func TestParseSpecErrorsCarryPosition(t *testing.T) {
 		{"order=fcfs+bf=easy+preempt=reserve+max=72h", "position 19", "preempt is incompatible with max"},
 		{"order=edf+bf=conservative", "position 0", "order=edf is incompatible with bf=conservative"},
 		{"order=edf+bf=consdyn", "position 0", "order=edf is incompatible with bf=consdyn"},
+		{"order=fcfs+bf=conservative+starve=24h", "position 27", "starve is incompatible with bf=conservative"},
+		{"order=fcfs+bf=easy+depth=2", "position 19", "depth=2 needs starve or bf=depth"},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.in)
@@ -111,32 +115,72 @@ func TestParseSpecUnknownNameFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestSpecValidationRejectsIncompatibleCombos(t *testing.T) {
-	bad := []Spec{
-		{Backfill: BackfillConservative, Wait: 3600, Heavy: HeavyAll}, // starve × cons
-		{Backfill: BackfillNone, Wait: 3600, Heavy: HeavyAll},         // starve × none
-		{Backfill: BackfillDepth, Depth: 2, Wait: 3600, Heavy: HeavyAll},
-		{Backfill: BackfillEASY, Depth: 2},     // depth without starve or bf=depth
-		{Backfill: BackfillEASY, Heavy: "all"}, // heavy without starve
-		{Order: "alphabetical"},
-		{Backfill: "optimistic"},
-		{Wait: -1},
-		{MaxRuntime: -5},
-		{Backfill: BackfillEASY, PreemptTrigger: "sometimes"}, // unknown trigger
-		{Backfill: BackfillEASY, PreemptTrigger: PreemptReserve, PreemptVictim: "oldest"},     // unknown victim
-		{Backfill: BackfillEASY, PreemptVictim: VictimLowPri},                                 // victim without trigger
-		{Backfill: BackfillConservative, PreemptTrigger: PreemptReserve},                      // preempt × cons
-		{Backfill: BackfillNoGuarantee, PreemptTrigger: PreemptReserve},                       // preempt × noguarantee
-		{Backfill: BackfillEASY, PreemptTrigger: PreemptReserve, Wait: 3600, Heavy: HeavyAll}, // preempt × starve
-		{Backfill: BackfillEASY, PreemptTrigger: PreemptReserve, MaxRuntime: 3600},            // preempt × max
-		{Order: "edf", Backfill: BackfillConservative},                                        // edf × cons cache
+// TestCompositionTable holds exactly one case per row of the composition
+// table, in row order, and fails when a row has none: first the rows that
+// vet each component on its own, then the combination rows. Each case must be
+// rejected by its row in the case's context, with the row's reason and —
+// when the canonical chain carries the blamed component — that
+// component's byte position. A flat row must also fail Validate and New;
+// any other row must leave the spec valid on a flat machine.
+func TestCompositionTable(t *testing.T) {
+	cases := []struct {
+		spec    Spec
+		ctx     Context
+		wantSub string
+	}{
+		{Spec{Order: "alphabetical"}, Flat, `unknown order "alphabetical" (want fairshare, fcfs,`},
+		{Spec{Backfill: "optimistic"}, Flat, `unknown backfill "optimistic" (want none, noguarantee,`},
+		{Spec{Wait: -1}, Flat, "starvation wait -1 is negative"},
+		{Spec{Backfill: BackfillEASY, Wait: 3600, Heavy: "sometimes"}, Flat, `unknown heavy classifier "sometimes"`},
+		{Spec{Backfill: BackfillEASY, Wait: 3600, Depth: -1}, Flat, "depth -1 out of range (want >= 1)"},
+		{Spec{MaxRuntime: -5}, Flat, "max runtime -5 is negative"},
+		{Spec{Backfill: BackfillEASY, PreemptTrigger: "sometimes"}, Flat, `unknown preempt trigger "sometimes" (want reserve, deadline)`},
+		{Spec{Backfill: BackfillEASY, PreemptTrigger: PreemptReserve, PreemptVictim: "oldest"}, Flat, `unknown preempt victim "oldest" (want lowpri, newest)`},
+		{Spec{Backfill: BackfillConservative, Wait: 3600}, Flat, "starve is incompatible with bf=conservative"},
+		{Spec{Backfill: BackfillEASY, Heavy: HeavyAll}, Flat, `heavy classifier "all" without starve`},
+		{Spec{Backfill: BackfillEASY, Depth: 2}, Flat, "depth=2 needs starve or bf=depth"},
+		{Spec{Backfill: BackfillEASY, PreemptVictim: VictimLowPri}, Flat, `preempt victim "lowpri" without a preempt trigger`},
+		{Spec{Backfill: BackfillConservativeDynamic, PreemptTrigger: PreemptReserve}, Flat, "preempt is incompatible with bf=consdyn"},
+		{Spec{Backfill: BackfillNoGuarantee, PreemptTrigger: PreemptReserve}, Flat, "no blocked-head reservation"},
+		{Spec{Backfill: BackfillEASY, PreemptTrigger: PreemptReserve, Wait: 3600}, Flat, "preempt is incompatible with starve"},
+		{Spec{Backfill: BackfillEASY, PreemptTrigger: PreemptReserve, MaxRuntime: 3600}, Flat, "preempt is incompatible with max"},
+		{Spec{Order: "edf", Backfill: BackfillConservative}, Flat, "order=edf is incompatible with bf=conservative"},
+		{Spec{Order: "sjf", Backfill: BackfillEASY, PreemptTrigger: PreemptReserve}, Cell, "checkpoint preemption is not supported with a topology"},
+		{Spec{Order: "edf", Backfill: BackfillEASY}, Cell, "order=edf is not supported with a topology"},
+		{Spec{Order: "fcfs", MaxRuntime: 3600}, Leaf, "per-queue policies cannot set max="},
+		{Spec{Order: "fcfs", Backfill: BackfillConservative}, Leaf | Capped, "bf=conservative starts jobs on reserved capacity and cannot run under a cap= quota"},
+		{Spec{Order: "sjf", Backfill: BackfillConservativeDynamic}, Cell | Shared, "bf=consdyn starts jobs on reserved capacity and cannot share a partition with other leaf queues"},
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("case %d: %+v validated", i, s)
+	hits := make([]int, len(rules))
+	for i, tc := range cases {
+		k := slices.IndexFunc(rules, func(r rule) bool { return r.in&tc.ctx != 0 && r.bad(tc.spec.normalized()) })
+		if k < 0 {
+			t.Errorf("case %d: %+v admitted in context %b", i, tc.spec, tc.ctx)
+			continue
 		}
-		if _, err := New(s); err == nil {
-			t.Errorf("case %d: New accepted %+v", i, s)
+		if hits[k]++; k != i {
+			t.Errorf("case %d rejected by row %d, want row %d", i, k, i)
+		}
+		r := rules[k]
+		err := tc.spec.Check(tc.ctx)
+		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("case %d: Check = %v, want %q", i, err, tc.wantSub)
+			continue
+		}
+		text := tc.spec.String()
+		if p, ok := componentPos(text, r.blame); ok {
+			if !strings.Contains(err.Error(), fmt.Sprintf("position %d:", p)) || !strings.HasPrefix(text[p:], r.blame+"=") {
+				t.Errorf("case %d: %v: want the position of %s= in %q", i, err, r.blame, text)
+			}
+		}
+		_, newErr := New(tc.spec)
+		if flat := tc.ctx&Flat != 0; flat != (tc.spec.Validate() != nil) || flat != (newErr != nil) {
+			t.Errorf("case %d: Validate = %v, New = %v; want errors iff the row is a flat one", i, tc.spec.Validate(), newErr)
+		}
+	}
+	for k, n := range hits {
+		if n != 1 {
+			t.Errorf("row %d (blames %s=) has %d cases, want exactly 1", k, rules[k].blame, n)
 		}
 	}
 }

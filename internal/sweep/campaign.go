@@ -70,8 +70,10 @@ type CellSummary struct {
 }
 
 // cells enumerates the matrix in deterministic input order: sources
-// outermost, then scenarios, then seeds.
-func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, seeds []int64, specs []core.Spec, grid [][3]int) {
+// outermost, then scenarios, then seeds. It fails, before any cell loads,
+// on a policy the study's topology cannot run (topology.Admit, the check
+// core.Execute makes per run).
+func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, seeds []int64, specs []core.Spec, grid [][3]int, err error) {
 	srcs = c.Sources
 	scens = c.Scenarios
 	if len(scens) == 0 {
@@ -85,6 +87,11 @@ func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, se
 	if len(specs) == 0 {
 		specs = core.AllSpecs()
 	}
+	for _, sp := range specs {
+		if err := c.Study.Topology.Admit(sp); err != nil {
+			return nil, nil, nil, nil, nil, err
+		}
+	}
 	for si := range srcs {
 		for ci := range scens {
 			for di := range seeds {
@@ -92,7 +99,7 @@ func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, se
 			}
 		}
 	}
-	return srcs, scens, seeds, specs, grid
+	return srcs, scens, seeds, specs, grid, nil
 }
 
 // RunEach executes the matrix, handing each completed cell to the callback
@@ -105,9 +112,12 @@ func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, se
 // the callback is not invoked for it, the casualty is recorded in the
 // aggregated *Errors, and the other cells proceed.
 func (c Campaign) RunEach(each func(Cell)) error {
-	srcs, scens, seeds, specs, grid := c.cells()
+	srcs, scens, seeds, specs, grid, err := c.cells()
+	if err != nil {
+		return err
+	}
 	var mu sync.Mutex
-	_, err := Map(c.Parallel, grid,
+	_, err = Map(c.Parallel, grid,
 		func(g [3]int) string { return cellLabel(srcs, scens, seeds, g) },
 		func(_ int, g [3]int) (struct{}, error) {
 			src, scen, seed := srcs[g[0]], scens[g[1]], seeds[g[2]]
@@ -137,9 +147,14 @@ func (c Campaign) RunEach(each func(Cell)) error {
 //
 // A failing load, transform or policy run fails its whole cell: its slot
 // is nil, the casualty is recorded in the aggregated *Errors (a failed load
-// once per cell, not once per policy), and the other cells proceed.
+// once per cell, not once per policy), and the other cells proceed. A
+// policy the study's topology cannot run fails the whole campaign before
+// any cell loads: Run then returns no summaries and that one error.
 func (c Campaign) Run() ([]*CellSummary, error) {
-	srcs, scens, seeds, specs, grid := c.cells()
+	srcs, scens, seeds, specs, grid, err := c.cells()
+	if err != nil {
+		return nil, err
+	}
 	type cellState struct {
 		once      sync.Once
 		mu        sync.Mutex

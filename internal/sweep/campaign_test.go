@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"fairsched/internal/core"
 	"fairsched/internal/experiments"
 	"fairsched/internal/scenario"
 	"fairsched/internal/sweep"
+	"fairsched/internal/topology"
 	"fairsched/internal/workload"
 )
 
@@ -258,5 +260,41 @@ func TestCampaignDefaults(t *testing.T) {
 	}
 	if len(cells[0].SLOs) != len(core.AllSpecs()) || cells[0].SLOs[0] == nil {
 		t.Fatal("study-level SLO assignment dropped from a baseline cell")
+	}
+}
+
+// A policy the study's topology cannot run fails the campaign once,
+// before any cell loads: no summaries, one error naming the policy, and
+// no source is ever read — through Run and RunEach alike.
+func TestCampaignRejectsPolicyBeforeLoading(t *testing.T) {
+	loads := 0
+	src := scenario.Source{
+		Name: "counted",
+		Load: func(int64) (*scenario.Workload, error) {
+			loads++
+			return nil, errors.New("loaded")
+		},
+	}
+	for _, tc := range []struct{ topo, policy, wantSub string }{
+		{"queue=x,queue=y", "edf", "order=edf is not supported with a topology"},
+		{"queue=x:cap=0.5,queue=y", "cons.nomax", "cannot run under a cap= quota"},
+	} {
+		c := sweep.Campaign{
+			Sources:  []scenario.Source{src, src},
+			Specs:    mustSpecs("easy", tc.policy),
+			Study:    core.StudyConfig{SystemSize: 100, Topology: topology.MustParse(tc.topo)},
+			Parallel: 2,
+		}
+		cells, err := c.Run()
+		if cells != nil || err == nil || !strings.Contains(err.Error(), tc.wantSub) || !strings.Contains(err.Error(), tc.policy) {
+			t.Errorf("%s × %s: Run = %v, %v; want no cells and an error naming the policy", tc.topo, tc.policy, cells, err)
+		}
+		err = c.RunEach(func(sweep.Cell) { t.Error("RunEach delivered a cell") })
+		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s × %s: RunEach = %v", tc.topo, tc.policy, err)
+		}
+	}
+	if loads != 0 {
+		t.Errorf("%d source loads, want none", loads)
 	}
 }

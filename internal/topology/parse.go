@@ -32,16 +32,26 @@ func Parse(spec string) (*Topology, error) {
 		return nil, fmt.Errorf("topology: empty spec")
 	}
 	t := &Topology{}
+	at := map[string]int{} // queue path -> byte position of its clause
 	pos := 0
 	for _, clause := range strings.Split(spec, ",") {
+		n := len(t.Queues)
 		if err := parseClause(clause, pos, t); err != nil {
 			return nil, fmt.Errorf("topology: spec %q: %w", spec, err)
+		}
+		if len(t.Queues) > n {
+			at[t.Queues[n].Path] = pos + strings.Index(clause, strings.TrimSpace(clause))
 		}
 		pos += len(clause) + 1 // the ',' separator
 	}
 	t.normalize()
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	// Leaf policies are checked once the tree is whole: a quota may sit on
+	// an ancestor declared after the leaf.
+	if path, err := t.checkLeaves(nil); err != nil {
+		return nil, fmt.Errorf("topology: spec %q: position %d: queue %s: %w", spec, at[path], path, err)
 	}
 	return t, nil
 }

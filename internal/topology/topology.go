@@ -55,8 +55,8 @@ type QueueNode struct {
 	// queue below the capped node.
 	Cap float64
 	// Policy is the leaf's scheduling policy; nil inherits the run's
-	// policy. Inner nodes must leave it nil. Per-queue specs may not set
-	// max= (the maximum-runtime split is a run-global simulator setting).
+	// policy. Inner nodes must leave it nil; a leaf's own policy is checked
+	// in the composition table's Leaf context.
 	Policy *sched.Spec
 }
 
@@ -178,9 +178,10 @@ func validPath(p string) bool {
 }
 
 // Validate checks the topology's internal consistency: name/path charsets
-// and uniqueness, partition references, share/quota ranges, the
+// and uniqueness, partition references, share/quota ranges and the
 // inner-node contract (no policy on a queue with declared descendants,
-// one partition per subtree) and the no-per-queue-max rule.
+// one partition per subtree). Whether leaf policies compose is Admit's
+// (and Parse's) question.
 func (t *Topology) Validate() error {
 	seenPart := map[string]bool{}
 	for _, p := range t.Partitions {
@@ -213,20 +214,6 @@ func (t *Topology) Validate() error {
 		if c := q.Cap; c != 0 && !(c > 0 && c <= 1) {
 			return fmt.Errorf("topology: queue %q: cap %v out of range (0, 1]", q.Path, c)
 		}
-		if q.Policy != nil {
-			if err := q.Policy.Validate(); err != nil {
-				return fmt.Errorf("topology: queue %q: %w", q.Path, err)
-			}
-			if q.Policy.MaxRuntime > 0 {
-				return fmt.Errorf("topology: queue %q: per-queue policies cannot set max= (the maximum-runtime split is run-global)", q.Path)
-			}
-			if q.Policy.PreemptTrigger != "" {
-				return fmt.Errorf("topology: queue %q: per-queue policies cannot set preempt= (checkpoint preemption needs the flat event loop's requeue path)", q.Path)
-			}
-			if q.Policy.Order == "edf" {
-				return fmt.Errorf("topology: queue %q: per-queue policies cannot use order=edf (partitioned loops carry no per-run SLO context)", q.Path)
-			}
-		}
 	}
 	for _, q := range t.Queues {
 		for _, r := range t.Queues {
@@ -243,6 +230,56 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Admit checks the topology (Validate) and a run's cell policy on it, in
+// sched's composition table: the spec in the Cell context, then every leaf
+// as it will run (see checkLeaves). A nil topology is a flat run, where
+// Admit is cell.Validate(). Campaigns call it for every policy before any
+// cell loads, so a bad pair fails once, before any workload is read.
+func (t *Topology) Admit(cell sched.Spec) error {
+	if t == nil {
+		return cell.Validate()
+	}
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	if err := cell.Check(sched.Cell); err != nil {
+		return err
+	}
+	if path, err := t.checkLeaves(&cell); err != nil {
+		return fmt.Errorf("topology: queue %s: %w", path, err)
+	}
+	return nil
+}
+
+// checkLeaves checks every leaf's policy against the composition table:
+// its own in the Leaf context or, when cell is non-nil, the inherited one
+// in the Cell context, joined by Capped under a quota on the leaf's chain
+// and by Shared when other leaves share its partition. It returns the
+// first rejected leaf's path with the rejection.
+func (t *Topology) checkLeaves(cell *sched.Spec) (string, error) {
+	for _, q := range t.Leaves() {
+		spec, ctx := q.Policy, sched.Leaf
+		if spec == nil {
+			if cell == nil {
+				continue
+			}
+			spec, ctx = cell, sched.Cell
+		}
+		for _, a := range t.Queues {
+			if a.Cap != 0 && a.Cap != 1 && (a.Path == q.Path || IsAncestor(a.Path, q.Path)) {
+				ctx |= sched.Capped
+			}
+		}
+		if len(t.LeavesFor(t.PartitionOf(q))) > 1 {
+			ctx |= sched.Shared
+		}
+		if err := spec.Check(ctx); err != nil {
+			return q.Path, err
+		}
+	}
+	return "", nil
 }
 
 // normalize fills defaults (guarantee/cap 1, explicit default partition

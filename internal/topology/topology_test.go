@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"fairsched/internal/sched"
 )
 
 func TestParseCanonicalRoundTrip(t *testing.T) {
@@ -99,6 +101,69 @@ func TestParseErrorPositions(t *testing.T) {
 	_, err = Parse("part=a:4,part=b!")
 	if err == nil || !strings.Contains(err.Error(), "position 14") {
 		t.Fatalf("want position 14 in error, got %v", err)
+	}
+	// A leaf policy the composition table rejects names its queue clause,
+	// even when the quota sits on an ancestor declared after the leaf.
+	for _, c := range []struct {
+		in, wantPos, wantSub string
+	}{
+		{"queue=a,queue=b:order=fcfs+max=72h", "position 8: queue b:", "per-queue policies cannot set max="},
+		{"part=p,queue=a:part=p:srpt", "position 7: queue a:", "per-queue policies cannot set preempt="},
+		{"queue=a, queue=b:order=edf+bf=easy", "position 9: queue b:", "per-queue policies cannot use order=edf"},
+		{"queue=x:cap=0.5:cons.nomax", "position 0: queue x:", "cannot run under a cap= quota"},
+		{"queue=org/a:cons.nomax,queue=org:cap=0.5", "position 0: queue org/a:", "cannot run under a cap= quota"},
+	} {
+		_, err := Parse(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.wantPos) || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("Parse(%q) = %v, want %q and %q", c.in, err, c.wantPos, c.wantSub)
+		}
+	}
+}
+
+// TestAdmit: a cell policy is checked against the topology it will run
+// on — itself in the Cell context, and again wherever a leaf inherits it
+// under a quota or beside other leaves; a nil topology is a flat run.
+func TestAdmit(t *testing.T) {
+	spec := func(s string) sched.Spec {
+		sp, err := sched.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	for _, c := range []struct {
+		topo    *Topology
+		cell    string
+		wantSub string // "" = admitted
+	}{
+		{nil, "cons.nomax", ""},
+		{nil, "srpt", ""},
+		{nil, "edf", ""},
+		{MustParse("part=a,part=b,queue=x:part=a"), "srpt", "checkpoint preemption is not supported with a topology"},
+		{MustParse("queue=x:fcfs,queue=y:sjf"), "order=edf+bf=easy", `"order=edf+bf=easy": position 0: order=edf is not supported with a topology`},
+		{MustParse("queue=x:cap=0.5,queue=y"), "cons.nomax", `queue x: sched: policy spec "cons.nomax": bf=conservative starts jobs`},
+		{MustParse("part=p,part=q,queue=org:part=p:cap=0.5,queue=org/a:part=p,queue=b:part=q"), "order=fcfs+bf=consdyn",
+			`queue org/a: sched: policy spec "order=fcfs+bf=consdyn": position 11: bf=consdyn starts jobs on reserved capacity and cannot run under a cap= quota`},
+		{MustParse("queue=x:cap=0.5:easy,queue=y"), "cons.nomax", "queue y: sched: policy spec \"cons.nomax\": bf=conservative starts jobs on reserved capacity and cannot share a partition"},
+		{MustParse("part=p,part=q,queue=x:part=p:cap=0.5:easy,queue=y:part=q"), "cons.nomax", ""},
+		{MustParse("queue=x:cap=0.5,queue=y"), "cplant72.72max.fair", ""},
+	} {
+		err := c.topo.Admit(spec(c.cell))
+		if c.wantSub == "" {
+			if err != nil {
+				t.Errorf("%v × %s: %v", c.topo, c.cell, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%v × %s = %v, want %q", c.topo, c.cell, err, c.wantSub)
+		}
+	}
+	// A topology built in code gets its leaf policies checked too.
+	cons := spec("cons.nomax")
+	built := &Topology{Queues: []QueueNode{{Path: "x", Cap: 0.5, Policy: &cons}}}
+	if err := built.Admit(spec("easy")); err == nil || !strings.Contains(err.Error(), "cap= quota") {
+		t.Errorf("code-built capped conservative leaf: %v", err)
 	}
 }
 
