@@ -152,8 +152,8 @@ func TestCompositionProduct(t *testing.T) {
 		}
 
 		// Two partitions: the chain is the cell policy, inherited by leaf
-		// x and by partition b's implicit root; on odd chains x shares
-		// partition a with leaf y.
+		// x and run alone by partition b, which declares no leaves; on odd
+		// chains x shares partition a with leaf y.
 		if err == nil {
 			topoSpec, leaves := parts+"queue=x:part=a", []string{"x", ""}
 			if i%2 == 1 {

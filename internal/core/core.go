@@ -107,10 +107,9 @@ type StudyConfig struct {
 	SLO *slo.Assignment
 	// Topology, when non-nil, partitions the machine into named groups —
 	// each with its own event loop — and hangs a hierarchical queue tree
-	// over them (see package topology). A nil Topology is the flat
-	// pre-partition machine; a single-partition single-root-queue topology
-	// reproduces it byte-identically (the flat-equivalence suite pins
-	// this). The topology is read-only and may be shared across runs.
+	// over them (see package topology). A nil Topology is the paper's flat
+	// machine, run as the zero topology's one default partition of
+	// SystemSize nodes (see Execute). Read-only, shareable.
 	Topology *topology.Topology
 	// Placement routes users to queues/partitions (campaigns derive it
 	// from the cell's scenario via Scenario.Placement). With a nil
@@ -135,95 +134,40 @@ type Run struct {
 	SLO *slo.Summary
 }
 
-// Execute runs one spec over the workload and assembles the summary. With
-// a Topology configured, the run shards into per-partition event loops and
-// merges (see executeTopology); otherwise the flat single-loop path runs.
+// Execute runs one spec over the workload and assembles the summary. Every
+// run takes one path: route splits the machine into partitions and the
+// workload across them, build wires each partition's event loop,
+// sim.RunPartitions runs them, and merge folds their results — the
+// identity for one partition. A nil Topology is one default partition
+// carrying everything; it differs from a declared topology only in
+// checking the spec in the Flat composition context rather than Cell, in
+// allowing the equality observer, and in reading placement tags as report
+// groups rather than routes.
 func Execute(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, error) {
 	if cfg.SystemSize <= 0 {
 		cfg.SystemSize = 1000
 	}
-	if cfg.Topology != nil {
-		return executeTopology(cfg, spec, workload)
+	if cfg.Topology != nil && cfg.Equality {
+		return nil, fmt.Errorf("core: the resource-equality observer is not supported with a topology (it models one flat machine)")
 	}
-	pol, err := sched.New(spec)
-	if err != nil {
+	if err := cfg.Topology.Admit(spec); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	simCfg := sim.Config{
-		SystemSize:     cfg.SystemSize,
-		Fairshare:      cfg.Fairshare,
-		FairshareEpoch: cfg.FairshareEpoch,
-		MaxRuntime:     spec.MaxRuntime,
-		Split:          cfg.Split,
-		Kill:           cfg.Kill,
-		Validate:       cfg.Validate,
-		// Only preemptive specs pay the preemption path (per-job workload
-		// clones, remainder requeues); everything else runs the byte-stable
-		// classic path.
-		Preemptable: spec.PreemptTrigger != "",
+	l, err := route(cfg, spec, workload)
+	if err != nil {
+		return nil, err
 	}
-	col := metrics.NewCollector(cfg.SystemSize)
-	observers := []sim.Observer{col}
-	var fst *fairness.HybridFST
-	if !cfg.SkipFST {
-		fst = fairness.NewHybridFST()
-		observers = append(observers, fst)
-	}
-	var eq *fairness.Equality
-	if cfg.Equality {
-		eq = fairness.NewEquality(cfg.SystemSize)
-		observers = append(observers, eq)
-	}
-	var sloObs *fairness.SLOObserver
-	if cfg.SLO.NumUsers() > 0 {
-		// The observer reads the engine's fair start times (recorded at
-		// arrival) to split breaches into policy-caused and infeasible;
-		// with SkipFST it still tracks attainment, unclassified.
-		sloObs = fairness.NewSLOObserver(cfg.SLO, fst)
-		if cfg.Split == sim.SplitChained || simCfg.Preemptable {
-			// Chained splits — and preemption, which resubmits a victim's
-			// remainder as a chained segment — model one logical job as a
-			// checkpoint chain: judge its slowdown once, at the last
-			// segment's completion, against the original submit
-			// (DESIGN.md §11, §16).
-			sloObs.SetChained(true)
+	runs := make([]sim.PartitionRun, len(l.parts))
+	for i, p := range l.parts {
+		if runs[i], err = l.build(p, cfg, spec); err != nil {
+			return nil, err
 		}
-		observers = append(observers, sloObs)
-		// Deadline-aware components (order=edf, preempt=deadline.*) read
-		// the run's SLO signals: the assignment supplies per-user
-		// deadlines, the online observer the breach-risk promotion. With
-		// no assignment the context stays unset — the edf order degrades
-		// to FCFS and the deadline trigger never fires.
-		pol.SetSLOContext(cfg.SLO, sloObs)
 	}
-	s := sim.New(simCfg, pol, observers...)
-	res, err := s.Run(workload)
+	results, err := sim.RunPartitions(cfg.PartitionParallel, runs)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", spec.String(), err)
 	}
-	run := &Run{Spec: spec, Result: res, Equality: eq}
-	if fst != nil {
-		run.FST = fst.Table()
-	}
-	if sloObs != nil {
-		run.SLO = sloObs.Summary()
-	}
-	run.Summary = metrics.Summarize(res, run.FST, col)
-	run.Summary.Policy = spec.String()
-	if paths := cfg.Placement.QueuePaths(); len(paths) > 0 {
-		// Queue tags without a topology still group report rows: the flat
-		// machine ran one scheduler, but attainment and delay can be read
-		// out per tagged queue (the per-queue metric keys resolve against
-		// these rows).
-		var perUser []slo.UserStats
-		if sloObs != nil {
-			perUser = sloObs.PerUser()
-		}
-		run.Summary.Queues = queueSummaries(paths, func(user int) (string, bool) {
-			return cfg.Placement.Queue(user)
-		}, res.Records, perUser)
-	}
-	return run, nil
+	return l.merge(cfg, spec, results), nil
 }
 
 // Starts is a fairness.StartsFunc over this study configuration and spec:

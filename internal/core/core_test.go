@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"fairsched/internal/job"
+	"fairsched/internal/slo"
 	"fairsched/internal/workload"
 )
 
@@ -89,5 +91,54 @@ func TestExecuteGeneratedWorkloadSmoke(t *testing.T) {
 		if s.Utilization <= 0 || s.Utilization > 1 {
 			t.Errorf("%s: utilization %f out of range", key, s.Utilization)
 		}
+	}
+}
+
+// TestFlatRunWiresSLOContext: a flat run hands its SLO assignment and
+// online observer to the policy, so order=edf schedules by deadline rather
+// than degrading to FCFS, and a preempted job's checkpoint chain is judged
+// as one job, against its original submit.
+func TestFlatRunWiresSLOContext(t *testing.T) {
+	jobs, err := workload.Generate(workload.Config{Seed: 3, Scale: 0.05, SystemSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := slo.NewBuilder()
+	b.AddClass("tight", slo.Target{Wait: 1800, Slowdown: 4})
+	b.AddClass("loose", slo.Target{Wait: 24 * 3600, Slowdown: 20})
+	for _, j := range jobs {
+		class := "loose"
+		if j.User%2 == 0 {
+			class = "tight"
+		}
+		b.Tag(j.User, class)
+	}
+	cfg := StudyConfig{SystemSize: 100, Validate: true, SLO: b.Build()}
+	run := func(key string) *Run {
+		t.Helper()
+		spec, err := SpecByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Execute(cfg, spec, jobs)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		return r
+	}
+	edf, fcfs := run("edf"), run("easy")
+	same := true
+	for i, r := range edf.Result.Records {
+		same = same && r.Job.ID == fcfs.Result.Records[i].Job.ID && r.Start == fcfs.Result.Records[i].Start
+	}
+	if same {
+		t.Error("edf scheduled exactly like fcfs: the policy never saw the SLO deadlines")
+	}
+	pre := run("easy.preempt")
+	if len(pre.Result.Records) == len(jobs) {
+		t.Fatal("no job was preempted; the workload no longer exercises checkpoint chains")
+	}
+	if want := slo.FromRecordsChained(cfg.SLO, pre.Result.Records, pre.FST).Summary(); !reflect.DeepEqual(pre.SLO, want) {
+		t.Errorf("preemptive run's SLO summary differs from the chain-level reference:\n  got:  %+v\n  want: %+v", pre.SLO.Total, want.Total)
 	}
 }

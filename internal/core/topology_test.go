@@ -35,12 +35,22 @@ func sloFor(jobs []*job.Job) *slo.Assignment {
 	return b.Build()
 }
 
-// assertRunsEqual demands two runs describe the identical outcome: same
-// records (field for field, in order), event counts, FST tables, SLO
-// summaries and metric summaries. Summary equality is reflect.DeepEqual
-// over every float, so any report rendered from the two runs is
-// byte-identical.
+// assertRunsEqual demands two runs describe the identical outcome: the
+// same schedule (assertSchedulesEqual) and metric summaries. Summary
+// equality is reflect.DeepEqual over every float, so any report rendered
+// from the two runs is byte-identical.
 func assertRunsEqual(t *testing.T, name string, got, want *Run) {
+	t.Helper()
+	assertSchedulesEqual(t, name, got, want)
+	if !reflect.DeepEqual(got.Summary, want.Summary) {
+		t.Errorf("%s: summaries diverged:\n  got:  %+v\n  want: %+v", name, got.Summary, want.Summary)
+	}
+}
+
+// assertSchedulesEqual demands two runs made the identical schedule: same
+// records (field for field, in order), event counts, spans, FST tables and
+// SLO summaries.
+func assertSchedulesEqual(t *testing.T, name string, got, want *Run) {
 	t.Helper()
 	if got.Result.Events != want.Result.Events {
 		t.Errorf("%s: events %d != %d", name, got.Result.Events, want.Result.Events)
@@ -69,15 +79,23 @@ func assertRunsEqual(t *testing.T, name string, got, want *Run) {
 	if !reflect.DeepEqual(got.SLO, want.SLO) {
 		t.Errorf("%s: SLO summaries diverged:\n  got:  %+v\n  want: %+v", name, got.SLO, want.SLO)
 	}
-	if !reflect.DeepEqual(got.Summary, want.Summary) {
-		t.Errorf("%s: summaries diverged:\n  got:  %+v\n  want: %+v", name, got.Summary, want.Summary)
-	}
 }
 
-// TestTopologyFlatEquivalence: a single-partition, single-root-queue
-// topology must reproduce the flat run byte-identically — same records,
-// events, FST, SLO and summary — on every workload shape, with and without
-// an SLO assignment. This is the refactor's equivalence bar.
+// tagAll places every user of the workload on one queue.
+func tagAll(jobs []*job.Job, queue string) *topology.Placement {
+	var b topology.PlacementBuilder
+	for _, j := range jobs {
+		b.SetQueue(j.User, queue)
+	}
+	return b.Build()
+}
+
+// TestTopologyFlatEquivalence: a single-partition topology must reproduce
+// the flat run byte-identically — same records, events, FST, SLO and
+// summary — on every workload shape, with and without an SLO assignment.
+// "implicit" and "named" declare no leaves, so the spec's Composite runs
+// alone; "leaf" routes every user to one declared, uncapped leaf, so the
+// same schedule must come out of a single-leaf MultiQueue.
 func TestTopologyFlatEquivalence(t *testing.T) {
 	h := int64(3600)
 	cases := []struct {
@@ -92,9 +110,12 @@ func TestTopologyFlatEquivalence(t *testing.T) {
 		{"kill-always", StudyConfig{SystemSize: 100, Kill: sim.KillAlways, Validate: true}, 0.04},
 	}
 	_ = h
-	topos := map[string]func(size int) *topology.Topology{
-		"implicit": func(int) *topology.Topology { return &topology.Topology{} },
-		"named":    func(int) *topology.Topology { return topology.MustParse("part=main") },
+	topos := map[string]func(cfg *StudyConfig, jobs []*job.Job){
+		"implicit": func(cfg *StudyConfig, _ []*job.Job) { cfg.Topology = &topology.Topology{} },
+		"named":    func(cfg *StudyConfig, _ []*job.Job) { cfg.Topology = topology.MustParse("part=main") },
+		"leaf": func(cfg *StudyConfig, jobs []*job.Job) {
+			cfg.Topology, cfg.Placement = topology.MustParse("queue=all"), tagAll(jobs, "all")
+		},
 	}
 	for _, key := range []string{"cplant24.nomax.all", "cons.72max", "easy"} {
 		spec, err := SpecByKey(key)
@@ -114,10 +135,13 @@ func TestTopologyFlatEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg.Topology = mk(cfg.SystemSize)
+					mk(&cfg, jobs)
 					part, err := Execute(cfg, spec, jobs)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if tname == "leaf" {
+						part.Summary.Queues = nil // the declared leaf's report row
 					}
 					assertRunsEqual(t, key+"/"+c.name, part, flat)
 				})
@@ -284,5 +308,71 @@ func TestTopologyRejects(t *testing.T) {
 		if _, err := Execute(c.cfg, spec, tinyWorkload()); err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: err = %v, want it to contain %q", c.name, err, c.wantSub)
 		}
+	}
+}
+
+// TestIdlePartitionChangesNothing is a metamorphic relation: adding a
+// partition no user is placed on must leave the schedule exactly as the
+// flat run of the first partition's size made it. It also keeps the
+// multi-partition merge (record sort, FST union, collector and tracker
+// folds) under a byte-level differential.
+func TestIdlePartitionChangesNothing(t *testing.T) {
+	jobs, err := workload.Generate(workload.Config{Seed: 5, Scale: 0.05, SystemSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"cplant24.nomax.all", "cons.72max", "easy"} {
+		spec, err := SpecByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, split := range []sim.SplitMode{sim.SplitUpfront, sim.SplitChained} {
+			cfg := StudyConfig{SystemSize: 100, Validate: true, Split: split, SLO: sloFor(jobs)}
+			flat, err := Execute(cfg, spec, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Topology = topology.MustParse("part=main:100,part=idle:40")
+			idle, err := Execute(cfg, spec, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSchedulesEqual(t, key, idle, flat)
+			if rows := idle.Summary.Partitions; len(rows) != 2 || rows[1].Jobs != 0 {
+				t.Errorf("%s: partition rows %+v, want main and an empty idle", key, rows)
+			}
+		}
+	}
+}
+
+// TestCapWidthRejectedBeforeRun: a job wider than the tightest cap= quota
+// on its leaf's chain could never start, so Execute refuses it up front,
+// worded like the simulator's width check and naming the binding queue.
+func TestCapWidthRejectedBeforeRun(t *testing.T) {
+	jobs := []*job.Job{
+		{ID: 1, User: 1, Submit: 0, Runtime: 600, Estimate: 600, Nodes: 10},
+		{ID: 2, User: 2, Submit: 5, Runtime: 600, Estimate: 600, Nodes: 24},
+	}
+	var b topology.PlacementBuilder
+	b.SetQueue(1, "y")
+	b.SetQueue(2, "org/x")
+	spec, err := SpecByKey("easy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ topo, want string }{
+		{"queue=org/x:cap=0.23,queue=y", "core: easy: partition default: job 2: nodes 24 exceed queue org/x quota 23 (cap=0.23 of 100 nodes)"},
+		{"queue=org:cap=0.15,queue=org/x:cap=0.5,queue=y", "core: easy: partition default: job 2: nodes 24 exceed queue org quota 15 (cap=0.15 of 100 nodes)"},
+		{"part=p:30,queue=org:cap=0.5,queue=org/x:cap=0.9,queue=y", "core: easy: partition p: job 2: nodes 24 exceed queue org quota 15 (cap=0.5 of 30 nodes)"},
+	} {
+		cfg := StudyConfig{SystemSize: 100, Topology: topology.MustParse(c.topo), Placement: b.Build()}
+		if _, err := Execute(cfg, spec, jobs); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v\n  want %s", c.topo, err, c.want)
+		}
+	}
+	// A job exactly as wide as its quota runs.
+	cfg := StudyConfig{SystemSize: 100, Topology: topology.MustParse("queue=org/x:cap=0.24,queue=y"), Placement: b.Build()}
+	if _, err := Execute(cfg, spec, jobs); err != nil {
+		t.Errorf("job within its quota: %v", err)
 	}
 }

@@ -61,7 +61,7 @@ type Summary struct {
 	// one row per partition when the run spans more than one. Both are
 	// population extras: they never feed back into the machine-wide scalars
 	// above, so a single-partition single-queue topology summarizes
-	// byte-identically to the flat path.
+	// byte-identically to the flat run.
 	Queues     []QueueSummary
 	Partitions []PartitionSummary
 }

@@ -167,23 +167,3 @@ func reserve(prof *profile.Profile, now int64, r *job.Job) (int64, error) {
 	}
 	return s, prof.Occupy(s, s+r.Estimate, r.Nodes)
 }
-
-// depthReservations computes the reservation starts a fresh bf=depth
-// scheduling pass would place (tests and diagnostics). It works on its own
-// profile copy, NOT the composite's scratch: observers may call it from
-// inside a scheduling pass (env.Start fires JobStarted synchronously while
-// the engine still holds reservations in the scratch profile), and
-// clobbering the scratch mid-pass would corrupt the pass.
-func (e *aggressiveEngine) depthReservations(env sim.Env) map[job.ID]int64 {
-	prof := env.Availability().Clone()
-	q := append([]*job.Job(nil), e.main...)
-	e.prio.sort(env, q, nil)
-	q = q[:min(e.depth, len(q))]
-	out := make(map[job.ID]int64, len(q))
-	for _, r := range q {
-		if s, err := reserve(prof, env.Now(), r); err == nil {
-			out[r.ID] = s
-		}
-	}
-	return out
-}

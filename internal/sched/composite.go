@@ -190,28 +190,3 @@ func (c *Composite) SetHeavyClassifier(h fairshare.HeavyClassifier) {
 	}
 	a.starve.heavy = h
 }
-
-// StarvedLen reports the current starvation-queue length (diagnostics; 0
-// for policies without a starvation component).
-func (c *Composite) StarvedLen() int {
-	if a, ok := c.engine.(*aggressiveEngine); ok {
-		return len(a.starved)
-	}
-	return 0
-}
-
-// Reservations exposes the current reservation table (job id -> start) for
-// tests and diagnostics. Conservative engines report their standing
-// reservations; depth engines compute the reservations a fresh scheduling
-// pass would place; other engines hold none.
-func (c *Composite) Reservations(env sim.Env) map[job.ID]int64 {
-	switch e := c.engine.(type) {
-	case *conservativeEngine:
-		return e.reservations()
-	case *aggressiveEngine:
-		if c.spec.Backfill == BackfillDepth {
-			return e.depthReservations(env)
-		}
-	}
-	return nil
-}

@@ -195,17 +195,6 @@ func (e *conservativeEngine) queued() []*job.Job {
 	return e.qBuf
 }
 
-// reservations exposes the current reservation table (job id -> start).
-func (e *conservativeEngine) reservations() map[job.ID]int64 {
-	out := make(map[job.ID]int64, len(e.queue))
-	for _, q := range e.queue {
-		if q.hasRes {
-			out[q.job.ID] = q.res
-		}
-	}
-	return out
-}
-
 func (e *conservativeEngine) schedule(env sim.Env) {
 	now := env.Now()
 

@@ -50,14 +50,12 @@ type MultiQueue struct {
 
 	qs        []*Composite
 	leafPaths []string
-	leafCfg   []QueueConfig
 
 	tree        *fairshare.Tree
 	chains      [][]int // leaf index -> node ids, root first
 	guarantee   map[int]float64
-	capFrac     map[int]float64 // node id -> cap fraction, <1 entries only
-	maxNodes    map[int]int     // resolved at Reset from the system size
-	running     map[int]int     // node id -> running nodes (quota accounting)
+	maxNodes    map[int]int // resolved at Reset from the system size
+	running     map[int]int // node id -> running nodes (quota accounting)
 	leafRunning []fairshare.Usage
 	envs        []queueEnv
 	order       []int
@@ -87,13 +85,16 @@ func NewMultiQueue(queues []QueueConfig, route func(*job.Job) int, fsCfg fairsha
 		}
 		mq.qs = append(mq.qs, c)
 		mq.leafPaths = append(mq.leafPaths, qc.Path)
-		mq.leafCfg = append(mq.leafCfg, qc)
 	}
 	if len(mq.qs) == 0 {
 		return nil, fmt.Errorf("sched: multiqueue: no leaf queues")
 	}
 	return mq, nil
 }
+
+// QuotaNodes is the node count a cap= quota of fraction frac leaves a
+// subtree on a system of size nodes.
+func QuotaNodes(frac float64, size int) int { return int(frac * float64(size)) }
 
 // foldEpoch folds a positive epoch to its congruent value in
 // (-interval, 0], exactly as the simulator does for its per-user tracker,
@@ -125,17 +126,10 @@ func (mq *MultiQueue) Name() string {
 	return "queues[" + strings.Join(parts, ",") + "]"
 }
 
-// Leaf returns leaf i's Composite (diagnostics and tests).
-func (mq *MultiQueue) Leaf(i int) *Composite { return mq.qs[i] }
-
-// LeafPaths returns the leaf queue paths in routing-index order.
-func (mq *MultiQueue) LeafPaths() []string { return mq.leafPaths }
-
 // Reset implements sim.Policy: fresh tree, counters and leaf policies.
 func (mq *MultiQueue) Reset(env sim.Env) {
 	mq.tree = fairshare.NewTree(mq.fsCfg, mq.epoch)
 	mq.guarantee = make(map[int]float64)
-	mq.capFrac = make(map[int]float64)
 	mq.maxNodes = make(map[int]int)
 	mq.running = make(map[int]int)
 	mq.clamped = false
@@ -145,8 +139,7 @@ func (mq *MultiQueue) Reset(env sim.Env) {
 			mq.guarantee[n] = qc.Guarantee
 		}
 		if qc.Cap != 0 && qc.Cap != 1 {
-			mq.capFrac[n] = qc.Cap
-			mq.maxNodes[n] = int(qc.Cap * float64(env.SystemSize()))
+			mq.maxNodes[n] = QuotaNodes(qc.Cap, env.SystemSize())
 			mq.clamped = true
 		}
 	}

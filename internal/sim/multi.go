@@ -14,7 +14,8 @@ import (
 // executes as len(runs) loops, in parallel if asked, with results merged
 // afterwards.
 type PartitionRun struct {
-	// Name labels the partition in errors and reports.
+	// Name labels the partition in errors and reports; the errors of an
+	// unnamed run (a flat machine) pass through unwrapped.
 	Name string
 	// Config parameterizes the partition's simulator (SystemSize is the
 	// partition's node count; FirstSegmentID its split-segment id range).
@@ -34,7 +35,7 @@ type PartitionRun struct {
 // simulation, so the combined outcome is identical at every parallelism
 // width — the campaign engine's byte-equivalence bar, applied inside a
 // single run. The first error (by input order) is returned, wrapped with
-// its partition's name.
+// its partition's name when it has one.
 func RunPartitions(parallel int, runs []PartitionRun) ([]*Result, error) {
 	if parallel < 1 {
 		parallel = 1
@@ -67,8 +68,11 @@ func RunPartitions(parallel int, runs []PartitionRun) ([]*Result, error) {
 		wg.Wait()
 	}
 	for i, err := range errs {
-		if err != nil {
+		if err != nil && runs[i].Name != "" {
 			return nil, fmt.Errorf("partition %s: %w", runs[i].Name, err)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return results, nil

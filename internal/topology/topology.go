@@ -7,8 +7,9 @@
 // A topology is pure data with a text grammar (see Parse) following the
 // same positional-error/canonical-form discipline as sched.ParseSpec: the
 // canonical rendering is a parse fixed point, so a topology string is a
-// stable cross-tool identifier. The zero Topology means "one flat machine,
-// one implicit root queue" — exactly the pre-partition simulator.
+// stable cross-tool identifier. The zero Topology is one flat machine: a
+// single default partition with no declared queues, where the run's policy
+// schedules alone — exactly the paper's simulator.
 package topology
 
 import (
@@ -267,10 +268,8 @@ func (t *Topology) checkLeaves(cell *sched.Spec) (string, error) {
 			}
 			spec, ctx = cell, sched.Cell
 		}
-		for _, a := range t.Queues {
-			if a.Cap != 0 && a.Cap != 1 && (a.Path == q.Path || IsAncestor(a.Path, q.Path)) {
-				ctx |= sched.Capped
-			}
+		if t.Quota(q) != nil {
+			ctx |= sched.Capped
 		}
 		if len(t.LeavesFor(t.PartitionOf(q))) > 1 {
 			ctx |= sched.Shared
@@ -280,6 +279,19 @@ func (t *Topology) checkLeaves(cell *sched.Spec) (string, error) {
 		}
 	}
 	return "", nil
+}
+
+// Quota returns the queue whose cap= quota binds leaf q: the node with the
+// smallest cap on q's ancestor chain, q included (the first declared on a
+// tie), or nil when no node on the chain is capped.
+func (t *Topology) Quota(q QueueNode) *QueueNode {
+	var tightest *QueueNode
+	for i, a := range t.Queues {
+		if a.Cap != 0 && a.Cap != 1 && (a.Path == q.Path || IsAncestor(a.Path, q.Path)) && (tightest == nil || a.Cap < tightest.Cap) {
+			tightest = &t.Queues[i]
+		}
+	}
+	return tightest
 }
 
 // normalize fills defaults (guarantee/cap 1, explicit default partition
