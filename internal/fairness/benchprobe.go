@@ -70,6 +70,11 @@ func NewArrivalProbe(queued, running int) *ArrivalProbe {
 		})
 		id++
 	}
+	// The engine keeps its own queue, filled by its arrival hook: announce
+	// the standing queue once, after every usage is charged.
+	for _, q := range p.queue {
+		h.JobArrived(env, q, nil)
+	}
 	p.arriving = &job.Job{
 		ID: id, User: 1000 + queued/2, Submit: env.now, Runtime: 1800, Estimate: 3600,
 		Nodes: 32,
@@ -86,10 +91,13 @@ type ArrivalProbe struct {
 	arriving *job.Job
 }
 
-// Arrive runs one JobArrived against the probe state.
+// Arrive runs one JobArrived against the probe state, then takes the
+// probe job back out of the engine's queue so every replay sees the same
+// standing queue.
 func (p *ArrivalProbe) Arrive() {
 	delete(p.engine.fst, p.arriving.ID) // keep the table size fixed across replays
-	p.engine.JobArrived(p.env, p.arriving, p.queue)
+	p.engine.JobArrived(p.env, p.arriving, nil)
+	p.engine.dequeue(p.arriving)
 }
 
 // MeasureArrivalCost times `arrivals` replays of the hot path and reports

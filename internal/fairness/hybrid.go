@@ -22,10 +22,15 @@ import (
 // (fairshare list scheduling) instead of the policy under test, so values
 // are comparable across schedulers.
 //
-// The engine is incremental: the running set's availability multiset is
+// The engine is incremental. The running set's availability multiset is
 // maintained across events by the JobStarted/JobCompleted hooks (one add
 // and one remove per job) instead of being re-derived from env.Running()
-// at every arrival, and the per-arrival reference schedule reuses
+// at every arrival. The engine also keeps its own queue of first segments
+// (FST queue = arrived first segments − started), inserted at arrival and
+// removed at start, in fairshare order: between arrivals only running
+// users' usage moves, so the queue is usually still sorted after its keys
+// are refreshed, and the jobs ahead of an arrival are the prefix before
+// its binary-search position. The per-arrival reference schedule reuses
 // persistent scratch buffers, so the steady-state hot path is
 // allocation-free. It deliberately does NOT read the simulator's shared
 // sim.Env.Availability() profile: that profile promises release times from
@@ -46,14 +51,18 @@ type HybridFST struct {
 	// schedule consumes; seeded from base plus the free-nodes-now entry and
 	// reused across arrivals.
 	scratch availability
-	// ahead is the reused buffer of queued jobs the fairshare order places
-	// ahead of the arriving job, with their priority keys precomputed.
-	ahead []aheadJob
+	// queue holds the queued first segments (Segment <= 1) in fairshare
+	// order over the usage keys last refreshed. Restart segments never
+	// enter: a restart's remaining chain is already accounted for in the
+	// availability via its running predecessor or, if queued, by the
+	// logical job's own first segment (upfront splitting).
+	queue []queuedJob
 }
 
-// aheadJob pairs a queued job with its precomputed fairshare priority key,
-// so the reference-order sort never re-reads the usage map.
-type aheadJob struct {
+// queuedJob pairs a queued job with its fairshare priority key, refreshed
+// once per arrival, so the reference-order compares never re-read the
+// usage ledger.
+type queuedJob struct {
 	job   *job.Job
 	usage float64
 }
@@ -64,10 +73,11 @@ func NewHybridFST() *HybridFST {
 	return &HybridFST{fst: make(map[job.ID]int64)}
 }
 
-// JobStarted implements sim.Observer: the job's nodes re-enter the
-// availability multiset at its true completion time.
+// JobStarted implements sim.Observer: the job leaves the FST queue, and its
+// nodes re-enter the availability multiset at its true completion time.
 func (h *HybridFST) JobStarted(env sim.Env, j *job.Job) {
 	h.base.add(env.Now()+j.EffectiveRuntime(), j.Nodes)
+	h.dequeue(j)
 }
 
 // JobCompleted implements sim.Observer: drop exactly the entry JobStarted
@@ -80,7 +90,8 @@ func (h *HybridFST) JobCompleted(_ sim.Env, j *job.Job, start int64) {
 	}
 }
 
-// JobArrived implements sim.Observer.
+// JobArrived implements sim.Observer. The engine schedules from its own
+// queue; the policy's queued slice is not read.
 //
 // Checkpoint chains created by a maximum-runtime policy are one logical job
 // for fairness purposes: in the fair reference schedule (no backfilling,
@@ -91,35 +102,27 @@ func (h *HybridFST) JobCompleted(_ sim.Env, j *job.Job, start int64) {
 // entry, so the unfairness denominators count user-submitted jobs).
 //
 // Jobs the fairshare order places after the arriving job cannot influence a
-// no-backfill list schedule, so only the jobs ahead of it are selected,
-// sorted and placed — the rest of the queue is never touched.
-func (h *HybridFST) JobArrived(env sim.Env, j *job.Job, queued []*job.Job) {
+// no-backfill list schedule, so only the queue's prefix ahead of it is
+// placed — the rest of the queue is never touched.
+func (h *HybridFST) JobArrived(env sim.Env, j *job.Job, _ []*job.Job) {
 	if j.Segment > 1 {
 		return // restart of an already-measured logical job
 	}
 	fs := env.Fairshare()
-	target := aheadJob{job: j, usage: fs.Usage(j.User)}
-	ahead := h.ahead[:0]
-	for _, q := range queued {
-		if q.Segment > 1 {
-			// A restart's remaining chain is already accounted for in the
-			// availability via its running predecessor or, if queued, by
-			// the logical job's own first segment (upfront splitting).
-			continue
-		}
-		qa := aheadJob{job: q, usage: fs.Usage(q.User)}
-		if aheadLess(qa, target) {
-			ahead = append(ahead, qa)
-		}
+	for i := range h.queue {
+		h.queue[i].usage = fs.Usage(h.queue[i].job.User)
 	}
 	// The fairshare order is total over distinct jobs (usage, submission,
 	// id), so a plain (unstable, reflection-free) sort is deterministic.
-	slices.SortFunc(ahead, aheadCmp)
-	h.ahead = ahead
+	if !slices.IsSortedFunc(h.queue, queuedCmp) {
+		slices.SortFunc(h.queue, queuedCmp)
+	}
+	target := queuedJob{job: j, usage: fs.Usage(j.User)}
+	n, _ := slices.BinarySearchFunc(h.queue, target, queuedCmp)
 
 	h.scratch.copyFrom(&h.base)
 	h.scratch.add(env.Now(), env.FreeNodes())
-	for _, q := range ahead {
+	for _, q := range h.queue[:n] {
 		if _, err := h.scratch.allocate(q.job.Nodes, q.job.EffectiveRuntime()); err != nil {
 			panic(fmt.Sprintf("fairness: hybrid FST: %v", err))
 		}
@@ -129,15 +132,27 @@ func (h *HybridFST) JobArrived(env sim.Env, j *job.Job, queued []*job.Job) {
 		panic(fmt.Sprintf("fairness: hybrid FST: %v", err))
 	}
 	h.fst[j.ID] = start
+	h.queue = slices.Insert(h.queue, n, target)
 }
 
-// aheadLess is the fairshare queue order over precomputed keys.
-func aheadLess(a, b aheadJob) bool { return aheadCmp(a, b) < 0 }
+// dequeue removes j from the FST queue, if it is there. Restart segments
+// never entered it.
+func (h *HybridFST) dequeue(j *job.Job) {
+	if j.Segment > 1 {
+		return
+	}
+	for i := range h.queue {
+		if h.queue[i].job == j {
+			h.queue = slices.Delete(h.queue, i, i+1)
+			return
+		}
+	}
+}
 
-// aheadCmp is the fairshare queue order over precomputed keys as a
+// queuedCmp is the fairshare queue order over refreshed keys as a
 // three-way comparison (fairshare.Compare), without re-reading the usage
 // ledger.
-func aheadCmp(a, b aheadJob) int { return fairshare.Compare(a.usage, a.job, b.usage, b.job) }
+func queuedCmp(a, b queuedJob) int { return fairshare.Compare(a.usage, a.job, b.usage, b.job) }
 
 // FST returns the fair start time recorded for a job.
 func (h *HybridFST) FST(id job.ID) (int64, bool) {

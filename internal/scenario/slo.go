@@ -79,6 +79,12 @@ func (t SLOTag) validate() error {
 		if c.Target.Wait < 0 {
 			return fmt.Errorf("slo class %s: negative wait target", name)
 		}
+		if c.Target.Wait > job.MaxTime {
+			// A deadline is submit + wait: bounding both by the horizon
+			// keeps it from wrapping int64 (slo.Builder.AddClass checks
+			// the same bound for library callers).
+			return fmt.Errorf("slo class %s: wait target %ds beyond the %ds horizon", name, c.Target.Wait, int64(job.MaxTime))
+		}
 		if math.IsNaN(c.Target.Slowdown) || math.IsInf(c.Target.Slowdown, 0) {
 			return fmt.Errorf("slo class %s: slowdown target must be finite", name)
 		}
@@ -107,7 +113,9 @@ func (t SLOTag) ContributeSLO(jobs []*job.Job, b *slo.Builder) error {
 	}
 	ordered := orderBands(t.Classes)
 	for _, c := range ordered {
-		b.AddClass(c.band().name(), c.Target)
+		if err := b.AddClass(c.band().name(), c.Target); err != nil {
+			return err
+		}
 	}
 	// Rank users by total processor-seconds ascending (the same heaviness
 	// measure UserFilter's top-K uses; ties toward the lower id in both).

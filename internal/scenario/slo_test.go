@@ -205,12 +205,30 @@ func TestSLOParseRejections(t *testing.T) {
 		"p50:2h,p50:none", // target then best-effort
 		"default:2h,default:3h",
 		"user5:1h,user5:2h",
-		"p50:none,p50:none", // duplicate best-effort declaration
+		"p50:none,p50:none",        // duplicate best-effort declaration
+		"p50:1099511627777s",       // wait target one second past job.MaxTime
+		"p50:9223372036854775807s", // submit + wait would wrap int64
 	}
 	for _, in := range bad {
 		if tr, err := parseSLO(in); err == nil {
 			t.Errorf("parseSLO(%q) accepted: %v", in, tr.Name())
 		}
+	}
+}
+
+// TestSLOWaitTargetHorizon: a wait target may reach job.MaxTime, and a
+// struct-literal tag may not pass it any more than the grammar may
+// (TestSLOParseRejections). Beyond it a
+// queued job's deadline (submit + wait) could wrap negative, sort first
+// under edf and fire the deadline preemption trigger.
+func TestSLOWaitTargetHorizon(t *testing.T) {
+	asg := assignFor(t, fmt.Sprintf("slo=default:%ds", int64(job.MaxTime)), sloJobs())
+	if w, ok := asg.WaitTarget(1); !ok || w != job.MaxTime {
+		t.Fatalf("horizon wait target = %d (ok=%v), want %d", w, ok, int64(job.MaxTime))
+	}
+	tag := SLOTag{Classes: []SLOClass{{Default: true, Target: slo.Target{Wait: job.MaxTime + 1}}}}
+	if err := tag.ContributeSLO(sloJobs(), slo.NewBuilder()); err == nil {
+		t.Fatal("struct-literal wait target past the horizon accepted")
 	}
 }
 

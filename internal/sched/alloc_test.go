@@ -93,24 +93,28 @@ func standingQueue(env *busyEnv, pol *Composite, n int) {
 	}
 }
 
-// TestAggressivePassAllocatesNothing: a warm cplant24.nomax.all scheduling
-// pass whose standing queue is out of priority order sorts it through the
-// reused key buffer and allocates nothing.
+// TestAggressivePassAllocatesNothing: a warm cplant24.nomax.all or edf
+// scheduling pass whose standing queue is out of priority order sorts it
+// through the reused key buffer and allocates nothing. edf runs under an
+// SLO context with at-risk, targeted and untargeted users.
 func TestAggressivePassAllocatesNothing(t *testing.T) {
-	env := newBusyEnv(100)
-	pol := MustParse("cplant24.nomax.all")
-	pol.Reset(env)
-	eng := pol.engine.(*aggressiveEngine)
-	standingQueue(env, pol, 32)
-	allocs := testing.AllocsPerRun(100, func() {
-		slices.Reverse(eng.main)
-		pol.Wake(env)
-		if len(eng.main) != 32 {
-			t.Fatal("a job left the standing queue")
+	for _, spec := range []string{"cplant24.nomax.all", "edf"} {
+		env := newBusyEnv(100)
+		pol := MustParse(spec)
+		pol.SetSLOContext(mapDeadlines{1: 60, 2: 600, 3: job.MaxTime}, riskSet{2: true, 4: true})
+		pol.Reset(env)
+		eng := pol.engine.(*aggressiveEngine)
+		standingQueue(env, pol, 32)
+		allocs := testing.AllocsPerRun(100, func() {
+			slices.Reverse(eng.main)
+			pol.Wake(env)
+			if len(eng.main) != 32 {
+				t.Fatal("a job left the standing queue")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s pass allocates %.1f times, want 0", spec, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm cplant24.nomax.all pass allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -159,7 +159,7 @@ func (c *Composite) NextWake(now int64) (int64, bool) {
 	at, ok := c.engine.nextWake(now)
 	if c.spec.PreemptTrigger == PreemptDeadline && c.slo.deadlines != nil {
 		for _, j := range c.engine.queued() {
-			if d, dok := c.deadlineOf(j); dok && d > now && (!ok || d < at) {
+			if d, dok := c.slo.deadline(j); dok && d > now && (!ok || d < at) {
 				at, ok = d, true
 			}
 		}

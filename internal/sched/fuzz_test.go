@@ -67,8 +67,9 @@ func FuzzParseSpec(f *testing.F) {
 }
 
 // FuzzQueueKeyOrder drives checkQueueSorter: the priority-key sort of every
-// order must equal sort.SliceStable over Order.Less on random queues, and
-// report a change exactly when its input was out of order.
+// order (edf under a random SLO context) must equal sort.SliceStable over
+// Order.Less on random queues, and report a change exactly when its input
+// was out of order.
 func FuzzQueueKeyOrder(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(2), uint8(2))

@@ -16,11 +16,10 @@ import (
 // fairshare order reads decayed usage, the expansion-factor order reads the
 // clock). Orders are stateless; all state lives in the environment.
 //
-// Most orders are also keyOrders: within one scheduling pass their priority
-// is a per-job key, so the engines sort (key, entry) pairs instead of
-// calling Less per comparison. lxf and edf are the comparator exceptions:
-// lxf's cross-multiplied integer compare must not become a float, and edf's
-// breach-risk signal can change mid-pass, as jobs start.
+// Every order but lxf is also a keyOrder: within one sort its priority is a
+// per-job key, so the engines sort (key, entry) pairs instead of calling
+// Less per comparison. lxf is the only comparator order: its
+// cross-multiplied integer compare must not become a float.
 type Order interface {
 	// Name is the grammar token ("fairshare", "fcfs", "sjf", ...).
 	Name() string
@@ -30,11 +29,13 @@ type Order interface {
 	Less(env sim.Env, a, b *job.Job) bool
 }
 
-// keyOrder is an Order whose priority is a per-pass key: within one pass,
-// Less(a, b) holds exactly when fairshare.Compare(key(a), a, key(b), b) < 0
-// — the lower key first, ties by submission then id. fs is the pass's
-// fairshare tracker, fetched once per pass (nil in environments without
-// one; only the fairshare order reads it).
+// keyOrder is an Order whose priority is a per-sort key: while no job
+// starts, Less(a, b) holds exactly when
+// fairshare.Compare(key(a), a, key(b), b) < 0 — the lower key first, ties
+// by submission then id. Keys are read once per entry per sort call, and
+// no job starts inside one. fs is the pass's fairshare tracker, fetched
+// once per sort (nil in environments without one; only the fairshare
+// order reads it).
 type keyOrder interface {
 	Order
 	key(fs *fairshare.Tracker, j *job.Job) float64
@@ -43,12 +44,12 @@ type keyOrder interface {
 // queueSorter sorts an engine's queue entries (E is *job.Job or an engine's
 // wrapper around one) into the order's priority order. A keyOrder's keys
 // are read once per entry per sort into a reused buffer, so a warm sort
-// allocates nothing; lxf and edf go through Less. Job ids are unique, so
+// allocates nothing; lxf goes through Less. Job ids are unique, so
 // the priority order is total and both paths produce exactly the stable
 // sort over Less.
 type queueSorter[E any] struct {
 	order Order
-	keys  keyOrder // order as a keyOrder, nil for the comparator orders
+	keys  keyOrder // order as a keyOrder, nil for lxf
 	jobOf func(E) *job.Job
 	buf   []keyedEntry[E]
 }
@@ -106,9 +107,9 @@ func (s *queueSorter[E]) sort(env sim.Env, q []E, pre func(a, b E) int) bool {
 	return moved
 }
 
-// sortByLess is sort for the comparator orders. Its order check runs from
-// the tail, where arrivals land, so an out-of-order arrival costs one Less
-// call before the sort.
+// sortByLess is sort for the comparator order, lxf. Its order check runs
+// from the tail, where arrivals land, so an out-of-order arrival costs one
+// Less call before the sort.
 func (s *queueSorter[E]) sortByLess(env sim.Env, q []E, pre func(a, b E) int) bool {
 	less := func(a, b E) bool {
 		if pre != nil {
@@ -247,39 +248,45 @@ type sloContext struct {
 	risk      BreachRisk
 }
 
-// edfOrder is earliest-deadline-first over the per-user SLO wait targets:
-// jobs of users the breach-risk signal flags sort first (ties by deadline),
-// then targeted jobs by deadline (submit + wait target), then untargeted
-// jobs in arrival order. Unlike the other orders it is stateful — it reads
-// the run's SLO context — so every Composite gets a fresh instance wired to
-// its own context instead of a shared singleton.
-type edfOrder struct {
-	ctx *sloContext
-}
-
-func (*edfOrder) Name() string { return "edf" }
-
-// deadline returns the job's deadline under the attached SLO context.
-func (o *edfOrder) deadline(j *job.Job) (int64, bool) {
-	if o.ctx == nil || o.ctx.deadlines == nil {
+// deadline returns a job's SLO deadline (submit + the user's wait target);
+// ok is false when the context is nil or the user carries no wait target.
+// Wait targets are at most job.MaxTime (scenario.SLOTag and
+// slo.Builder.AddClass reject more), so the sum cannot wrap.
+func (c *sloContext) deadline(j *job.Job) (int64, bool) {
+	if c == nil || c.deadlines == nil {
 		return 0, false
 	}
-	w, ok := o.ctx.deadlines.WaitTarget(j.User)
+	w, ok := c.deadlines.WaitTarget(j.User)
 	if !ok || w <= 0 {
 		return 0, false
 	}
 	return j.Submit + w, true
 }
 
+// atRisk reports whether the breach-risk signal flags the job's user.
+func (c *sloContext) atRisk(j *job.Job) bool {
+	return c != nil && c.risk != nil && c.risk.UserAtRisk(j.User)
+}
+
+// edfOrder is earliest-deadline-first over the per-user SLO wait targets:
+// jobs of users the breach-risk signal flags sort first (ties by deadline),
+// then targeted jobs by deadline (submit + wait target), then untargeted
+// jobs in arrival order. Unlike the other orders it is stateful — it reads
+// the run's SLO context — so every Composite gets a fresh instance wired to
+// its own context instead of a shared singleton. The breach-risk signal
+// moves only when a job starts or completes, never inside one sort call.
+type edfOrder struct {
+	ctx *sloContext
+}
+
+func (*edfOrder) Name() string { return "edf" }
+
 func (o *edfOrder) Less(_ sim.Env, a, b *job.Job) bool {
-	if o.ctx != nil && o.ctx.risk != nil {
-		ra, rb := o.ctx.risk.UserAtRisk(a.User), o.ctx.risk.UserAtRisk(b.User)
-		if ra != rb {
-			return ra
-		}
+	if ra, rb := o.ctx.atRisk(a), o.ctx.atRisk(b); ra != rb {
+		return ra
 	}
-	da, oka := o.deadline(a)
-	db, okb := o.deadline(b)
+	da, oka := o.ctx.deadline(a)
+	db, okb := o.ctx.deadline(b)
 	if oka != okb {
 		return oka // targeted jobs ahead of untargeted ones
 	}
@@ -287,6 +294,28 @@ func (o *edfOrder) Less(_ sim.Env, a, b *job.Job) bool {
 		return da < db
 	}
 	return arrivalLess(a, b)
+}
+
+// edfClass spaces the key's four classes (at-risk targeted, at-risk
+// untargeted, targeted, untargeted) above every deadline. A deadline is a
+// submit (at most job.MaxTime, or the clock for a preemption remainder)
+// plus a wait target (at most job.MaxTime), so it stays below 2^42 while
+// the clock is below 3·2^40 s (about 100,000 years).
+const edfClass = 1 << 42
+
+// key is (2·!atRisk + !targeted)·2^42 + deadline, with deadline 0 for
+// untargeted jobs so they tie into arrival order. It stays below 2^44, so
+// it is exact in a float64.
+func (o *edfOrder) key(_ *fairshare.Tracker, j *job.Job) float64 {
+	var class int64
+	if !o.ctx.atRisk(j) {
+		class = 2
+	}
+	d, ok := o.ctx.deadline(j)
+	if !ok {
+		class++
+	}
+	return float64(class*edfClass + d)
 }
 
 // orders is the Order registry, in listing order. The edf entry is a

@@ -119,12 +119,32 @@ func randomQueue(r *rand.Rand, n int) []*job.Job {
 	return q
 }
 
+// riskSet is a stub BreachRisk: the users it holds are at risk.
+type riskSet map[int]bool
+
+func (r riskSet) UserAtRisk(user int) bool { return r[user] }
+
+// randomSLOContext gives each of randomQueue's users a random breach-risk
+// flag and either no wait target or one drawn from a small set that
+// reaches job.MaxTime, so deadlines also tie across users and submits.
+func randomSLOContext(r *rand.Rand) *sloContext {
+	targets := []int64{1, 10, 20, job.MaxTime}
+	deadlines, risk := mapDeadlines{}, riskSet{}
+	for u := 1; u <= 4; u++ {
+		if i := r.Intn(len(targets) + 1); i < len(targets) {
+			deadlines[u] = targets[i]
+		}
+		risk[u] = r.Intn(2) == 0
+	}
+	return &sloContext{deadlines: deadlines, risk: risk}
+}
+
 // checkQueueSorter sorts a random queue, and then its sorted form, with a
 // queueSorter under every order and checks the result against
 // sort.SliceStable over Order.Less, and that sort reports a change exactly
-// when its input was out of order. The reservation-first form
-// (byReservation) is checked the same way against the equivalent Less-based
-// comparator.
+// when its input was out of order. edf reads a random SLO context. The
+// reservation-first form (byReservation) is checked the same way against
+// the equivalent Less-based comparator.
 func checkQueueSorter(t *testing.T, r *rand.Rand, n int) {
 	t.Helper()
 	env := &orderEnv{now: 1000, fs: fairshare.NewTracker(fairshare.Config{}, 0)}
@@ -138,6 +158,9 @@ func checkQueueSorter(t *testing.T, r *rand.Rand, n int) {
 	}
 	for _, name := range OrderNames() {
 		o := mustOrder(t, name)
+		if e, ok := o.(*edfOrder); ok {
+			e.ctx = randomSLOContext(r)
+		}
 		want := slices.Clone(q)
 		sort.SliceStable(want, func(i, k int) bool { return o.Less(env, want[i], want[k]) })
 		s := jobSorter(o)
@@ -183,7 +206,7 @@ func TestQueueSorterMatchesComparator(t *testing.T) {
 func TestKeyedOrders(t *testing.T) {
 	for _, name := range OrderNames() {
 		_, keyed := mustOrder(t, name).(keyOrder)
-		if want := name != "lxf" && name != "edf"; keyed != want {
+		if want := name != "lxf"; keyed != want {
 			t.Errorf("%s: keyed = %v, want %v", name, keyed, want)
 		}
 	}

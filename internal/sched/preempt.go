@@ -139,7 +139,7 @@ func (c *Composite) beneficiary(env sim.Env) *job.Job {
 		// Without a deadline source the trigger never fires.
 		now := env.Now()
 		for _, cand := range q {
-			d, ok := c.deadlineOf(cand)
+			d, ok := c.slo.deadline(cand)
 			if !ok || now < d {
 				continue
 			}
@@ -149,17 +149,4 @@ func (c *Composite) beneficiary(env sim.Env) *job.Job {
 		}
 	}
 	return ben
-}
-
-// deadlineOf returns a queued job's SLO deadline (submit + the user's wait
-// target) under the attached SLO context.
-func (c *Composite) deadlineOf(j *job.Job) (int64, bool) {
-	if c.slo.deadlines == nil {
-		return 0, false
-	}
-	w, ok := c.slo.deadlines.WaitTarget(j.User)
-	if !ok || w <= 0 {
-		return 0, false
-	}
-	return j.Submit + w, true
 }

@@ -155,14 +155,21 @@ func NewBuilder() *Builder {
 	return &Builder{classIdx: make(map[string]int), users: make(map[int]string)}
 }
 
-// AddClass registers (or re-targets) a class.
-func (b *Builder) AddClass(name string, t Target) {
+// AddClass registers (or re-targets) a class. It rejects, and leaves the
+// builder unchanged for, a wait target beyond job.MaxTime: a queued job's
+// deadline is submit + wait, and with both at most job.MaxTime the sum
+// cannot wrap negative and jump the queue.
+func (b *Builder) AddClass(name string, t Target) error {
+	if t.Wait > job.MaxTime {
+		return fmt.Errorf("slo: class %s: wait target %ds beyond the %ds horizon", name, t.Wait, int64(job.MaxTime))
+	}
 	if i, ok := b.classIdx[name]; ok {
 		b.classes[i].Target = t
-		return
+		return nil
 	}
 	b.classIdx[name] = len(b.classes)
 	b.classes = append(b.classes, Class{Name: name, Target: t})
+	return nil
 }
 
 // Tag assigns a user to a registered class; it panics on an unknown class

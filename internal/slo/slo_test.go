@@ -58,6 +58,25 @@ func TestBuilderOrderAndOverride(t *testing.T) {
 	}
 }
 
+// TestAddClassRejectsWaitBeyondHorizon: a library caller cannot register a
+// wait target whose deadline (submit + wait) could wrap int64.
+func TestAddClassRejectsWaitBeyondHorizon(t *testing.T) {
+	b := NewBuilder()
+	if err := b.AddClass("edge", Target{Wait: job.MaxTime}); err != nil {
+		t.Fatalf("the horizon itself rejected: %v", err)
+	}
+	if err := b.AddClass("edge", Target{Wait: math.MaxInt64}); err == nil {
+		t.Fatal("AddClass accepted a wait target past job.MaxTime")
+	}
+	if err := b.AddClass("wrap", Target{Wait: job.MaxTime + 1}); err == nil {
+		t.Fatal("AddClass accepted a wait target one second past job.MaxTime")
+	}
+	b.Tag(1, "edge")
+	if cs := b.Build().Classes(); len(cs) != 1 || cs[0].Target.Wait != job.MaxTime {
+		t.Fatalf("a rejected AddClass changed the builder: %+v", cs)
+	}
+}
+
 func TestBuildDropsZeroTargets(t *testing.T) {
 	b := NewBuilder()
 	b.AddClass("besteffort", Target{})
