@@ -63,6 +63,10 @@ func (o *SLOObserver) SetChained(on bool) { o.t.SetChained(on) }
 // users' queued jobs ahead of everything else.
 func (o *SLOObserver) UserAtRisk(user int) bool { return o.t.UserBreached(user) }
 
+// FlaggedUsers implements sched.BreachRisk: the count of users UserAtRisk
+// flags so far, the edf order's key epoch.
+func (o *SLOObserver) FlaggedUsers() int { return o.t.FlaggedUsers() }
+
 // Tracker exposes the accounting core, so partitioned runs can merge the
 // per-partition observers into one report (slo.Tracker.Merge).
 func (o *SLOObserver) Tracker() *slo.Tracker { return o.t }

@@ -25,6 +25,10 @@ import (
 // starved jobs exist the same pass runs over the starvation queue instead,
 // reserving its first reserve-depth heads, with the main queue (in queue
 // order) as the tail backfilled after the rest of the starvation queue.
+//
+// Under a static order the main queue stays sorted between passes:
+// arrivals go in by binary insertion, and promotion, head starts and
+// backfill starts only remove jobs in place.
 type aggressiveEngine struct {
 	comp   *Composite
 	prio   queueSorter[*job.Job]
@@ -37,10 +41,12 @@ type aggressiveEngine struct {
 	qBuf []*job.Job
 }
 
+// reset keeps the sorter's sorted state: an empty queue is sorted under
+// any keys, so a stale epoch cannot misplace the next run's arrivals.
 func (e *aggressiveEngine) reset() { e.main, e.starved = nil, nil }
 
 func (e *aggressiveEngine) arrive(env sim.Env, j *job.Job) {
-	e.main = append(e.main, j)
+	e.main = e.prio.insert(env, e.main, j)
 	e.schedule(env)
 }
 
@@ -62,6 +68,10 @@ func (e *aggressiveEngine) queued() []*job.Job {
 	}
 	e.qBuf = append(append(e.qBuf[:0], e.starved...), e.main...)
 	return e.qBuf
+}
+
+func (e *aggressiveEngine) ranked() ([]*job.Job, bool) {
+	return e.main, len(e.starved) == 0 && e.prio.current()
 }
 
 func (e *aggressiveEngine) schedule(env sim.Env) {

@@ -96,7 +96,9 @@ func standingQueue(env *busyEnv, pol *Composite, n int) {
 // TestAggressivePassAllocatesNothing: a warm cplant24.nomax.all or edf
 // scheduling pass whose standing queue is out of priority order sorts it
 // through the reused key buffer and allocates nothing. edf runs under an
-// SLO context with at-risk, targeted and untargeted users.
+// SLO context with at-risk, targeted and untargeted users; its kept queue
+// forgets its sorted state before each pass, as a breach flip would make
+// it re-sort.
 func TestAggressivePassAllocatesNothing(t *testing.T) {
 	for _, spec := range []string{"cplant24.nomax.all", "edf"} {
 		env := newBusyEnv(100)
@@ -107,6 +109,7 @@ func TestAggressivePassAllocatesNothing(t *testing.T) {
 		standingQueue(env, pol, 32)
 		allocs := testing.AllocsPerRun(100, func() {
 			slices.Reverse(eng.main)
+			eng.prio.at = -1
 			pol.Wake(env)
 			if len(eng.main) != 32 {
 				t.Fatal("a job left the standing queue")
@@ -114,6 +117,77 @@ func TestAggressivePassAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("warm %s pass allocates %.1f times, want 0", spec, allocs)
+		}
+	}
+}
+
+// TestKeptArrivalAllocatesNothing: a warm arrival into a kept queue under
+// fcfs, sjf and edf — a binary insertion on fresh keys, then a pass that
+// finds the queue current and reads no key — allocates nothing. Each run
+// withdraws the fresh job, which keeps the queue sorted.
+func TestKeptArrivalAllocatesNothing(t *testing.T) {
+	for _, spec := range []string{"easy", "easy.sjf", "edf"} {
+		env := newBusyEnv(100)
+		pol := MustParse(spec)
+		pol.SetSLOContext(mapDeadlines{1: 60, 2: 600, 3: job.MaxTime}, riskSet{2: true, 4: true})
+		pol.Reset(env)
+		eng := pol.engine.(*aggressiveEngine)
+		standingQueue(env, pol, 32)
+		fresh := &job.Job{ID: 99, User: 3, Submit: env.now - 50, Runtime: 50, Estimate: 215, Nodes: 2}
+		allocs := testing.AllocsPerRun(100, func() {
+			pol.Arrive(env, fresh)
+			i := slices.Index(eng.main, fresh)
+			if i < 0 || !eng.prio.current() {
+				t.Fatal("fresh arrival not queued into a current kept queue")
+			}
+			eng.main = slices.Delete(eng.main, i, i+1)
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s arrival allocates %.1f times, want 0", spec, allocs)
+		}
+	}
+}
+
+// preemptEnv is a busyEnv whose machine is held by running jobs of
+// different estimates and users, every one of them preemptable; Preempt
+// only counts, so every round sees the same state.
+type preemptEnv struct {
+	*busyEnv
+	preempted int
+}
+
+func (e *preemptEnv) CanPreempt(*job.Job) bool { return true }
+func (e *preemptEnv) Preempt(*job.Job) error   { e.preempted++; return nil }
+
+// TestPreemptOnceAllocatesNothing: a warm preemption round that ranks
+// several candidates — srpt's lowpri victims, and edf's deadline
+// beneficiary with newest and lowpri victims — allocates nothing.
+func TestPreemptOnceAllocatesNothing(t *testing.T) {
+	for _, spec := range []string{"srpt", "edf.preempt", "order=edf+bf=easy+preempt=deadline.newest"} {
+		env := &preemptEnv{busyEnv: newBusyEnv(1000)}
+		env.running = nil
+		for i := range 4 {
+			env.running = append(env.running, sim.RunningJob{Start: int64(10 * i), Job: &job.Job{ID: job.ID(900 + i),
+				User: 5 + i, Submit: 0, Runtime: 5000, Estimate: int64(4000 + 100*i), Nodes: busySize / 4}})
+		}
+		pol := MustParse(spec)
+		pol.SetSLOContext(mapDeadlines{1: 60, 2: 600, 3: job.MaxTime}, riskSet{2: true, 6: true})
+		pol.Reset(env)
+		for i := range 8 {
+			pol.Arrive(env, &job.Job{ID: job.ID(i + 1), User: i%5 + 1, Submit: int64(10 * i),
+				Runtime: 50, Estimate: int64(100 + 10*i), Nodes: busySize/4 + 1 + i})
+		}
+		env.preempted = 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if !pol.preemptOnce(env, env) {
+				t.Fatal("no preemption round")
+			}
+		})
+		if env.preempted < 2*101 {
+			t.Fatalf("%s: %d victims over 101 rounds, want at least 2 a round", spec, env.preempted)
+		}
+		if allocs != 0 {
+			t.Fatalf("warm %s preemption round allocates %.1f times, want 0", spec, allocs)
 		}
 	}
 }

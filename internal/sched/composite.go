@@ -23,6 +23,11 @@ type engine interface {
 	schedule(env sim.Env)
 	nextWake(now int64) (int64, bool)
 	queued() []*job.Job
+	// ranked returns the queue in priority order under the order's present
+	// keys; ok is false when the engine cannot vouch for that (its queue is
+	// not kept sorted, the keys moved since its last sort, or a starvation
+	// queue runs ahead of it).
+	ranked() (q []*job.Job, ok bool)
 }
 
 // Composite is the generic composed scheduling policy: an Order, a backfill
@@ -34,6 +39,7 @@ type Composite struct {
 	spec   Spec
 	engine engine
 	order  Order
+	keys   keyOrder // order as a keyOrder, nil for lxf (preemption ranking)
 
 	// slo carries the run's SLO signals (deadlines, breach risk) for the
 	// edf order and the deadline preemption trigger; SetSLOContext fills it
@@ -62,12 +68,13 @@ func New(spec Spec) (*Composite, error) {
 	}
 	ord, _ := OrderByName(norm.Order) // Validate vetted every component
 	c := &Composite{spec: norm, order: ord}
+	c.keys, _ = ord.(keyOrder)
 	if e, ok := ord.(*edfOrder); ok {
 		e.ctx = &c.slo
 	}
 	switch norm.Backfill {
 	case BackfillNone:
-		c.engine = &listEngine{prio: jobSorter(ord)}
+		c.engine = &listEngine{prio: keptSorter(ord)}
 	case BackfillConservative, BackfillConservativeDynamic:
 		c.engine = &conservativeEngine{
 			prio:    newQueueSorter(ord, func(q *reservedJob) *job.Job { return q.job }),
@@ -81,7 +88,7 @@ func New(spec Spec) (*Composite, error) {
 		case BackfillDepth:
 			depth = norm.Depth
 		}
-		c.engine = &aggressiveEngine{comp: c, prio: jobSorter(ord), depth: depth, starve: newStarvation(norm)}
+		c.engine = &aggressiveEngine{comp: c, prio: keptSorter(ord), depth: depth, starve: newStarvation(norm)}
 	}
 	return c, nil
 }

@@ -185,6 +185,9 @@ func (e *conservativeEngine) nextWake(now int64) (int64, bool) {
 	return t, have
 }
 
+// ranked is never ok: the queue is ordered by reservation first.
+func (e *conservativeEngine) ranked() ([]*job.Job, bool) { return nil, false }
+
 // queued returns the queue in a reused buffer (sim.Policy.Queued callers
 // must not retain the slice).
 func (e *conservativeEngine) queued() []*job.Job {

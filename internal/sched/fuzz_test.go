@@ -79,3 +79,15 @@ func FuzzQueueKeyOrder(f *testing.F) {
 		checkQueueSorter(t, rand.New(rand.NewSource(seed)), int(n%64))
 	})
 }
+
+// FuzzKeptQueue drives checkKeptQueue: under every static order and kept
+// engine, with users flagged at risk mid-run, every scheduling pass must
+// leave the queue a full re-sort over Order.Less would give.
+func FuzzKeptQueue(f *testing.F) {
+	f.Add(int64(1), uint8(5))
+	f.Add(int64(2), uint8(20))
+	f.Add(int64(3), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		checkKeptQueue(t, rand.New(rand.NewSource(seed)), int(n%64))
+	})
+}

@@ -39,7 +39,18 @@ type Order interface {
 type keyOrder interface {
 	Order
 	key(fs *fairshare.Tracker, j *job.Job) float64
+	// epoch is the order's key epoch. A static order's keys change only
+	// when v does: fcfs, sjf, widest and narrowest never move (v is
+	// constant), and edf's v counts the users flagged at risk so far,
+	// which grows exactly when some user's flag flips. fairshare is not
+	// static: its keys are decayed usages, which move with the clock.
+	epoch() (v int, static bool)
 }
+
+// constEpoch is the epoch of the orders whose keys are fixed per job.
+type constEpoch struct{}
+
+func (constEpoch) epoch() (int, bool) { return 0, true }
 
 // queueSorter sorts an engine's queue entries (E is *job.Job or an engine's
 // wrapper around one) into the order's priority order. A keyOrder's keys
@@ -47,11 +58,20 @@ type keyOrder interface {
 // allocates nothing; lxf goes through Less. Job ids are unique, so
 // the priority order is total and both paths produce exactly the stable
 // sort over Less.
+//
+// A kept sorter (keptSorter: a static order, driven by an engine that adds
+// arrivals only through insert and otherwise only removes entries in place)
+// also keeps its queue sorted between passes: sort is a no-op while the
+// key epoch it last sorted under stands. Since the order is total, the
+// kept queue is exactly the queue a full re-sort would give.
 type queueSorter[E any] struct {
 	order Order
 	keys  keyOrder // order as a keyOrder, nil for lxf
 	jobOf func(E) *job.Job
 	buf   []keyedEntry[E]
+
+	kept bool // the queue stays sorted between passes
+	at   int  // kept only: an epoch the queue is sorted under (an empty queue is sorted under any)
 }
 
 // keyedEntry is one queue entry with its per-pass priority key.
@@ -71,11 +91,55 @@ func jobSorter(o Order) queueSorter[*job.Job] {
 	return newQueueSorter(o, func(j *job.Job) *job.Job { return j })
 }
 
+// keptSorter is the jobSorter of an engine that keeps its queue sorted
+// between passes; it is kept only when the order is static (see keyOrder).
+func keptSorter(o Order) queueSorter[*job.Job] {
+	s := jobSorter(o)
+	if s.keys != nil {
+		_, s.kept = s.keys.epoch()
+	}
+	return s
+}
+
+// current reports whether a kept sorter's queue is sorted under the
+// order's present keys.
+func (s *queueSorter[E]) current() bool {
+	if !s.kept {
+		return false
+	}
+	v, _ := s.keys.epoch()
+	return v == s.at
+}
+
+// insert adds an arriving entry to q and returns the grown queue. A kept
+// queue that is current takes it at its binary-search position on fresh
+// keys, so it stays sorted; any other queue appends it for the next sort.
+func (s *queueSorter[E]) insert(env sim.Env, q []E, e E) []E {
+	if !s.current() {
+		return append(q, e)
+	}
+	fs := env.Fairshare()
+	j := s.jobOf(e)
+	k := s.keys.key(fs, j)
+	i, _ := slices.BinarySearchFunc(q, e, func(x, _ E) int {
+		xj := s.jobOf(x)
+		return fairshare.Compare(s.keys.key(fs, xj), xj, k, j)
+	})
+	return slices.Insert(q, i, e)
+}
+
 // sort stable-sorts q into priority order and reports whether it was out of
 // order (false means q is untouched). A non-nil pre orders entries ahead of
 // the priority — the conservative engine's reservation starts — and answers
-// 0 to fall through to it.
+// 0 to fall through to it. A kept sorter whose queue is current returns
+// false without reading a key.
 func (s *queueSorter[E]) sort(env sim.Env, q []E, pre func(a, b E) int) bool {
+	if s.kept {
+		if s.current() {
+			return false
+		}
+		s.at, _ = s.keys.epoch()
+	}
 	if len(q) < 2 {
 		return false
 	}
@@ -137,7 +201,7 @@ func arrivalLess(a, b *job.Job) bool {
 }
 
 // fcfsOrder schedules in arrival order (Figure 1 semantics).
-type fcfsOrder struct{}
+type fcfsOrder struct{ constEpoch }
 
 func (fcfsOrder) Name() string                             { return "fcfs" }
 func (fcfsOrder) Less(_ sim.Env, a, b *job.Job) bool       { return arrivalLess(a, b) }
@@ -152,11 +216,12 @@ func (fairshareOrder) Less(env sim.Env, a, b *job.Job) bool {
 	return env.Fairshare().Less(a, b)
 }
 func (fairshareOrder) key(fs *fairshare.Tracker, j *job.Job) float64 { return fs.Usage(j.User) }
+func (fairshareOrder) epoch() (int, bool)                            { return 0, false }
 
 // sjfOrder is shortest-job-first by the user's wall-clock estimate — the
 // size-based ordering whose fairness trade-offs Dell'Amico et al. ("On Fair
 // Size-Based Scheduling") study. Ties FCFS.
-type sjfOrder struct{}
+type sjfOrder struct{ constEpoch }
 
 func (sjfOrder) Name() string { return "sjf" }
 func (sjfOrder) Less(_ sim.Env, a, b *job.Job) bool {
@@ -198,7 +263,7 @@ func (lxfOrder) Less(env sim.Env, a, b *job.Job) bool {
 // widestOrder schedules the widest jobs (most nodes) first; narrowest the
 // opposite. Width-based orders probe the packing/fairness trade-off the
 // paper's per-width breakdowns (Figures 16-19) measure. Ties FCFS.
-type widestOrder struct{}
+type widestOrder struct{ constEpoch }
 
 func (widestOrder) Name() string { return "widest" }
 func (widestOrder) Less(_ sim.Env, a, b *job.Job) bool {
@@ -209,7 +274,7 @@ func (widestOrder) Less(_ sim.Env, a, b *job.Job) bool {
 }
 func (widestOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return -float64(j.Nodes) }
 
-type narrowestOrder struct{}
+type narrowestOrder struct{ constEpoch }
 
 func (narrowestOrder) Name() string { return "narrowest" }
 func (narrowestOrder) Less(_ sim.Env, a, b *job.Job) bool {
@@ -235,8 +300,13 @@ type DeadlineSource interface {
 // fairness.SLOObserver implements it over the online attainment tracker.
 type BreachRisk interface {
 	// UserAtRisk reports whether the user has already breached (or is
-	// flagged as about to breach) an SLO target this run.
+	// flagged as about to breach) an SLO target this run. A flag never
+	// lifts within a run.
 	UserAtRisk(user int) bool
+	// FlaggedUsers counts the users UserAtRisk flags so far this run. Flags
+	// never lift, so it grows exactly when some user's flag flips: it is
+	// the edf order's key epoch.
+	FlaggedUsers() int
 }
 
 // sloContext carries the per-run SLO signals a deadline-aware Composite
@@ -268,6 +338,15 @@ func (c *sloContext) atRisk(j *job.Job) bool {
 	return c != nil && c.risk != nil && c.risk.UserAtRisk(j.User)
 }
 
+// flagged counts the users the breach-risk signal flags so far (0 without
+// one).
+func (c *sloContext) flagged() int {
+	if c == nil || c.risk == nil {
+		return 0
+	}
+	return c.risk.FlaggedUsers()
+}
+
 // edfOrder is earliest-deadline-first over the per-user SLO wait targets:
 // jobs of users the breach-risk signal flags sort first (ties by deadline),
 // then targeted jobs by deadline (submit + wait target), then untargeted
@@ -275,6 +354,9 @@ func (c *sloContext) atRisk(j *job.Job) bool {
 // the run's SLO context — so every Composite gets a fresh instance wired to
 // its own context instead of a shared singleton. The breach-risk signal
 // moves only when a job starts or completes, never inside one sort call.
+// A job's deadline is fixed and a user's flag flips at most once per run,
+// so its keys move only when the flagged-user count does: that count is
+// its key epoch, and a kept queue re-keys and re-sorts only on a flip.
 type edfOrder struct {
 	ctx *sloContext
 }
@@ -317,6 +399,8 @@ func (o *edfOrder) key(_ *fairshare.Tracker, j *job.Job) float64 {
 	}
 	return float64(class*edfClass + d)
 }
+
+func (o *edfOrder) epoch() (int, bool) { return o.ctx.flagged(), true }
 
 // orders is the Order registry, in listing order. The edf entry is a
 // context-free prototype for listing and validation; OrderByName returns a

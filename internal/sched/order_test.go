@@ -119,10 +119,21 @@ func randomQueue(r *rand.Rand, n int) []*job.Job {
 	return q
 }
 
-// riskSet is a stub BreachRisk: the users it holds are at risk.
+// riskSet is a stub BreachRisk: the users it holds are at risk. Callers
+// that change it mid-run must only flag users, never unflag them.
 type riskSet map[int]bool
 
 func (r riskSet) UserAtRisk(user int) bool { return r[user] }
+
+func (r riskSet) FlaggedUsers() int {
+	n := 0
+	for _, at := range r {
+		if at {
+			n++
+		}
+	}
+	return n
+}
 
 // randomSLOContext gives each of randomQueue's users a random breach-risk
 // flag and either no wait target or one drawn from a small set that
@@ -203,11 +214,20 @@ func TestQueueSorterMatchesComparator(t *testing.T) {
 	}
 }
 
+// TestKeyedOrders pins which orders are keyed (all but lxf) and which of
+// those are static, keeping their queues sorted between passes (all but
+// fairshare).
 func TestKeyedOrders(t *testing.T) {
 	for _, name := range OrderNames() {
-		_, keyed := mustOrder(t, name).(keyOrder)
+		ko, keyed := mustOrder(t, name).(keyOrder)
 		if want := name != "lxf"; keyed != want {
 			t.Errorf("%s: keyed = %v, want %v", name, keyed, want)
+		}
+		if !keyed {
+			continue
+		}
+		if _, static := ko.epoch(); static != slices.Contains(staticOrders, name) {
+			t.Errorf("%s: static = %v", name, static)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
+	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/sim"
 )
@@ -31,11 +34,32 @@ import (
 //     shrinks within a pass (remainders re-enter via the event list, not
 //     the queue), so rounds are bounded by the queue length at entry.
 
-// victim pairs a preemption candidate with its start time (victim-rule
-// sort key).
+// victim pairs a preemption candidate with its start time (newest rule)
+// and its priority key (lowpri rule).
 type victim struct {
 	job   *job.Job
 	start int64
+	key   float64
+}
+
+// prioKey is j's priority key under the composite's order for one
+// preemption round (0 for lxf, which ranks through Less). A round reads
+// each candidate's key once; no job starts before its ranking is done.
+func (c *Composite) prioKey(fs *fairshare.Tracker, j *job.Job) float64 {
+	if c.keys == nil {
+		return 0
+	}
+	return c.keys.key(fs, j)
+}
+
+// before reports whether a (priority key ka) sorts strictly before b (key
+// kb) under the composite's order: fairshare.Compare over the keys, or
+// Less for lxf.
+func (c *Composite) before(env sim.Env, ka float64, a *job.Job, kb float64, b *job.Job) bool {
+	if c.keys == nil {
+		return c.order.Less(env, a, b)
+	}
+	return fairshare.Compare(ka, a, kb, b) < 0
 }
 
 // preemptPass runs preemption rounds until the trigger no longer fires.
@@ -64,7 +88,8 @@ func (c *Composite) preemptPass(env sim.Env) {
 // victim set per the victim rule, and checkpoints it. It reports whether a
 // preemption happened (the caller then reruns the engine pass).
 func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
-	ben := c.beneficiary(env)
+	fs := env.Fairshare()
+	ben, kben := c.beneficiary(env, fs)
 	if ben == nil || ben.Nodes <= env.FreeNodes() {
 		// Nothing blocked on nodes. (A job blocked only by a reservation
 		// constraint while nodes are free is not a preemption case: freeing
@@ -77,10 +102,11 @@ func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
 		// Only strictly-lower-priority work is preemptable for ben, and
 		// only jobs the simulator can actually checkpoint (>= 1s realized
 		// and >= 1s remaining service).
-		if !c.order.Less(env, ben, r.Job) || !p.CanPreempt(r.Job) {
+		k := c.prioKey(fs, r.Job)
+		if !c.before(env, kben, ben, k, r.Job) || !p.CanPreempt(r.Job) {
 			continue
 		}
-		cands = append(cands, victim{job: r.Job, start: r.Start})
+		cands = append(cands, victim{job: r.Job, start: r.Start, key: k})
 	}
 	c.victimBuf = cands
 	total := 0
@@ -93,17 +119,23 @@ func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
 	switch c.spec.PreemptVictim {
 	case VictimNewest:
 		// Most recently started first: least sunk service is thrown away.
-		sort.SliceStable(cands, func(i, k int) bool {
-			if cands[i].start != cands[k].start {
-				return cands[i].start > cands[k].start
+		slices.SortStableFunc(cands, func(a, b victim) int {
+			if d := cmp.Compare(b.start, a.start); d != 0 {
+				return d
 			}
-			return cands[i].job.ID > cands[k].job.ID
+			return cmp.Compare(b.job.ID, a.job.ID)
 		})
 	default: // VictimLowPri
 		// Worst under the queue order first: the running set's lowest
 		// priority work is checkpointed before anything better.
-		sort.SliceStable(cands, func(i, k int) bool {
-			return c.order.Less(env, cands[k].job, cands[i].job)
+		if c.keys == nil {
+			sort.SliceStable(cands, func(i, k int) bool {
+				return c.order.Less(env, cands[k].job, cands[i].job)
+			})
+			break
+		}
+		slices.SortStableFunc(cands, func(a, b victim) int {
+			return fairshare.Compare(b.key, b.job, a.key, a.job)
 		})
 	}
 	freed := 0
@@ -120,33 +152,40 @@ func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
 	return true
 }
 
-// beneficiary returns the queued job the trigger wants to start, or nil
-// when the trigger does not fire.
-func (c *Composite) beneficiary(env sim.Env) *job.Job {
-	q := c.engine.queued()
-	var ben *job.Job
-	switch c.spec.PreemptTrigger {
-	case PreemptReserve:
-		// The blocked head: the highest-priority queued job (the one the
-		// engine's reservation is protecting).
+// beneficiary returns the queued job the trigger wants to start and its
+// priority key, or nil when the trigger does not fire: the highest-priority
+// queued job the trigger accepts. A queue the engine keeps ranked yields
+// the first accepted job without reading a key before it.
+func (c *Composite) beneficiary(env sim.Env, fs *fairshare.Tracker) (*job.Job, float64) {
+	now := env.Now()
+	accept := func(j *job.Job) bool {
+		if c.spec.PreemptTrigger == PreemptDeadline {
+			// Past its SLO deadline. Without a deadline source the trigger
+			// never fires.
+			d, ok := c.slo.deadline(j)
+			return ok && now >= d
+		}
+		// PreemptReserve: the blocked head, the highest-priority queued
+		// job (the one the engine's reservation is protecting).
+		return true
+	}
+	if q, ok := c.engine.ranked(); ok {
 		for _, cand := range q {
-			if ben == nil || c.order.Less(env, cand, ben) {
-				ben = cand
+			if accept(cand) {
+				return cand, c.prioKey(fs, cand)
 			}
 		}
-	case PreemptDeadline:
-		// The highest-priority queued job already past its SLO deadline.
-		// Without a deadline source the trigger never fires.
-		now := env.Now()
-		for _, cand := range q {
-			d, ok := c.slo.deadline(cand)
-			if !ok || now < d {
-				continue
-			}
-			if ben == nil || c.order.Less(env, cand, ben) {
-				ben = cand
-			}
+		return nil, 0
+	}
+	var ben *job.Job
+	var kben float64
+	for _, cand := range c.engine.queued() {
+		if !accept(cand) {
+			continue
+		}
+		if k := c.prioKey(fs, cand); ben == nil || c.before(env, k, cand, kben, ben) {
+			ben, kben = cand, k
 		}
 	}
-	return ben
+	return ben, kben
 }

@@ -261,6 +261,9 @@ type Tracker struct {
 	// the original job's id.
 	chained bool
 	chains  map[job.ID]*chainState
+	// flagged counts the users with at least one breach on the books (the
+	// users UserBreached reports).
+	flagged int
 }
 
 // chainState carries a split chain's accounting between its first
@@ -303,8 +306,24 @@ func (t *Tracker) UserBreached(user int) bool {
 	if !ok {
 		return false
 	}
-	u := &t.users[si]
-	return u.WaitBreaches > 0 || u.SlowBreaches > 0
+	return t.users[si].breached()
+}
+
+// breached reports whether the user has at least one breach on the books.
+func (u *UserStats) breached() bool { return u.WaitBreaches > 0 || u.SlowBreaches > 0 }
+
+// FlaggedUsers counts the users UserBreached reports. A booked breach is
+// never taken back, so during a run the count only grows, and it grows
+// exactly when some user's first breach is booked: sched's edf order uses
+// it as its key epoch, re-sorting its queue only when it moves.
+func (t *Tracker) FlaggedUsers() int { return t.flagged }
+
+// flag counts u into FlaggedUsers if the breach about to be booked is its
+// first.
+func (t *Tracker) flag(u *UserStats) {
+	if !u.breached() {
+		t.flagged++
+	}
 }
 
 // NewTracker builds a tracker over an assignment. The assignment is read
@@ -350,6 +369,7 @@ func (t *Tracker) JobStarted(j *job.Job, start, fairStart int64, hasFST bool) {
 	waitOK := tgt.Wait <= 0 || wait <= tgt.Wait
 	if !waitOK {
 		breach := wait - tgt.Wait
+		t.flag(u)
 		u.WaitBreaches++
 		u.TotalWaitBreach += breach
 		if breach > u.WorstWaitBreach || (breach == u.WorstWaitBreach && j.ID < u.WorstWaitJob) {
@@ -413,6 +433,7 @@ func (t *Tracker) JobCompleted(j *job.Job, start, complete int64) {
 	slow := (float64(wait) + run) / run
 	slowOK := slow <= tgt.Slowdown
 	if !slowOK {
+		t.flag(u)
 		u.SlowBreaches++
 		if slow > u.WorstSlowdown {
 			u.WorstSlowdown = slow
@@ -476,6 +497,7 @@ func (t *Tracker) chainCompleted(j *job.Job, start, complete int64) {
 	slow := (waits + run) / run
 	slowOK := slow <= tgt.Slowdown
 	if !slowOK {
+		t.flag(u)
 		u.SlowBreaches++
 		if slow > u.WorstSlowdown {
 			u.WorstSlowdown = slow
@@ -512,6 +534,12 @@ func (t *Tracker) Merge(o *Tracker) {
 		u.SlowBreaches += ou.SlowBreaches
 		if ou.WorstSlowdown > u.WorstSlowdown {
 			u.WorstSlowdown = ou.WorstSlowdown
+		}
+	}
+	t.flagged = 0
+	for i := range t.users {
+		if t.users[i].breached() {
+			t.flagged++
 		}
 	}
 	for ci := range t.hists {
