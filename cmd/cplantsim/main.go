@@ -24,6 +24,7 @@ import (
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/metrics"
+	"fairsched/internal/scenario"
 	"fairsched/internal/sim"
 	"fairsched/internal/stats"
 	"fairsched/internal/swf"
@@ -37,7 +38,7 @@ func main() {
 		synthetic = flag.Bool("synthetic", false, "generate the synthetic CPlant/Ross trace instead of reading one")
 		seed      = flag.Int64("seed", 42, "synthetic workload seed")
 		scale     = flag.Float64("scale", 1.0, "synthetic workload scale")
-		nodes     = flag.Int("nodes", 0, "system size (default 1000 or trace MaxNodes)")
+		nodes     = flag.Int("nodes", 0, "system size (default: the trace's MaxNodes, else MaxProcs, else 1000 widened to the widest job)")
 		decay     = flag.Float64("decay", 0.5, "fairshare decay factor per interval")
 		interval  = flag.Int64("decay-interval", 24*3600, "fairshare decay interval (seconds)")
 		kill      = flag.String("kill", "never", "wall-clock-limit kill policy: never, when-needed, always")
@@ -72,23 +73,13 @@ func main() {
 	case *synthetic && *in != "":
 		fatal(fmt.Errorf("-in and -synthetic are mutually exclusive"))
 	case *in != "":
-		f, err := os.Open(*in)
+		wl, err := scenario.TraceFileWith(*in, swf.ConvertOptions{KeepCancelled: *keepCanc}).Load(0)
 		if err != nil {
 			fatal(err)
 		}
-		trace, err := swf.Parse(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		jobs = trace.JobsWith(swf.ConvertOptions{KeepCancelled: *keepCanc})
-		epoch = fairshare.EpochFor(trace.Header.UnixStartTime, *interval)
-		if systemSize <= 0 && trace.Header.MaxNodes > 0 {
-			systemSize = trace.Header.MaxNodes
-		}
-		if systemSize <= 0 {
-			systemSize = job.MaxNodes(jobs)
-		}
+		jobs = wl.Jobs
+		epoch = fairshare.EpochFor(wl.UnixStartTime, *interval)
+		systemSize = scenario.SystemSize(jobs, systemSize, wl.SystemSize)
 	default:
 		jobs, err = workload.Generate(workload.Config{Seed: *seed, SystemSize: systemSize, Scale: *scale})
 		if err != nil {

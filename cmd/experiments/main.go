@@ -29,7 +29,6 @@
 //	experiments -slo 'p50:2h,p90:24h,default:96h'   # tag users in every scenario
 //	experiments -topology 'part=a:600,part=b:400,queue=x:part=a,queue=y:part=b' \
 //	    -scenario 'queue=p50:x,default:y'           # partitioned machine, routed users
-//	experiments -topology ... -partition-parallel 4 # parallel per-partition event loops
 //
 // Archive-scale campaigns name their traces in a manifest instead of
 // repeating -trace paths; -cache-dir adds the binary trace cache:
@@ -72,7 +71,7 @@ func main() {
 		in       = flag.String("in", "", "input SWF trace (default: generate the synthetic trace)")
 		seed     = flag.Int64("seed", 42, "synthetic workload / scenario seed")
 		scale    = flag.Float64("scale", 1.0, "synthetic workload scale")
-		nodes    = flag.Int("nodes", 0, "system size (default 1000, or the trace's MaxNodes)")
+		nodes    = flag.Int("nodes", 0, "system size (default: the trace's MaxNodes, else MaxProcs, else 1000 widened to the widest job)")
 		burst    = flag.Float64("burst", 0, "workload burst gamma (default 0.3)")
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		csv      = flag.String("csv", "", "also export every artifact as CSV into this directory")
@@ -84,7 +83,6 @@ func main() {
 		window    = flag.String("window", "", "campaign: slice every scenario to START..END (e.g. 1w..5w)")
 		sloSpec   = flag.String("slo", "", "campaign: tag users with SLO targets in every scenario (e.g. 'p50:2h,p90:24h,default:96h'; see -list-slos)")
 		topoSpec  = flag.String("topology", "", "campaign: partition the machine and hang a queue tree (e.g. 'part=a:600,part=b:400,queue=x:part=a,queue=y:part=b:order=sjf'; route users with -scenario 'queue=...'/'partition=...')")
-		partPar   = flag.Int("partition-parallel", 0, "campaign: how many partition event loops run concurrently per cell (needs -topology; report byte-identical at every width)")
 		listSLOs  = flag.Bool("list-slos", false, "list the SLO grammar and built-in SLO scenarios, then exit")
 		listScens = flag.Bool("list-scenarios", false, "list the built-in scenarios and the spec grammar, then exit")
 		listPols  = flag.Bool("list-policies", false, "list the policy registry and the spec grammar, then exit (-markdown: README table)")
@@ -233,16 +231,12 @@ func main() {
 	}
 	convOpts := swf.ConvertOptions{KeepCancelled: *keepCanc}
 
-	if *partPar != 0 && *topoSpec == "" {
-		fatal(fmt.Errorf("-partition-parallel needs -topology (a flat machine has one event loop)"))
-	}
 	if *topoSpec != "" {
 		topo, err := topology.Parse(*topoSpec)
 		if err != nil {
 			fatal(err)
 		}
 		study.Topology = topo
-		study.PartitionParallel = *partPar
 	}
 
 	if len(traces) > 0 || len(scenarios) > 0 || len(policies) > 0 || *window != "" || *sloSpec != "" || *topoSpec != "" || *manifest != "" {
@@ -296,24 +290,15 @@ func main() {
 	var res *experiments.Results
 	var err error
 	if *in != "" {
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			fatal(ferr)
+		wl, lerr := scenario.TraceFileWith(*in, convOpts).Load(0)
+		if lerr != nil {
+			fatal(lerr)
 		}
-		trace, perr := swf.Parse(f)
-		f.Close()
-		if perr != nil {
-			fatal(perr)
-		}
-		jobs := trace.JobsWith(convOpts)
-		if study.SystemSize <= 0 && trace.Header.MaxNodes > 0 {
-			study.SystemSize = trace.Header.MaxNodes
-		}
+		study.SystemSize = scenario.SystemSize(wl.Jobs, study.SystemSize, wl.SystemSize)
 		// Align fairshare decay to the trace's wall clock (real schedulers
 		// decay at fixed times of day, not at offsets from the first job).
-		study.FairshareEpoch = fairshare.EpochFor(
-			trace.Header.UnixStartTime, study.Fairshare.DecayInterval)
-		res, err = experiments.RunOn(study, jobs, *parallel)
+		study.FairshareEpoch = fairshare.EpochFor(wl.UnixStartTime, study.Fairshare.DecayInterval)
+		res, err = experiments.RunOn(study, wl.Jobs, *parallel)
 	} else {
 		res, err = experiments.Run(experiments.Config{
 			Workload: workload.Config{Seed: *seed, Scale: *scale, SystemSize: *nodes, BurstGamma: *burst},

@@ -5,8 +5,13 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"fairsched/internal/swf"
+	"fairsched/internal/workload"
 )
 
 // TestMain lets a test run this binary as the CLI: with FAIRSCHED_CLI_ARGS
@@ -66,5 +71,40 @@ func TestPolicyTopologyClashFailsBeforeAnyCell(t *testing.T) {
 	code, stdout, stderr := runCLIOutput(t, "-scale 0.02 -nodes 100 -topology queue=x,queue=y -policy order=edf+bf=easy")
 	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, `"order=edf+bf=easy"`) {
 		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no stdout and one stderr line naming the policy", code, stdout, stderr)
+	}
+}
+
+// TestInTraceSizeFallsBackToMaxProcs: a trace header without MaxNodes
+// declares its machine through MaxProcs, so an -in report for a trace whose
+// MaxNodes equals MaxProcs matches the report for the same trace with the
+// MaxNodes line removed.
+func TestInTraceSizeFallsBackToMaxProcs(t *testing.T) {
+	jobs, err := workload.Generate(workload.Config{Seed: 42, Scale: 0.02, SystemSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := swf.Write(&buf, swf.FromJobs(jobs, swf.Header{Version: 2, MaxNodes: 256, MaxProcs: 256})); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.String()
+	stripped := regexp.MustCompile(`(?m)^; MaxNodes: 256\n`).ReplaceAllString(full, "")
+	if stripped == full {
+		t.Fatal("the written trace has no MaxNodes line to remove")
+	}
+	report := func(trace string) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "t.swf") // one base name, so reports can only differ by size
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runCLIOutput(t, "-in "+path+" -parallel 1")
+		if code != 0 {
+			t.Fatalf("-in exited %d: %s", code, stderr)
+		}
+		return regexp.MustCompile(`\(sweep took.*`).ReplaceAllString(stdout, "")
+	}
+	if a, b := report(full), report(stripped); a != b {
+		t.Errorf("-in report differs once the MaxNodes line is removed:\n--- MaxNodes 256 ---\n%s\n--- MaxProcs only ---\n%s", a, b)
 	}
 }

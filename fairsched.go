@@ -164,16 +164,10 @@ type SweepErrors = sweep.Errors
 type SweepRunError = sweep.RunError
 
 // RunExperiments executes the full nine-policy sweep, from which every
-// table and figure of the paper's evaluation can be rendered.
+// table and figure of the paper's evaluation can be rendered, on one worker
+// per CPU. The summaries are byte-identical at every worker count.
 func RunExperiments(cfg StudyConfig, jobs []*Job) (*ExperimentResults, error) {
-	return experiments.RunOn(cfg, jobs, 1)
-}
-
-// RunExperimentsParallel is RunExperiments fanned out over the sweep
-// engine's worker pool (parallel <= 0: one worker per CPU). The resulting
-// summaries are byte-identical to the serial sweep's.
-func RunExperimentsParallel(cfg StudyConfig, jobs []*Job, parallel int) (*ExperimentResults, error) {
-	return experiments.RunOn(cfg, jobs, parallel)
+	return experiments.RunOn(cfg, jobs, 0)
 }
 
 // WriteReport renders a complete experiment sweep (tables, figures,
@@ -411,9 +405,8 @@ func RenderFindings(w io.Writer, e *HypothesisEvaluation) { hypothesis.RenderFin
 // partitions (each with its own node capacity and event loop) and declares a
 // hierarchical queue tree (org → group → user) with per-leaf policy specs and
 // guaranteed/capped shares; scenario queue=/partition= transforms route users
-// into it. Set StudyConfig.Topology (and optionally PartitionParallel) to run
-// on one. A single-partition, single-root-queue topology reproduces the flat
-// run byte-identically.
+// into it. Set StudyConfig.Topology to run on one. A single-partition,
+// single-root-queue topology reproduces the flat run byte-identically.
 type (
 	// Topology is the machine layout: partitions plus the queue tree.
 	Topology = topology.Topology

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"fairsched/internal/job"
+	"fairsched/internal/sched"
 	"fairsched/internal/sim"
 	"fairsched/internal/topology"
 )
@@ -75,6 +78,30 @@ func checkComposedRun(t *testing.T, name string, run *Run, err error, jobs []*jo
 	}
 }
 
+// checkQuota demands the users placed on leaf never hold more than quota
+// nodes at once, counted from the run's records; a completion frees its
+// nodes for a start at the same instant.
+func checkQuota(t *testing.T, name string, run *Run, place *topology.Placement, leaf string, quota int) {
+	t.Helper()
+	type step struct {
+		at    int64
+		nodes int
+	}
+	var steps []step
+	for _, r := range run.Result.Records {
+		if q, ok := place.Queue(r.Job.User); ok && q == leaf {
+			steps = append(steps, step{r.Start, r.Job.Nodes}, step{r.Complete, -r.Job.Nodes})
+		}
+	}
+	slices.SortFunc(steps, func(a, b step) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.nodes, b.nodes)) })
+	held := 0
+	for _, s := range steps {
+		if held += s.nodes; held > quota {
+			t.Fatalf("%s: leaf %s holds %d nodes at %d, over its quota of %d", name, leaf, held, s.at, quota)
+		}
+	}
+}
+
 // composePlacement spreads the workload's six users over the given leaf
 // queues ("" skips one) and partition b.
 func composePlacement(leaves ...string) *topology.Placement {
@@ -117,8 +144,9 @@ func checkPositions(t *testing.T, name string, err error) {
 // cap= quota (its own policy, or on odd chains the inherited cell
 // policy). Every string is either rejected before Execute, with byte
 // positions that start components, or runs a tiny workload to completion
-// under simulator validation. Split mode, kill policy and SLO rotate by
-// index.
+// under simulator validation — on the capped leaf without its users ever
+// holding more nodes than the quota. Split mode, kill policy and SLO
+// rotate by index.
 func TestCompositionProduct(t *testing.T) {
 	var chains []string
 	for _, o := range []string{"fairshare", "fcfs", "sjf", "lxf", "widest", "narrowest", "edf"} {
@@ -193,6 +221,7 @@ func TestCompositionProduct(t *testing.T) {
 		cfg.Topology, cfg.Placement = topo, composePlacement("x", "y")
 		run, err := Execute(cfg, cellSpec, jobs)
 		checkComposedRun(t, p+" (capped leaf)", run, err, jobs)
+		checkQuota(t, p+" (capped leaf)", run, cfg.Placement, "x", sched.QuotaNodes(0.5, 16)) // cap=0.5 of part=a:16
 		accepted[2]++
 	}
 	// Guard the guard: each context must admit a real share of the product.

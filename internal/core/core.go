@@ -116,10 +116,6 @@ type StudyConfig struct {
 	// Topology, queue tags still group per-queue report rows; partition
 	// tags are ignored. Read-only, shareable.
 	Placement *topology.Placement
-	// PartitionParallel bounds how many partition event loops run
-	// concurrently within one Execute (default 1, serial). Results are
-	// byte-identical at every width.
-	PartitionParallel int
 }
 
 // Run is the outcome of one policy over one workload.
@@ -136,10 +132,10 @@ type Run struct {
 
 // Execute runs one spec over the workload and assembles the summary. Every
 // run takes one path: route splits the machine into partitions and the
-// workload across them, build wires each partition's event loop,
-// sim.RunPartitions runs them, and merge folds their results — the
-// identity for one partition. A nil Topology is one default partition
-// carrying everything; it differs from a declared topology only in
+// workload across them, build wires each partition's event loop, the loops
+// run in declaration order on the caller's goroutine, and merge folds their
+// results — the identity for one partition. A nil Topology is one default
+// partition carrying everything; it differs from a declared topology only in
 // checking the spec in the Flat composition context rather than Cell, in
 // allowing the equality observer, and in reading placement tags as report
 // groups rather than routes.
@@ -157,15 +153,20 @@ func Execute(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := make([]sim.PartitionRun, len(l.parts))
+	sims := make([]*sim.Simulator, len(l.parts))
 	for i, p := range l.parts {
-		if runs[i], err = l.build(p, cfg, spec); err != nil {
+		if sims[i], err = l.build(p, cfg, spec); err != nil {
 			return nil, err
 		}
 	}
-	results, err := sim.RunPartitions(cfg.PartitionParallel, runs)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", spec.String(), err)
+	results := make([]*sim.Result, len(l.parts))
+	for i, p := range l.parts {
+		if results[i], err = sims[i].Run(p.jobs); err != nil {
+			if cfg.Topology != nil { // a flat run's errors name no partition
+				err = fmt.Errorf("partition %s: %w", p.Name, err)
+			}
+			return nil, fmt.Errorf("core: %s: %w", spec.String(), err)
+		}
 	}
 	return l.merge(cfg, spec, results), nil
 }

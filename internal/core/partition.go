@@ -17,8 +17,8 @@ import (
 
 // layout is one run split into independent event loops. Every partition
 // is a deterministic simulation over a disjoint workload slice and a
-// disjoint split-segment id range, merged in declaration order, so the
-// result is byte-identical at every PartitionParallel width.
+// disjoint split-segment id range; the loops run one after another and
+// their results merge in declaration order.
 type layout struct {
 	parts []*partition
 	place map[int]place // each user's place; nil for a flat run, which routes nothing
@@ -140,7 +140,7 @@ func route(cfg StudyConfig, spec Spec, workload []*job.Job) (*layout, error) {
 // FST, equality, SLO, and the policy — the spec's Composite when the
 // partition declares no leaves, a MultiQueue over its queue tree when it
 // does.
-func (l *layout) build(p *partition, cfg StudyConfig, spec Spec) (sim.PartitionRun, error) {
+func (l *layout) build(p *partition, cfg StudyConfig, spec Spec) (*sim.Simulator, error) {
 	// Only preemptive specs pay the preemption path (per-job workload
 	// clones, remainder requeues).
 	preempt := spec.PreemptTrigger != ""
@@ -181,31 +181,22 @@ func (l *layout) build(p *partition, cfg StudyConfig, spec Spec) (sim.PartitionR
 	} else {
 		mq, err := sched.NewMultiQueue(p.queues, func(j *job.Job) int { return l.place[j.User].leaf }, cfg.Fairshare, cfg.FairshareEpoch)
 		if err != nil {
-			return sim.PartitionRun{}, fmt.Errorf("core: partition %s: %w", p.Name, err)
+			return nil, fmt.Errorf("core: partition %s: %w", p.Name, err)
 		}
 		pol = mq
 	}
 
-	run := sim.PartitionRun{
-		Config: sim.Config{
-			SystemSize:     p.Nodes,
-			Fairshare:      cfg.Fairshare,
-			FairshareEpoch: cfg.FairshareEpoch,
-			MaxRuntime:     spec.MaxRuntime,
-			Split:          cfg.Split,
-			Kill:           cfg.Kill,
-			Validate:       cfg.Validate,
-			Preemptable:    preempt,
-			FirstSegmentID: p.firstSeg,
-		},
-		Policy:    pol,
-		Observers: observers,
-		Workload:  p.jobs,
-	}
-	if cfg.Topology != nil {
-		run.Name = p.Name // a flat run's errors name no partition
-	}
-	return run, nil
+	return sim.New(sim.Config{
+		SystemSize:     p.Nodes,
+		Fairshare:      cfg.Fairshare,
+		FairshareEpoch: cfg.FairshareEpoch,
+		MaxRuntime:     spec.MaxRuntime,
+		Split:          cfg.Split,
+		Kill:           cfg.Kill,
+		Validate:       cfg.Validate,
+		Preemptable:    preempt,
+		FirstSegmentID: p.firstSeg,
+	}, pol, observers...), nil
 }
 
 // merge folds the partitions' results into one Run, in declaration order.

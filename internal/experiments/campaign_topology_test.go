@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"regexp"
 	"testing"
 
 	"fairsched/internal/core"
@@ -15,7 +16,7 @@ import (
 // topoCampaign is a two-partition campaign whose scenario routes the
 // lighter half of the users to fast/org/a and the rest to slow/org/b, with
 // an SLO assignment so the per-queue attainment columns are live.
-func topoCampaign(t *testing.T, parallel, partitionParallel int) sweep.Campaign {
+func topoCampaign(t *testing.T, parallel int) sweep.Campaign {
 	t.Helper()
 	topo, err := topology.Parse("part=fast:100,part=slow:100," +
 		"queue=org/a:part=fast:guar=2,queue=org/b:part=slow")
@@ -29,21 +30,20 @@ func topoCampaign(t *testing.T, parallel, partitionParallel int) sweep.Campaign 
 		Scenarios: []scenario.Scenario{
 			mustBuiltinParse("queue=p50:org/a,default:org/b+slo=p50:30m,default:4h"),
 		},
-		Seeds: []int64{42, 43},
-		Specs: mustSpecsSLO(t, "cplant24.nomax.all", "easy"),
-		Study: core.StudyConfig{
-			SystemSize: 100, Topology: topo, PartitionParallel: partitionParallel,
-		},
+		Seeds:    []int64{42, 43},
+		Specs:    mustSpecsSLO(t, "cplant24.nomax.all", "easy"),
+		Study:    core.StudyConfig{SystemSize: 100, Topology: topo},
 		Parallel: parallel,
 	}
 }
 
 // TestCampaignTopologyDeterministicAcrossParallelism: a multi-partition
-// campaign report must be byte-identical at every per-partition
-// parallelism width and every worker count.
+// campaign report must be byte-identical at every worker count, and its
+// cell headers name the machine the cell ran on — both partitions, not the
+// study's default size.
 func TestCampaignTopologyDeterministicAcrossParallelism(t *testing.T) {
-	render := func(parallel, partitionParallel int) string {
-		cells, err := topoCampaign(t, parallel, partitionParallel).Run()
+	render := func(parallel int) string {
+		cells, err := topoCampaign(t, parallel).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,20 +51,19 @@ func TestCampaignTopologyDeterministicAcrossParallelism(t *testing.T) {
 		experiments.RenderCampaign(&buf, cells)
 		return buf.String()
 	}
-	serial := render(1, 1)
+	serial := render(1)
 	for _, probe := range []string{"per-queue", "per-partition", "org/a", "org/b", "SLO attainment"} {
 		if !bytes.Contains([]byte(serial), []byte(probe)) {
 			t.Fatalf("topology campaign report misses %q:\n%s", probe, serial)
 		}
 	}
-	if got := render(1, 8); got != serial {
-		t.Fatal("report differs between -partition-parallel 1 and 8")
+	for _, seed := range []string{"(seed 42)", "(seed 43)"} {
+		if !regexp.MustCompile(regexp.QuoteMeta(seed) + ` — \d+ jobs on 200 nodes\n`).MatchString(serial) {
+			t.Fatalf("the %s cell header does not name the 200-node machine:\n%s", seed, serial)
+		}
 	}
-	if got := render(8, 4); got != serial {
-		t.Fatal("report differs between -parallel 1 and 8 (partition-parallel 4)")
-	}
-	if got := render(8, 8); got != serial {
-		t.Fatal("report differs between -parallel 1 and 8 (partition-parallel 8)")
+	if got := render(8); got != serial {
+		t.Fatal("report differs between -parallel 1 and 8")
 	}
 }
 

@@ -220,3 +220,25 @@ func TestWithAppendsTransforms(t *testing.T) {
 		t.Fatalf("With result wrong: %+v", sliced)
 	}
 }
+
+// TestSystemSize pins the one machine-size rule: the first positive
+// declared size, else 1000 nodes widened to the widest job.
+func TestSystemSize(t *testing.T) {
+	wide := append(testJobs(), &job.Job{ID: 5, User: 4, Nodes: 1500})
+	for _, tc := range []struct {
+		jobs     []*job.Job
+		declared []int
+		want     int
+	}{
+		{testJobs(), []int{128, 256}, 128},
+		{testJobs(), []int{0, 256}, 256},
+		{testJobs(), []int{-1, 0}, 1000},
+		{testJobs(), nil, 1000},
+		{wide, nil, 1500},
+		{wide, []int{0, 64}, 64}, // a declared size is never widened
+	} {
+		if got := SystemSize(tc.jobs, tc.declared...); got != tc.want {
+			t.Errorf("SystemSize(widest %d, %v) = %d, want %d", job.MaxNodes(tc.jobs), tc.declared, got, tc.want)
+		}
+	}
+}

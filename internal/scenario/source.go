@@ -16,7 +16,8 @@ import (
 // campaign needs to configure the simulator around it.
 type Workload struct {
 	Jobs []*job.Job
-	// SystemSize is the trace-declared node count (0 when unknown).
+	// SystemSize is the trace-declared node count: MaxNodes, else MaxProcs
+	// (0 when the header declares neither).
 	SystemSize int
 	// UnixStartTime is the trace's wall-clock origin (0 when unknown); it
 	// aligns fairshare decay boundaries to real days.
@@ -25,6 +26,18 @@ type Workload struct {
 	// the trace does not declare one); manifest entries set it, and a
 	// campaign uses it when the study leaves the epoch unset.
 	FairshareEpoch int64
+}
+
+// SystemSize is the one machine-size rule for a loaded workload: the first
+// positive declared size (callers pass the study's, then the Workload's),
+// else the simulator default of 1000 nodes widened to fit the widest job.
+func SystemSize(jobs []*job.Job, declared ...int) int {
+	for _, n := range declared {
+		if n > 0 {
+			return n
+		}
+	}
+	return max(1000, job.MaxNodes(jobs))
 }
 
 // Source names one workload a campaign can load on demand. Load is called

@@ -46,7 +46,9 @@ type Cell struct {
 	Source   string
 	Scenario string
 	Seed     int64
-	// SystemSize and Epoch are the resolved per-cell simulator settings.
+	// SystemSize is the machine the cell's runs ran on: the sum of its
+	// partitions' nodes under a topology. Epoch is the resolved fairshare
+	// decay epoch.
 	SystemSize int
 	Epoch      int64
 	Jobs       []*job.Job
@@ -206,13 +208,12 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 	for ci, g := range grid {
 		cellRuns := runs[ci*len(specs) : (ci+1)*len(specs)]
 		sum := &CellSummary{
-			Source:     srcs[g[0]].Name,
-			Scenario:   scens[g[1]].Name,
-			Seed:       seeds[g[2]],
-			SystemSize: states[ci].study.SystemSize,
-			Jobs:       states[ci].jobCount,
-			Policies:   make([]string, len(cellRuns)),
-			Summaries:  make([]*metrics.Summary, len(cellRuns)),
+			Source:    srcs[g[0]].Name,
+			Scenario:  scens[g[1]].Name,
+			Seed:      seeds[g[2]],
+			Jobs:      states[ci].jobCount,
+			Policies:  make([]string, len(cellRuns)),
+			Summaries: make([]*metrics.Summary, len(cellRuns)),
 		}
 		complete := true
 		for i, r := range cellRuns {
@@ -229,8 +230,9 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 				sum.SLOs[i] = r.SLO
 			}
 		}
-		if complete {
-			out[ci] = sum // any failed policy fails its whole cell
+		if complete { // any failed policy fails its whole cell
+			sum.SystemSize = cellRuns[0].Result.SystemSize
+			out[ci] = sum
 		}
 	}
 	return out, err
@@ -273,17 +275,7 @@ func (c Campaign) loadCell(src scenario.Source, scen scenario.Scenario, seed int
 	if placement != nil {
 		study.Placement = placement
 	}
-	if study.SystemSize <= 0 {
-		study.SystemSize = wl.SystemSize
-	}
-	if study.SystemSize <= 0 {
-		// No declared size anywhere: the simulator default, widened to fit
-		// the workload's widest job.
-		study.SystemSize = 1000
-		if w := job.MaxNodes(jobs); w > study.SystemSize {
-			study.SystemSize = w
-		}
-	}
+	study.SystemSize = scenario.SystemSize(jobs, study.SystemSize, wl.SystemSize)
 	if study.FairshareEpoch == 0 && wl.FairshareEpoch != 0 {
 		// Manifest-declared default epoch: a study-level setting still wins.
 		study.FairshareEpoch = wl.FairshareEpoch
@@ -305,13 +297,12 @@ func (c Campaign) runCell(src scenario.Source, scen scenario.Scenario, seed int6
 		return nil, err
 	}
 	cell := &Cell{
-		Source:     src.Name,
-		Scenario:   scen.Name,
-		Seed:       seed,
-		SystemSize: study.SystemSize,
-		Epoch:      study.FairshareEpoch,
-		Jobs:       jobs,
-		Runs:       make([]*core.Run, len(specs)),
+		Source:   src.Name,
+		Scenario: scen.Name,
+		Seed:     seed,
+		Epoch:    study.FairshareEpoch,
+		Jobs:     jobs,
+		Runs:     make([]*core.Run, len(specs)),
 	}
 	for i, sp := range specs {
 		r, err := core.Execute(study, sp, jobs)
@@ -320,5 +311,6 @@ func (c Campaign) runCell(src scenario.Source, scen scenario.Scenario, seed int6
 		}
 		cell.Runs[i] = r
 	}
+	cell.SystemSize = cell.Runs[0].Result.SystemSize
 	return cell, nil
 }
