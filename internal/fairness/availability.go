@@ -18,8 +18,16 @@ import (
 // describes it per node ("a list scheduler keeps track of a completion time
 // for each node"); run-length encoding over times is equivalent and keeps
 // each operation O(distinct times) instead of O(system size).
+//
+// The live entries are entries[head:], sorted by time. allocate consumes
+// from the front, so it only advances head; add shifts whichever side of
+// its insertion point is shorter, reusing the vacated front slots. The
+// backing array is compacted when it fills with at least as many vacated
+// slots as live entries, so it stays within a constant factor of the
+// largest live size.
 type availability struct {
 	entries []availEntry
+	head    int
 	total   int
 }
 
@@ -45,16 +53,38 @@ func newAvailability(now int64, free int, running []sim.RunningJob) *availabilit
 	return a
 }
 
+// live returns the multiset's entries in time order.
+func (a *availability) live() []availEntry { return a.entries[a.head:] }
+
+// search returns the index in entries of the first live entry at or after t.
+func (a *availability) search(t int64) int {
+	return a.head + sort.Search(len(a.entries)-a.head, func(i int) bool { return a.entries[a.head+i].t >= t })
+}
+
 // add inserts n nodes becoming free at t, merging equal times.
 func (a *availability) add(t int64, n int) {
 	if n <= 0 {
 		return
 	}
 	a.total += n
-	i := sort.Search(len(a.entries), func(i int) bool { return a.entries[i].t >= t })
+	i := a.search(t)
 	if i < len(a.entries) && a.entries[i].t == t {
 		a.entries[i].n += n
 		return
+	}
+	if a.head > 0 && i-a.head < len(a.entries)-i {
+		// Shift the shorter front side into the vacated slot before it.
+		a.head--
+		copy(a.entries[a.head:i-1], a.entries[a.head+1:i])
+		a.entries[i-1] = availEntry{t: t, n: n}
+		return
+	}
+	if len(a.entries) == cap(a.entries) && a.head >= len(a.entries)-a.head {
+		// Full, and at least half of it vacated: compact instead of growing.
+		live := copy(a.entries, a.entries[a.head:])
+		a.entries = a.entries[:live]
+		i -= a.head
+		a.head = 0
 	}
 	a.entries = append(a.entries, availEntry{})
 	copy(a.entries[i+1:], a.entries[i:])
@@ -67,15 +97,20 @@ func (a *availability) remove(t int64, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	i := sort.Search(len(a.entries), func(i int) bool { return a.entries[i].t >= t })
+	i := a.search(t)
 	if i >= len(a.entries) || a.entries[i].t != t || a.entries[i].n < n {
 		return fmt.Errorf("fairness: no %d nodes releasing at t=%d in multiset", n, t)
 	}
 	a.entries[i].n -= n
 	a.total -= n
 	if a.entries[i].n == 0 {
-		copy(a.entries[i:], a.entries[i+1:])
-		a.entries = a.entries[:len(a.entries)-1]
+		if i-a.head < len(a.entries)-1-i {
+			copy(a.entries[a.head+1:i+1], a.entries[a.head:i])
+			a.head++
+		} else {
+			copy(a.entries[i:], a.entries[i+1:])
+			a.entries = a.entries[:len(a.entries)-1]
+		}
 	}
 	return nil
 }
@@ -83,13 +118,15 @@ func (a *availability) remove(t int64, n int) error {
 // reset empties the multiset in place, keeping the backing array.
 func (a *availability) reset() {
 	a.entries = a.entries[:0]
+	a.head = 0
 	a.total = 0
 }
 
 // copyFrom makes a an exact copy of src, reusing a's backing array — the
 // allocation-free seeding step of the per-arrival scratch multiset.
 func (a *availability) copyFrom(src *availability) {
-	a.entries = append(a.entries[:0], src.entries...)
+	a.entries = append(a.entries[:0], src.live()...)
+	a.head = 0
 	a.total = src.total
 }
 
@@ -102,7 +139,7 @@ func (a *availability) allocate(nodes int, runtime int64) (int64, error) {
 		return 0, fmt.Errorf("fairness: job needs %d nodes, multiset holds %d", nodes, a.total)
 	}
 	need := nodes
-	idx := 0
+	idx := a.head
 	for ; idx < len(a.entries); idx++ {
 		if a.entries[idx].n >= need {
 			break
@@ -110,16 +147,17 @@ func (a *availability) allocate(nodes int, runtime int64) (int64, error) {
 		need -= a.entries[idx].n
 	}
 	start := a.entries[idx].t
-	// Consume the `need` nodes from entry idx and all of entries [0, idx),
-	// compacting in place: a forward re-slice would pin the vacated head of
-	// the backing array for the multiset's whole lifetime.
+	// Consume the `need` nodes from entry idx and all live entries before
+	// it by advancing the head.
 	if a.entries[idx].n == need {
 		idx++
 	} else {
 		a.entries[idx].n -= need
 	}
-	kept := copy(a.entries, a.entries[idx:])
-	a.entries = a.entries[:kept]
+	a.head = idx
+	if a.head == len(a.entries) {
+		a.entries, a.head = a.entries[:0], 0
+	}
 	a.total -= nodes
 	a.add(start+runtime, nodes)
 	return start, nil

@@ -2,6 +2,7 @@ package fairness
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -97,7 +98,7 @@ func TestRemoveInvertsAdd(t *testing.T) {
 	if err := a.remove(50, 3); err != nil {
 		t.Fatal(err)
 	}
-	if a.Total() != 0 || len(a.entries) != 0 {
+	if a.Total() != 0 || len(a.live()) != 0 {
 		t.Fatalf("multiset not empty after removing everything: %+v", a)
 	}
 }
@@ -110,24 +111,24 @@ func TestCopyFromAndReset(t *testing.T) {
 	src.add(20, 5)
 	var dst availability
 	dst.copyFrom(src)
-	if dst.Total() != 7 || len(dst.entries) != 2 {
+	if dst.Total() != 7 || len(dst.live()) != 2 {
 		t.Fatalf("copy = %+v", dst)
 	}
 	if _, err := dst.allocate(6, 100); err != nil {
 		t.Fatal(err)
 	}
-	if src.Total() != 7 || len(src.entries) != 2 || src.entries[0] != (availEntry{t: 10, n: 2}) {
+	if src.Total() != 7 || len(src.live()) != 2 || src.live()[0] != (availEntry{t: 10, n: 2}) {
 		t.Fatalf("source mutated by copy's allocation: %+v", src)
 	}
 	dst.reset()
-	if dst.Total() != 0 || len(dst.entries) != 0 {
+	if dst.Total() != 0 || len(dst.live()) != 0 {
 		t.Fatalf("reset left %+v", dst)
 	}
 }
 
-// TestAllocateDoesNotPinBackingArray: repeated allocations must compact in
-// place rather than re-slicing forward, so the backing array's head stays
-// reusable across a long run.
+// TestAllocateDoesNotPinBackingArray: repeated allocations advance the head
+// and reuse the vacated slots, so the backing array does not grow across a
+// long run.
 func TestAllocateDoesNotPinBackingArray(t *testing.T) {
 	a := &availability{}
 	a.add(0, 8)
@@ -138,6 +139,21 @@ func TestAllocateDoesNotPinBackingArray(t *testing.T) {
 	}
 	if cap(a.entries) > 16 {
 		t.Fatalf("backing array grew to %d entries over steady-state allocations", cap(a.entries))
+	}
+	// Three single-node entries, one consumed and one appended per
+	// allocation: the live set never empties, so only compaction bounds
+	// the array.
+	a.reset()
+	for at := range int64(3) {
+		a.add(at, 1)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := a.allocate(1, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.live()) != 3 || cap(a.entries) > 16 {
+		t.Fatalf("%d live entries in a backing array of %d over steady-state allocations", len(a.live()), cap(a.entries))
 	}
 }
 
@@ -194,4 +210,111 @@ func TestQuickAllocateMatchesPerNodeReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzAvailabilityOps drives two multisets through random add, remove,
+// allocate, copyFrom and reset sequences against the paper's per-node
+// formulation ("a completion time for each node"): Total, every allocation's
+// start and every error must match, the live entries must be the per-node
+// times run-length encoded in order, and the backing array must stay within
+// a constant factor of the largest live size.
+func FuzzAvailabilityOps(f *testing.F) {
+	f.Add([]byte{0, 3, 4, 0, 9, 2, 2, 5, 7, 2, 1, 3, 0, 0, 6, 1, 9, 1})
+	f.Add([]byte{0, 30, 7, 0, 1, 7, 2, 13, 9, 3, 0, 0, 130, 2, 2, 0, 0, 5, 1, 0, 5, 4, 0, 0})
+	f.Add([]byte{0, 0, 7, 2, 6, 1, 2, 6, 1, 2, 6, 1, 0, 1, 3, 0, 2, 3, 1, 2, 3, 2, 0, 1})
+	f.Fuzz(checkAvailabilityOps)
+}
+
+func checkAvailabilityOps(t *testing.T, data []byte) {
+	if len(data) > 3*96 {
+		data = data[:3*96] // the per-op reference check is linear in the ops so far
+	}
+	var sets [2]availability
+	var refs [2][]int64 // per-node release times
+	var maxLive [2]int
+	for ; len(data) >= 3; data = data[3:] {
+		op, x, y := data[0], data[1], data[2]
+		k := int(op >> 7)
+		a, ref := &sets[k], &refs[k]
+		switch op % 5 {
+		case 0:
+			at, n := int64(x%32), int(y%8)
+			a.add(at, n)
+			for ; n > 0; n-- {
+				*ref = append(*ref, at)
+			}
+		case 1:
+			at, n := int64(x%32), int(y%8)+1
+			err := a.remove(at, n)
+			if have := countOf(*ref, at); have < n {
+				if err == nil {
+					t.Fatalf("remove(%d, %d) of %d nodes succeeded", at, n, have)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := len(*ref) - 1; n > 0; i-- {
+				if (*ref)[i] == at {
+					*ref = slices.Delete(*ref, i, i+1)
+					n--
+				}
+			}
+		case 2:
+			nodes, runtime := int(x%16)+1, int64(y%32)
+			start, err := a.allocate(nodes, runtime)
+			if nodes > len(*ref) {
+				if err == nil {
+					t.Fatalf("allocate(%d) on %d nodes succeeded", nodes, len(*ref))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(*ref)
+			if want := (*ref)[nodes-1]; start != want {
+				t.Fatalf("allocate(%d, %d) started at %d, per-node reference %d", nodes, runtime, start, want)
+			}
+			for i := range nodes {
+				(*ref)[i] = start + runtime
+			}
+		case 3:
+			a.copyFrom(&sets[1-k])
+			*ref = slices.Clone(refs[1-k])
+		case 4:
+			a.reset()
+			*ref = (*ref)[:0]
+		}
+		if a.Total() != len(*ref) {
+			t.Fatalf("Total() = %d, per-node reference holds %d", a.Total(), len(*ref))
+		}
+		slices.Sort(*ref)
+		var want []availEntry
+		for _, at := range *ref {
+			if n := len(want); n > 0 && want[n-1].t == at {
+				want[n-1].n++
+			} else {
+				want = append(want, availEntry{t: at, n: 1})
+			}
+		}
+		if !slices.Equal(a.live(), want) {
+			t.Fatalf("live entries %v, per-node reference %v", a.live(), want)
+		}
+		maxLive[k] = max(maxLive[k], len(want))
+		if cap(a.entries) > 4*maxLive[k]+8 {
+			t.Fatalf("backing array holds %d entries for at most %d live", cap(a.entries), maxLive[k])
+		}
+	}
+}
+
+func countOf(ref []int64, at int64) int {
+	n := 0
+	for _, t := range ref {
+		if t == at {
+			n++
+		}
+	}
+	return n
 }

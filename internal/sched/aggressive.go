@@ -79,33 +79,27 @@ func (e *aggressiveEngine) schedule(env sim.Env) {
 		e.main, e.starved = e.starve.promote(env, e.main, e.starved)
 		// The starved heads start before the main queue is ordered: a start
 		// can change what the order reads (edf's breach risk).
-		startHeads(env, &e.starved)
+		e.comp.startHeads(env, &e.starved)
 	}
 	e.prio.sort(env, e.main, nil)
 	if len(e.starved) > 0 {
 		e.starved, e.main = e.backfill(env, e.starved, e.starve.depth, e.main)
 		return
 	}
-	startHeads(env, &e.main)
+	e.comp.startHeads(env, &e.main)
 	e.main, _ = e.backfill(env, e.main, e.depth, nil)
-}
-
-// startHeads starts the heads of *q while they fit the free nodes. It
-// shortens *q before each start, because observers may read the queue
-// (sim.Policy.Queued) from inside env.Start.
-func startHeads(env sim.Env, q *[]*job.Job) {
-	for len(*q) > 0 && (*q)[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		*q, head = popHead(*q)
-		if err := env.Start(head); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // backfill reserves q's first depth jobs and starts every other job of q,
 // then of tail, in order, that delays none of those reservations. It
 // returns the jobs of q and of tail left queued.
+//
+// A pass costs in proportion to the candidates that fit the free nodes:
+// startAdmitted skips the others on the free count alone, and the
+// reservations are placed only when the first candidate fits. No job has
+// started in the pass before then, so they are the reservations an
+// up-front placement would make, and a pass where nothing fits never
+// builds the availability profile.
 //
 // Up to one reservation needs no mutable profile. The shared availability
 // profile only gains capacity over time, so the head's reservation time and
@@ -116,51 +110,54 @@ func startHeads(env sim.Env, q *[]*job.Job) {
 // TestShadowRuleMatchesProfileRule pins that the two tests agree at depth 1.
 func (e *aggressiveEngine) backfill(env sim.Env, q []*job.Job, depth int, tail []*job.Job) ([]*job.Job, []*job.Job) {
 	depth = min(depth, len(q))
-	now := env.Now()
+	now, free := env.Now(), env.FreeNodes()
 	resAt, shadow := int64(math.MaxInt64), 0
 	var prof *profile.Profile
-	switch {
-	case depth == 1:
-		resAt, shadow = reservation(env, q[0].Nodes)
-	case depth > 1:
-		prof = e.comp.scratchFrom(env)
-		for _, r := range q[:depth] {
-			if _, err := reserve(prof, now, r); err != nil {
-				panic(err)
+	placed := depth == 0
+	admit := func(c *job.Job) bool {
+		if !placed {
+			placed = true
+			if depth == 1 {
+				resAt, shadow = reservation(env, q[0].Nodes)
+			} else {
+				prof = e.comp.scratchFrom(env)
+				for _, r := range q[:depth] {
+					if _, err := reserve(prof, now, r); err != nil {
+						panic(err)
+					}
+				}
 			}
 		}
-	}
-	admit := func(c *job.Job) bool {
 		if prof == nil {
-			if !canBackfill(env, c, resAt, shadow) {
+			if !canBackfill(now, c, resAt, shadow) {
 				return false
 			}
 			if now+c.Estimate > resAt {
 				shadow -= c.Nodes
 			}
 		} else {
-			if c.Nodes > env.FreeNodes() || !fitsNow(prof, now, c) {
+			if !fitsNow(prof, now, c) {
 				return false
 			}
 			if err := prof.Occupy(now, now+c.Estimate, c.Nodes); err != nil {
 				panic(fmt.Sprintf("sched: backfill: %v", err))
 			}
 		}
-		if err := env.Start(c); err != nil {
-			panic(err)
-		}
+		e.comp.start(env, c)
+		free = env.FreeNodes()
 		return true
 	}
-	rest := startAdmitted(q[depth:], admit)
-	return q[:depth+len(rest)], startAdmitted(tail, admit)
+	rest := startAdmitted(q[depth:], &free, admit)
+	return q[:depth+len(rest)], startAdmitted(tail, &free, admit)
 }
 
-// startAdmitted offers each job of q, in order, to admit, which starts the
-// jobs it accepts, and returns the rest compacted in place.
-func startAdmitted(q []*job.Job, admit func(*job.Job) bool) []*job.Job {
+// startAdmitted offers each job of q that fits the *free nodes, in order,
+// to admit, which starts the jobs it accepts and updates *free, and returns
+// the rest compacted in place.
+func startAdmitted(q []*job.Job, free *int, admit func(*job.Job) bool) []*job.Job {
 	kept := q[:0]
 	for _, c := range q {
-		if !admit(c) {
+		if c.Nodes > *free || !admit(c) {
 			kept = append(kept, c)
 		}
 	}

@@ -13,12 +13,14 @@ import (
 
 // busyEnv is a machine held in full by one long-running job: every arrival
 // queues behind it, so an arrival event places the fresh job into the
-// conservative engine's cached profile and starts nothing.
+// conservative engine's cached profile and starts nothing. It counts
+// Availability calls.
 type busyEnv struct {
-	now     int64
-	fs      *fairshare.Tracker
-	running []sim.RunningJob
-	avail   *profile.Profile
+	now        int64
+	fs         *fairshare.Tracker
+	running    []sim.RunningJob
+	avail      *profile.Profile
+	availCalls int
 }
 
 const busySize = 16
@@ -42,7 +44,7 @@ func (e *busyEnv) SystemSize() int                { return busySize }
 func (e *busyEnv) FreeNodes() int                 { return 0 }
 func (e *busyEnv) Running() []sim.RunningJob      { return e.running }
 func (e *busyEnv) Fairshare() *fairshare.Tracker  { return e.fs }
-func (e *busyEnv) Availability() *profile.Profile { return e.avail }
+func (e *busyEnv) Availability() *profile.Profile { e.availCalls++; return e.avail }
 func (e *busyEnv) Start(*job.Job) error           { return errors.New("busyEnv: machine is full") }
 
 // TestConservativeArrivalAllocatesNothing: a steady-state cons.nomax arrival
@@ -98,7 +100,9 @@ func standingQueue(env *busyEnv, pol *Composite, n int) {
 // through the reused key buffer and allocates nothing. edf runs under an
 // SLO context with at-risk, targeted and untargeted users; its kept queue
 // forgets its sorted state before each pass, as a breach flip would make
-// it re-sort.
+// it re-sort. The machine is full, so no candidate fits: the passes never
+// read the availability profile (the head's reservation is placed only
+// once a candidate fits).
 func TestAggressivePassAllocatesNothing(t *testing.T) {
 	for _, spec := range []string{"cplant24.nomax.all", "edf"} {
 		env := newBusyEnv(100)
@@ -118,8 +122,61 @@ func TestAggressivePassAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("warm %s pass allocates %.1f times, want 0", spec, allocs)
 		}
+		if env.availCalls != 0 {
+			t.Fatalf("%s passes with nothing fitting read the availability profile %d times", spec, env.availCalls)
+		}
 	}
 }
+
+// TestReservingPassAllocatesNothing: a warm easy or edf pass on a machine
+// with free nodes, where narrow candidates fit by width but would delay the
+// blocked head's reservation, places that reservation, starts nothing and
+// allocates nothing.
+func TestReservingPassAllocatesNothing(t *testing.T) {
+	for _, spec := range []string{"easy", "edf"} {
+		const free = 4
+		env := newBusyEnv(100)
+		hog := env.running[0].Job
+		hog.Nodes, hog.Estimate = busySize-free, 50
+		env.avail = profile.New(env.now, busySize, busySize)
+		if err := env.avail.Occupy(env.now, env.now+hog.Estimate, hog.Nodes); err != nil {
+			t.Fatal(err)
+		}
+		fit := &freeEnv{busyEnv: env, free: free}
+		pol := MustParse(spec)
+		pol.SetSLOContext(mapDeadlines{1: 60, 2: 600}, riskSet{2: true})
+		pol.Reset(fit)
+		eng := pol.engine.(*aggressiveEngine)
+		// The head (at risk under edf, first submitted under easy) needs the
+		// whole machine; every other job fits the free nodes but runs past
+		// the hog's release, when the head takes every node.
+		pol.Arrive(fit, &job.Job{ID: 1, User: 2, Submit: 0, Runtime: 100, Estimate: 100, Nodes: busySize})
+		for i := 2; i <= 16; i++ {
+			pol.Arrive(fit, &job.Job{ID: job.ID(i), User: i%2 + 1, Submit: env.now, Runtime: 100, Estimate: int64(100 + i), Nodes: 1 + i%free})
+		}
+		env.availCalls = 0
+		allocs := testing.AllocsPerRun(100, func() {
+			pol.Wake(fit)
+			if len(eng.main) != 16 || eng.main[0].ID != 1 {
+				t.Fatal("the reserving pass changed the queue")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm reserving %s pass allocates %.1f times, want 0", spec, allocs)
+		}
+		if env.availCalls == 0 {
+			t.Fatalf("%s: no pass placed the head's reservation", spec)
+		}
+	}
+}
+
+// freeEnv is a busyEnv with free nodes beside its running job.
+type freeEnv struct {
+	*busyEnv
+	free int
+}
+
+func (e *freeEnv) FreeNodes() int { return e.free }
 
 // TestKeptArrivalAllocatesNothing: a warm arrival into a kept queue under
 // fcfs, sjf and edf — a binary insertion on fresh keys, then a pass that

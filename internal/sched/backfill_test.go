@@ -14,14 +14,16 @@ import (
 
 // passEnv is a frozen scheduling instant for driving one backfill pass
 // directly: a running set, the availability profile it implies, and a
-// free-node count that each Start draws down.
+// free-node count that each Start draws down. It counts the pass's
+// Availability calls.
 type passEnv struct {
-	now     int64
-	size    int
-	free    int
-	running []sim.RunningJob
-	avail   *profile.Profile
-	started []*job.Job
+	now        int64
+	size       int
+	free       int
+	running    []sim.RunningJob
+	avail      *profile.Profile
+	started    []*job.Job
+	availCalls int
 }
 
 func (e *passEnv) Now() int64                     { return e.now }
@@ -29,7 +31,7 @@ func (e *passEnv) SystemSize() int                { return e.size }
 func (e *passEnv) FreeNodes() int                 { return e.free }
 func (e *passEnv) Running() []sim.RunningJob      { return e.running }
 func (e *passEnv) Fairshare() *fairshare.Tracker  { return nil }
-func (e *passEnv) Availability() *profile.Profile { return e.avail }
+func (e *passEnv) Availability() *profile.Profile { e.availCalls++; return e.avail }
 func (e *passEnv) Start(j *job.Job) error {
 	if j.Nodes > e.free {
 		return fmt.Errorf("passEnv: job %d needs %d nodes, %d free", j.ID, j.Nodes, e.free)
@@ -110,7 +112,7 @@ func TestShadowRuleMatchesProfileRule(t *testing.T) {
 			}
 		}
 
-		var e aggressiveEngine
+		e := aggressiveEngine{comp: &Composite{}}
 		keptQ, keptTail := e.backfill(env, q[:split], 1, q[split:])
 		if len(keptQ) == 0 || keptQ[0] != head {
 			t.Logf("seed %d: the reserved head left the queue", seed)

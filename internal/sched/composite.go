@@ -55,6 +55,10 @@ type Composite struct {
 	// victimBuf is the reused victim-candidate buffer of the preemption
 	// pass (see preempt.go).
 	victimBuf []victim
+
+	// wakes holds the queued jobs' SLO deadlines under preempt=deadline
+	// (see preempt.go).
+	wakes deadlineWakes
 }
 
 // New assembles the runnable policy for a spec.
@@ -74,7 +78,7 @@ func New(spec Spec) (*Composite, error) {
 	}
 	switch norm.Backfill {
 	case BackfillNone:
-		c.engine = &listEngine{prio: keptSorter(ord)}
+		c.engine = &listEngine{comp: c, prio: keptSorter(ord)}
 	case BackfillConservative, BackfillConservativeDynamic:
 		c.engine = &conservativeEngine{
 			prio:    newQueueSorter(ord, func(q *reservedJob) *job.Job { return q.job }),
@@ -138,10 +142,16 @@ func (c *Composite) Reset(env sim.Env) {
 		}
 	}
 	c.engine.reset()
+	c.wakes.reset()
 }
 
 // Arrive implements sim.Policy.
 func (c *Composite) Arrive(env sim.Env, j *job.Job) {
+	if c.spec.PreemptTrigger == PreemptDeadline {
+		if d, ok := c.slo.deadline(j); ok {
+			c.wakes.push(d, j)
+		}
+	}
 	c.engine.arrive(env, j)
 	c.preemptPass(env)
 }
@@ -164,12 +174,8 @@ func (c *Composite) Wake(env sim.Env) {
 // inside one.
 func (c *Composite) NextWake(now int64) (int64, bool) {
 	at, ok := c.engine.nextWake(now)
-	if c.spec.PreemptTrigger == PreemptDeadline && c.slo.deadlines != nil {
-		for _, j := range c.engine.queued() {
-			if d, dok := c.slo.deadline(j); dok && d > now && (!ok || d < at) {
-				at, ok = d, true
-			}
-		}
+	if d, dok := c.wakes.next(now); dok && (!ok || d < at) {
+		at, ok = d, true
 	}
 	return at, ok
 }
@@ -184,6 +190,29 @@ func (c *Composite) Queued() []*job.Job { return c.engine.queued() }
 func (c *Composite) scratchFrom(env sim.Env) *profile.Profile {
 	c.scratch.CopyFrom(env.Availability())
 	return &c.scratch
+}
+
+// start launches j for an engine: every start of the list and aggressive
+// engines (the ones preemption composes with) goes through it, so the
+// deadline wakes learn which jobs left the queue.
+func (c *Composite) start(env sim.Env, j *job.Job) {
+	if err := env.Start(j); err != nil {
+		panic(err) // capacity was checked; a failure is a policy bug
+	}
+	if c.spec.PreemptTrigger == PreemptDeadline {
+		c.wakes.started(j)
+	}
+}
+
+// startHeads starts the heads of *q while they fit the free nodes. It
+// shortens *q before each start, because observers may read the queue
+// (sim.Policy.Queued) from inside env.Start.
+func (c *Composite) startHeads(env sim.Env, q *[]*job.Job) {
+	for len(*q) > 0 && (*q)[0].Nodes <= env.FreeNodes() {
+		var head *job.Job
+		*q, head = popHead(*q)
+		c.start(env, head)
+	}
 }
 
 // SetHeavyClassifier overrides the starvation component's heavy-user

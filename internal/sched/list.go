@@ -14,6 +14,7 @@ import (
 // the queue stays sorted between passes: arrivals go in by binary insertion
 // and starts only pop heads.
 type listEngine struct {
+	comp  *Composite
 	prio  queueSorter[*job.Job]
 	queue []*job.Job
 }
@@ -37,11 +38,5 @@ func (e *listEngine) ranked() ([]*job.Job, bool) { return e.queue, e.prio.curren
 
 func (e *listEngine) schedule(env sim.Env) {
 	e.prio.sort(env, e.queue, nil)
-	for len(e.queue) > 0 && e.queue[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		e.queue, head = popHead(e.queue)
-		if err := env.Start(head); err != nil {
-			panic(err) // capacity was checked; a failure is a policy bug
-		}
-	}
+	e.comp.startHeads(env, &e.queue)
 }

@@ -94,18 +94,12 @@ func reservation(env sim.Env, nodes int) (at int64, shadow int) {
 	return s, prof.FreeAt(s) - nodes
 }
 
-// canBackfill reports whether candidate c may start now without delaying a
-// reservation at resAt with the given shadow capacity: either c completes
-// (by its estimate) before the reservation, or it fits into the shadow
-// nodes.
-func canBackfill(env sim.Env, c *job.Job, resAt int64, shadow int) bool {
-	if c.Nodes > env.FreeNodes() {
-		return false
-	}
-	if env.Now()+c.Estimate <= resAt {
-		return true
-	}
-	return c.Nodes <= shadow
+// canBackfill reports whether candidate c, which fits the free nodes, may
+// start now without delaying a reservation at resAt with the given shadow
+// capacity: either c completes (by its estimate) before the reservation, or
+// it fits into the shadow nodes.
+func canBackfill(now int64, c *job.Job, resAt int64, shadow int) bool {
+	return now+c.Estimate <= resAt || c.Nodes <= shadow
 }
 
 // fitsNow reports whether a job starting immediately fits the profile for

@@ -189,3 +189,80 @@ func (c *Composite) beneficiary(env sim.Env, fs *fairshare.Tracker) (*job.Job, f
 	}
 	return ben, kben
 }
+
+// deadlineWakes keeps the SLO deadlines of the jobs queued under
+// preempt=deadline in a min-heap, so NextWake finds the earliest future
+// one without re-deriving every queued job's deadline per event. A job
+// enters at arrival with its fixed deadline; an entry whose deadline has
+// passed (the clock never runs back) or whose job has started since is
+// dropped when it reaches the top.
+type deadlineWakes struct {
+	heap   []deadlineWake
+	queued map[*job.Job]struct{} // the jobs with an entry that have not started
+}
+
+type deadlineWake struct {
+	at  int64
+	job *job.Job
+}
+
+func (w *deadlineWakes) reset() {
+	clear(w.heap)
+	w.heap = w.heap[:0]
+	clear(w.queued)
+}
+
+func (w *deadlineWakes) push(at int64, j *job.Job) {
+	if w.queued == nil {
+		w.queued = make(map[*job.Job]struct{})
+	}
+	w.queued[j] = struct{}{}
+	h := append(w.heap, deadlineWake{at: at, job: j})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	w.heap = h
+}
+
+func (w *deadlineWakes) started(j *job.Job) { delete(w.queued, j) }
+
+// next returns the earliest deadline after now among the queued jobs.
+func (w *deadlineWakes) next(now int64) (int64, bool) {
+	for len(w.heap) > 0 {
+		top := w.heap[0]
+		if _, ok := w.queued[top.job]; ok && top.at > now {
+			return top.at, true
+		}
+		w.pop()
+	}
+	return 0, false
+}
+
+// pop drops the top entry and its job.
+func (w *deadlineWakes) pop() {
+	h := w.heap
+	n := len(h) - 1
+	delete(w.queued, h[0].job)
+	h[0], h[n] = h[n], deadlineWake{}
+	h = h[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && h[l].at < h[m].at {
+			m = l
+		}
+		if r := 2*i + 2; r < n && h[r].at < h[m].at {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	w.heap = h
+}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -427,5 +428,74 @@ func TestPreemptNoneCompositesMatchRegistry(t *testing.T) {
 				t.Fatalf("seed %d %s: %q and %q diverged", seed, sc.name, pair.registry, pair.chain)
 			}
 		}
+	}
+}
+
+// wakeCheck wraps a policy and checks every NextWake answer against a scan
+// of the queued jobs' deadlines (the engine's own wake merged with the
+// earliest deadline after now).
+type wakeCheck struct {
+	*Composite
+	calls, bad int
+	first      string
+}
+
+func (w *wakeCheck) NextWake(now int64) (int64, bool) {
+	at, ok := w.Composite.NextWake(now)
+	wantAt, wantOK := w.engine.nextWake(now)
+	for _, j := range w.Queued() {
+		if d, dok := w.slo.deadline(j); dok && d > now && (!wantOK || d < wantAt) {
+			wantAt, wantOK = d, true
+		}
+	}
+	w.calls++
+	if at != wantAt || ok != wantOK {
+		if w.bad == 0 {
+			w.first = fmt.Sprintf("NextWake(%d) = %d,%v, queue scan %d,%v", now, at, ok, wantAt, wantOK)
+		}
+		w.bad++
+	}
+	return at, ok
+}
+
+// TestDeadlineWakeMatchesQueueScan: under preempt=deadline, NextWake's
+// deadline heap answers exactly what a scan over the queued jobs'
+// deadlines answers, at every event of random contended runs, for every
+// engine preemption composes with. Each policy runs twice, so the heap
+// must also come back empty from Reset.
+func TestDeadlineWakeMatchesQueueScan(t *testing.T) {
+	specs := []string{
+		"edf.preempt",
+		"order=fairshare+bf=easy+preempt=deadline.newest",
+		"order=sjf+bf=depth+depth=3+preempt=deadline.lowpri",
+		"order=fcfs+bf=none+preempt=deadline.lowpri",
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const size = 16
+		jobs := make([]*job.Job, rng.Intn(40)+10)
+		for i := range jobs {
+			runtime := rng.Int63n(400) + 1
+			jobs[i] = &job.Job{ID: job.ID(i + 1), User: rng.Intn(5) + 1, Submit: rng.Int63n(1500),
+				Runtime: runtime, Estimate: runtime + rng.Int63n(100), Nodes: rng.Intn(size) + 1}
+		}
+		for _, spec := range specs {
+			w := &wakeCheck{Composite: MustParse(spec)}
+			w.SetSLOContext(mapDeadlines{1: 30, 2: 200, 3: 0, 4: 1000}, nil)
+			for run := 0; run < 2; run++ {
+				if _, err := sim.New(sim.Config{SystemSize: size, Preemptable: true, Validate: true}, w).Run(cloneJobs(jobs)); err != nil {
+					t.Logf("seed %d %s: %v", seed, spec, err)
+					return false
+				}
+			}
+			if w.bad > 0 || w.calls == 0 {
+				t.Logf("seed %d %s: %d of %d wakes differ; first: %s", seed, spec, w.bad, w.calls, w.first)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
