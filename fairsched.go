@@ -391,9 +391,9 @@ type (
 // metric, seeds 42..51"); errors carry byte positions.
 func ParseHypothesis(in string) (HypothesisSpec, error) { return hypothesis.Parse(in) }
 
-// RunHypotheses expands the claims into one campaign and evaluates them;
-// the result (and any report rendered from it) is byte-identical at every
-// parallelism setting.
+// RunHypotheses runs the (trace, scenario, policy) triples the claims name
+// and evaluates them; the result (and any report rendered from it) is
+// byte-identical at every parallelism setting.
 func RunHypotheses(specs []HypothesisSpec, opt HypothesisOptions) (*HypothesisEvaluation, error) {
 	return hypothesis.RunCampaign(specs, opt)
 }

@@ -1,8 +1,10 @@
 package fairness
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
@@ -27,11 +29,15 @@ import (
 // and one remove per job) instead of being re-derived from env.Running()
 // at every arrival. The engine also keeps its own queue of first segments
 // (FST queue = arrived first segments − started), inserted at arrival and
-// removed at start, in fairshare order: between arrivals only running
-// users' usage moves, so the queue is usually still sorted after its keys
-// are refreshed, and the jobs ahead of an arrival are the prefix before
-// its binary-search position. The per-arrival reference schedule reuses
-// persistent scratch buffers, so the steady-state hot path is
+// removed at start, in one bucket per tie group: the users whose usage
+// keys are equal share a bucket whose jobs are kept merged in (Submit, ID)
+// order, which is fairshare.Compare at equal keys. An arrival refreshes
+// one key per user, not per job; between arrivals only running users'
+// usage moves, so the buckets are usually still in ascending usage and
+// the users of a bucket still tied. The jobs ahead of an arrival are every
+// bucket of lower usage, whole, and the prefix of its own usage's bucket
+// before its binary-search position. The per-arrival reference schedule
+// reuses persistent scratch buffers, so the steady-state hot path is
 // allocation-free. It deliberately does NOT read the simulator's shared
 // sim.Env.Availability() profile: that profile promises release times from
 // user estimates (with overrun backoff), while the fair reference schedule
@@ -51,21 +57,26 @@ type HybridFST struct {
 	// schedule consumes; seeded from base plus the free-nodes-now entry and
 	// reused across arrivals.
 	scratch availability
-	// queue holds the queued first segments (Segment <= 1) in fairshare
-	// order over the usage keys last refreshed. Restart segments never
-	// enter: a restart's remaining chain is already accounted for in the
-	// availability via its running predecessor or, if queued, by the
-	// logical job's own first segment (upfront splitting).
-	queue []queuedJob
+	// ties holds the queued first segments (Segment <= 1) in buckets of
+	// distinct usage, ascending over the keys last refreshed. Restart
+	// segments never enter: a restart's remaining chain is already
+	// accounted for in the availability via its running predecessor or, if
+	// queued, by the logical job's own first segment (upfront splitting).
+	ties []tieGroup
+	// spare holds emptied buckets for reuse.
+	spare []tieGroup
 }
 
-// queuedJob pairs a queued job with its fairshare priority key, refreshed
-// once per arrival, so the reference-order compares never re-read the
-// usage ledger.
-type queuedJob struct {
-	job   *job.Job
+// tieGroup is one bucket of the FST queue: the users whose usage key is
+// usage, each with its count of queued jobs, and those jobs merged in
+// (Submit, ID) order. A user is in at most one bucket.
+type tieGroup struct {
 	usage float64
+	users []userJobs
+	jobs  []*job.Job
 }
+
+type userJobs struct{ user, jobs int }
 
 // NewHybridFST returns an empty engine; attach it to a simulator as an
 // observer.
@@ -102,57 +113,194 @@ func (h *HybridFST) JobCompleted(_ sim.Env, j *job.Job, start int64) {
 // entry, so the unfairness denominators count user-submitted jobs).
 //
 // Jobs the fairshare order places after the arriving job cannot influence a
-// no-backfill list schedule, so only the queue's prefix ahead of it is
-// placed — the rest of the queue is never touched.
+// no-backfill list schedule, so only the buckets of lower usage and the
+// part of the arrival's own usage's bucket ahead of it are placed — the
+// rest of the queue is never touched.
 func (h *HybridFST) JobArrived(env sim.Env, j *job.Job, _ []*job.Job) {
 	if j.Segment > 1 {
 		return // restart of an already-measured logical job
 	}
 	fs := env.Fairshare()
-	for i := range h.queue {
-		h.queue[i].usage = fs.Usage(h.queue[i].job.User)
+	if !h.refresh(fs) {
+		h.regroup(fs)
 	}
-	// The fairshare order is total over distinct jobs (usage, submission,
-	// id), so a plain (unstable, reflection-free) sort is deterministic.
-	if !slices.IsSortedFunc(h.queue, queuedCmp) {
-		slices.SortFunc(h.queue, queuedCmp)
+	usage := fs.Usage(j.User)
+	n := sort.Search(len(h.ties), func(i int) bool { return h.ties[i].usage >= usage })
+	var ahead []*job.Job // the arrival's own bucket's jobs before it
+	if n < len(h.ties) && h.ties[n].usage == usage {
+		g := h.ties[n].jobs
+		ahead = g[:sort.Search(len(g), func(i int) bool { return before(j, g[i]) })]
 	}
-	target := queuedJob{job: j, usage: fs.Usage(j.User)}
-	n, _ := slices.BinarySearchFunc(h.queue, target, queuedCmp)
 
 	h.scratch.copyFrom(&h.base)
 	h.scratch.add(env.Now(), env.FreeNodes())
-	for _, q := range h.queue[:n] {
-		if _, err := h.scratch.allocate(q.job.Nodes, q.job.EffectiveRuntime()); err != nil {
-			panic(fmt.Sprintf("fairness: hybrid FST: %v", err))
+	for _, g := range h.ties[:n] {
+		for _, q := range g.jobs {
+			h.place(q)
 		}
 	}
-	start, err := h.scratch.allocate(j.Nodes, j.EffectiveRuntime())
+	for _, q := range ahead {
+		h.place(q)
+	}
+	h.fst[j.ID] = h.place(j)
+	h.enqueue(j, usage, n, len(ahead))
+}
+
+// place allocates q in the per-arrival reference schedule and returns its
+// start.
+func (h *HybridFST) place(q *job.Job) int64 {
+	start, err := h.scratch.allocate(q.Nodes, q.EffectiveRuntime())
 	if err != nil {
 		panic(fmt.Sprintf("fairness: hybrid FST: %v", err))
 	}
-	h.fst[j.ID] = start
-	h.queue = slices.Insert(h.queue, n, target)
+	return start
 }
 
-// dequeue removes j from the FST queue, if it is there. Restart segments
-// never entered it.
+// refresh re-reads the usage keys and reports whether the buckets still
+// hold. A one-user bucket takes its user's key; a tied bucket keeps its
+// key and holds while every user still has it. The keys must stay
+// strictly ascending.
+func (h *HybridFST) refresh(fs *fairshare.Tracker) bool {
+	ok := true
+	for i := range h.ties {
+		g := &h.ties[i]
+		if len(g.users) == 1 {
+			g.usage = fs.Usage(g.users[0].user)
+		} else {
+			for _, u := range g.users {
+				ok = ok && fs.Usage(u.user) == g.usage
+			}
+		}
+		ok = ok && (i == 0 || h.ties[i-1].usage < g.usage)
+	}
+	return ok
+}
+
+// regroup restores the buckets after refresh found them broken, which is
+// rare: the users of a tied bucket whose usage moved leave it, with their
+// jobs, for buckets of their own, and then the buckets are sorted by usage
+// and equal neighbours merged.
+func (h *HybridFST) regroup(fs *fairshare.Tracker) {
+	for i := 0; i < len(h.ties); i++ {
+		if len(h.ties[i].users) == 1 {
+			continue // refresh keyed it
+		}
+		for k := 0; len(h.ties[i].users) > 1 && k < len(h.ties[i].users); {
+			g := &h.ties[i]
+			u := g.users[k]
+			v := fs.Usage(u.user)
+			if v == g.usage {
+				k++
+				continue
+			}
+			moved := h.bucket(v, u)
+			kept := g.jobs[:0]
+			for _, q := range g.jobs {
+				if q.User == u.user {
+					moved.jobs = append(moved.jobs, q)
+				} else {
+					kept = append(kept, q)
+				}
+			}
+			clear(g.jobs[len(kept):])
+			g.jobs = kept
+			g.users = slices.Delete(g.users, k, k+1)
+			h.ties = append(h.ties, moved)
+		}
+		if g := &h.ties[i]; len(g.users) == 1 {
+			g.usage = fs.Usage(g.users[0].user)
+		}
+	}
+	slices.SortFunc(h.ties, func(a, b tieGroup) int { return cmp.Compare(a.usage, b.usage) })
+	merged := h.ties[:0]
+	for _, g := range h.ties {
+		if n := len(merged); n > 0 && merged[n-1].usage == g.usage {
+			last := &merged[n-1]
+			last.users = append(last.users, g.users...)
+			last.jobs = append(last.jobs, g.jobs...)
+			slices.SortFunc(last.jobs, func(a, b *job.Job) int { return fairshare.Compare(0, a, 0, b) })
+			h.recycle(g)
+			continue
+		}
+		merged = append(merged, g)
+	}
+	clear(h.ties[len(merged):])
+	h.ties = merged
+}
+
+// enqueue adds j, whose user's usage is usage, to the FST queue: at
+// position at of bucket n when that bucket holds usage (the user's jobs,
+// if any, are there), else in a new bucket inserted at n.
+func (h *HybridFST) enqueue(j *job.Job, usage float64, n, at int) {
+	if n == len(h.ties) || h.ties[n].usage != usage {
+		g := h.bucket(usage, userJobs{user: j.User, jobs: 1})
+		g.jobs = append(g.jobs, j)
+		h.ties = slices.Insert(h.ties, n, g)
+		return
+	}
+	g := &h.ties[n]
+	g.jobs = slices.Insert(g.jobs, at, j)
+	for k := range g.users {
+		if g.users[k].user == j.User {
+			g.users[k].jobs++
+			return
+		}
+	}
+	g.users = append(g.users, userJobs{user: j.User, jobs: 1})
+}
+
+// dequeue removes j from the FST queue, if it is there, recycling its
+// bucket when it empties. Restart segments never entered it.
 func (h *HybridFST) dequeue(j *job.Job) {
 	if j.Segment > 1 {
 		return
 	}
-	for i := range h.queue {
-		if h.queue[i].job == j {
-			h.queue = slices.Delete(h.queue, i, i+1)
+	for i := range h.ties {
+		g := &h.ties[i]
+		for k := range g.users {
+			if g.users[k].user != j.User {
+				continue
+			}
+			x := slices.Index(g.jobs, j)
+			if x < 0 {
+				return
+			}
+			g.jobs = slices.Delete(g.jobs, x, x+1)
+			if g.users[k].jobs--; g.users[k].jobs == 0 {
+				g.users = slices.Delete(g.users, k, k+1)
+			}
+			if len(g.users) == 0 {
+				h.recycle(*g)
+				h.ties = slices.Delete(h.ties, i, i+1)
+			}
 			return
 		}
 	}
 }
 
-// queuedCmp is the fairshare queue order over refreshed keys as a
-// three-way comparison (fairshare.Compare), without re-reading the usage
-// ledger.
-func queuedCmp(a, b queuedJob) int { return fairshare.Compare(a.usage, a.job, b.usage, b.job) }
+// bucket returns an empty bucket for usage holding user u, reusing a spare
+// one's arrays.
+func (h *HybridFST) bucket(usage float64, u userJobs) tieGroup {
+	var g tieGroup
+	if n := len(h.spare); n > 0 {
+		g, h.spare[n-1] = h.spare[n-1], tieGroup{}
+		h.spare = h.spare[:n-1]
+	}
+	g.usage = usage
+	g.users = append(g.users[:0], u)
+	g.jobs = g.jobs[:0]
+	return g
+}
+
+// recycle keeps an emptied bucket's arrays for the next new bucket.
+func (h *HybridFST) recycle(g tieGroup) {
+	clear(g.jobs) // removals already zeroed the rest of the array
+	h.spare = append(h.spare, g)
+}
+
+// before is the fairshare order between two jobs of equal usage: earlier
+// submission, then lower id.
+func before(a, b *job.Job) bool { return fairshare.Compare(0, a, 0, b) < 0 }
 
 // FST returns the fair start time recorded for a job.
 func (h *HybridFST) FST(id job.ID) (int64, bool) {

@@ -3,9 +3,11 @@ package fairness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/sched"
 	"fairsched/internal/sim"
@@ -56,7 +58,9 @@ func (h *referenceFST) JobArrived(env sim.Env, j *job.Job, queued []*job.Job) {
 // queueCheck is an observer attached after the incremental engine: at
 // every arrival it checks the engine's own queue against the policy's, so
 // FST queue = arrived first segments − started holds event by event, and
-// restart segments (split or preemption remainders) never enter it.
+// restart segments (split or preemption remainders) never enter it. Each
+// bucket holds its users' jobs, and only theirs, in (Submit, ID) order with
+// matching per-user counts, and no user is in two buckets.
 type queueCheck struct {
 	sim.BaseObserver
 	t   *testing.T
@@ -73,16 +77,35 @@ func (c queueCheck) JobArrived(_ sim.Env, j *job.Job, queued []*job.Job) {
 			want[q.ID] = true
 		}
 	}
-	for _, q := range c.inc.queue {
-		if q.job.Segment > 1 {
-			c.t.Fatalf("restart segment %d (segment %d) in the FST queue", q.job.ID, q.job.Segment)
+	n, seen := 0, map[int]bool{}
+	for _, g := range c.inc.ties {
+		count := map[int]int{}
+		for k, q := range g.jobs {
+			if k > 0 && !before(g.jobs[k-1], q) {
+				c.t.Fatalf("bucket %v holds job %d out of order", g.usage, q.ID)
+			}
+			if q.Segment > 1 {
+				c.t.Fatalf("restart segment %d (segment %d) in the FST queue", q.ID, q.Segment)
+			}
+			if !want[q.ID] {
+				c.t.Fatalf("job %d in the FST queue but not queued", q.ID)
+			}
+			count[q.User]++
 		}
-		if !want[q.job.ID] {
-			c.t.Fatalf("job %d in the FST queue but not queued", q.job.ID)
+		for _, u := range g.users {
+			if seen[u.user] || u.jobs == 0 || count[u.user] != u.jobs {
+				c.t.Fatalf("user %d in bucket %v: %d jobs counted, %d held (or a second bucket)", u.user, g.usage, u.jobs, count[u.user])
+			}
+			seen[u.user] = true
+			delete(count, u.user)
 		}
+		if len(count) > 0 {
+			c.t.Fatalf("bucket %v holds jobs of users it does not list: %v", g.usage, count)
+		}
+		n += len(g.jobs)
 	}
-	if len(c.inc.queue) != len(want) {
-		c.t.Fatalf("FST queue holds %d jobs, the policy queue %d first segments", len(c.inc.queue), len(want))
+	if n != len(want) {
+		c.t.Fatalf("FST queue holds %d jobs, the policy queue %d first segments", n, len(want))
 	}
 }
 
@@ -212,26 +235,143 @@ func TestHybridFSTMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
+// TestHybridFSTTiedUsersInterleave: users of equal usage form one tie
+// group whose jobs the reference orders by (Submit, ID) across users. Four
+// users who never ran (all at zero usage) submit interleaved jobs, some at
+// the same instant, behind a machine-wide wall; every FST must match the
+// reference's.
+func TestHybridFSTTiedUsersInterleave(t *testing.T) {
+	const size = 8
+	jobs := []*job.Job{{ID: 1, User: 9, Submit: 0, Runtime: 1000, Estimate: 1000, Nodes: size}}
+	for i := 0; i < 24; i++ {
+		runtime := int64(50 + 37*(i%5))
+		jobs = append(jobs, &job.Job{
+			ID: job.ID(i + 2), User: []int{3, 1, 4, 2, 1, 3}[i%6], Submit: int64(10 + 10*(i/3)),
+			Runtime: runtime, Estimate: runtime, Nodes: 1 + (i*5)%size,
+		})
+	}
+	inc, ref := NewHybridFST(), newReferenceFST()
+	obs := []sim.Observer{inc, queueCheck{t: t, inc: inc}, ref}
+	if _, err := sim.New(sim.Config{SystemSize: size, Validate: true}, sched.MustParse("list.fairshare"), obs...).Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(inc.fst) != len(jobs) {
+		t.Fatalf("incremental recorded %d FSTs, want %d", len(inc.fst), len(jobs))
+	}
+	for id, want := range ref.fst {
+		if got := inc.fst[id]; got != want {
+			t.Fatalf("job %d: incremental FST %d, reference %d", id, got, want)
+		}
+	}
+}
+
+// FuzzHybridFSTOps drives the engine and referenceFST through arbitrary
+// arrivals (out of (Submit, ID) order within a user, too), starts of any
+// queued job that fits, completions at any time and usage charges that
+// tie users at equal non-zero usage. Every arrival's FST must match the
+// reference's, and the queue invariant must hold throughout.
+func FuzzHybridFSTOps(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 0, 2, 9, 0, 9, 4, 1, 0, 0, 3, 5, 6, 0, 1, 3, 2, 0, 0, 0, 7, 2})
+	f.Add([]byte{0, 0, 15, 0, 1, 1, 0, 2, 2, 3, 6, 13, 3, 0, 7, 0, 3, 3, 0, 4, 4, 1, 1, 0, 0, 1, 5})
+	f.Add([]byte{0, 8, 2, 0, 9, 2, 0, 10, 2, 1, 2, 0, 1, 0, 0, 0, 11, 2, 2, 0, 0, 0, 12, 2})
+	f.Add([]byte{0, 0, 3, 0, 10, 3, 0, 5, 3, 0, 1, 3})
+	f.Fuzz(checkHybridFSTOps)
+}
+
+func checkHybridFSTOps(t *testing.T, data []byte) {
+	const size = 16
+	if len(data) > 3*256 {
+		data = data[:3*256] // the reference re-sorts the whole queue per arrival
+	}
+	env := &probeEnv{systemSize: size, free: size, now: 1000}
+	env.fs = fairshare.NewTracker(fairshare.DefaultConfig(), 0)
+	inc, ref := NewHybridFST(), newReferenceFST()
+	check := queueCheck{t: t, inc: inc}
+	var queue []*job.Job
+	var id job.ID
+	for ; len(data) >= 3; data = data[3:] {
+		op, x, y := data[0], data[1], data[2]
+		switch op % 4 {
+		case 0:
+			id++
+			runtime := int64(y/16)*40 + 1
+			j := &job.Job{ID: id, User: int(x % 5), Submit: env.now - int64(x/5%3), Runtime: runtime, Estimate: runtime, Nodes: int(y%size) + 1}
+			inc.JobArrived(env, j, nil)
+			ref.JobArrived(env, j, queue)
+			if inc.fst[id] != ref.fst[id] {
+				t.Fatalf("job %d: incremental FST %d, reference %d", id, inc.fst[id], ref.fst[id])
+			}
+			queue = append(queue, j)
+			check.JobArrived(env, j, queue[:len(queue)-1])
+		case 1:
+			if len(queue) == 0 {
+				break
+			}
+			k := int(x) % len(queue)
+			if j := queue[k]; j.Nodes <= env.free {
+				queue = slices.Delete(queue, k, k+1)
+				env.free -= j.Nodes
+				env.running = append(env.running, sim.RunningJob{Job: j, Start: env.now})
+				inc.JobStarted(env, j)
+			}
+		case 2:
+			if len(env.running) == 0 {
+				break
+			}
+			k := int(x) % len(env.running)
+			r := env.running[k]
+			env.running = slices.Delete(env.running, k, k+1)
+			env.free += r.Job.Nodes
+			inc.JobCompleted(env, r.Job, r.Start)
+		case 3:
+			env.now += int64(x % 64)
+			env.fs.Charge(int(y%5), float64(y/5%3)*100)
+		}
+	}
+}
+
+// queuedJobs counts the jobs in the engine's FST queue.
+func (h *HybridFST) queuedJobs() int {
+	n := 0
+	for _, g := range h.ties {
+		n += len(g.jobs)
+	}
+	return n
+}
+
 // TestHybridFSTArrivalAndStartAllocateNothing: on a warm engine, an
-// arrival (queue refresh, ahead-prefix list schedule, insertion) and the
-// job's start (removal from mid-queue, multiset add) allocate nothing. The
+// arrival (key refresh, ahead-set list schedule, insertion) and the job's
+// start (removal from its bucket, multiset add) allocate nothing — when
+// the arrival joins its user's bucket, when it is a new user tied with a
+// standing bucket, and when it is a new user with a usage of its own,
+// whose start empties its bucket for the next new user to recycle. The
 // completion hook undoes the start's multiset entry, so every run starts
 // from the same state.
 func TestHybridFSTArrivalAndStartAllocateNothing(t *testing.T) {
-	p := NewArrivalProbe(128, 64)
-	h, j := p.engine, p.arriving
-	depth := len(h.queue)
-	allocs := testing.AllocsPerRun(100, func() {
-		delete(h.fst, j.ID)
-		h.JobArrived(p.env, j, nil)
-		h.JobStarted(p.env, j)
-		h.JobCompleted(p.env, j, p.env.now)
-		if len(h.queue) != depth {
-			t.Fatalf("FST queue holds %d jobs after the start, want %d", len(h.queue), depth)
+	for _, c := range []struct {
+		name  string
+		user  int
+		usage float64
+	}{{"own-bucket", -1, 0}, {"tied-new-user", 1 << 20, 0}, {"recycled-bucket", 1 << 20, 12345.5}} {
+		p := NewArrivalProbe(128, 64)
+		h, j := p.engine, p.arriving
+		if c.user >= 0 {
+			j.User = c.user
+			p.env.fs.Charge(c.user, c.usage)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm JobArrived+JobStarted allocates %.1f times, want 0", allocs)
+		depth, buckets := h.queuedJobs(), len(h.ties)
+		allocs := testing.AllocsPerRun(100, func() {
+			delete(h.fst, j.ID)
+			h.JobArrived(p.env, j, nil)
+			h.JobStarted(p.env, j)
+			h.JobCompleted(p.env, j, p.env.now)
+			if h.queuedJobs() != depth || len(h.ties) != buckets {
+				t.Fatalf("%s: FST queue holds %d jobs in %d buckets after the start, want %d in %d", c.name, h.queuedJobs(), len(h.ties), depth, buckets)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: warm JobArrived+JobStarted allocates %.1f times, want 0", c.name, allocs)
+		}
 	}
 }
 

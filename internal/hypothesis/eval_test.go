@@ -117,7 +117,7 @@ func TestRenderFindingsEvidence(t *testing.T) {
 		1: {"fcfs#avg_wait": 1.5, "easy#avg_wait": 2},
 		2: {"fcfs#avg_wait": 3, "easy#avg_wait": 2},
 	}
-	e := &Evaluation{Source: "table", Outcomes: []Outcome{Evaluate(s, tr.at)}, Cells: 2, Policies: 2}
+	e := &Evaluation{Source: "table", Outcomes: []Outcome{Evaluate(s, tr.at)}, Cells: 2, Runs: 4}
 	var b strings.Builder
 	RenderFindings(&b, e)
 	out := b.String()

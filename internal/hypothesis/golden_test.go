@@ -74,7 +74,7 @@ func TestFindingsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	hypothesis.RenderFindings(&buf, eval)
 	const want = `FINDINGS — 7 hypotheses on golden
-matrix: 8 cells × 1 policies
+matrix: 5 cells, 5 policy runs
 verdicts: 6 confirmed, 0 supported, 1 refuted; 6/7 hold on the reference seed
 
 ## wait-below-tat — CONFIRMED (tier 1, 1/1 seeds)
@@ -193,5 +193,33 @@ func TestRunCampaignKeepsVerdictsOnFailedCell(t *testing.T) {
 	hypothesis.RenderFindings(&buf, eval)
 	if n := strings.Count(buf.String(), "ERROR"); n != 1 {
 		t.Fatalf("want exactly one ERROR row, got %d:\n%s", n, buf.String())
+	}
+}
+
+// TestRunCampaignRunsOnlyNamedTriples: claims on different scenarios and
+// policies run only the (trace, scenario, policy) triples they name, each
+// on its own claims' seeds — not the product of every claim's scenarios,
+// policies and seeds (2 scenarios × 3 seeds × 2 policies = 12 runs).
+func TestRunCampaignRunsOnlyNamedTriples(t *testing.T) {
+	var specs []hypothesis.Spec
+	for _, text := range []string{
+		"claim fcfs-wait: fcfs = 182.5 on avg_wait seeds 1..2",
+		"claim easy-breaches: easy@slo=p50:1m,default:2m >= 0 on slo.all.breached seeds 3",
+	} {
+		s, err := hypothesis.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	eval, err := hypothesis.RunCampaign(specs, goldenOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eval.Cells != 3 || eval.Runs != 3 {
+		t.Fatalf("ran %d cells, %d policy runs; want 3 and 3", eval.Cells, eval.Runs)
+	}
+	if got := eval.Confirmed(); got != 2 {
+		t.Fatalf("confirmed %d of 2 claims", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // the report is too.
 func RenderFindings(w io.Writer, e *Evaluation) {
 	fmt.Fprintf(w, "FINDINGS — %d hypotheses on %s\n", len(e.Outcomes), e.Source)
-	fmt.Fprintf(w, "matrix: %d cells × %d policies\n", e.Cells, e.Policies)
+	fmt.Fprintf(w, "matrix: %d cells, %d policy runs\n", e.Cells, e.Runs)
 	fmt.Fprintf(w, "verdicts: %d confirmed, %d supported, %d refuted; %d/%d hold on the reference seed\n",
 		e.Confirmed(), e.Supported(), e.Refuted(), e.ReferenceHolds(), len(e.Outcomes))
 	for i := range e.Outcomes {

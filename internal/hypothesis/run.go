@@ -1,6 +1,7 @@
 package hypothesis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -37,9 +38,10 @@ type CampaignOptions struct {
 type Evaluation struct {
 	Source   string
 	Outcomes []Outcome // spec order
-	// Cells and Policies describe the expanded matrix, for report headers.
-	Cells    int
-	Policies int
+	// Cells counts the distinct (trace, scenario, seed) cells run and Runs
+	// the policy runs over them, for report headers.
+	Cells int
+	Runs  int
 }
 
 // Confirmed, Supported and Refuted count outcomes by status.
@@ -81,33 +83,49 @@ func (e *Evaluation) GateFailed(maxTier int) []string {
 	return ids
 }
 
-// cellKey indexes the campaign's cells by the axes a claim addresses.
-type cellKey struct {
+// runKey indexes the campaign's policy runs by the axes a claim
+// addresses.
+type runKey struct {
 	Source   string
 	Scenario string
 	Seed     int64
+	Policy   string
 }
 
-// cellData is one cell's per-policy summaries.
-type cellData struct {
-	summaries map[string]*metrics.Summary
-	slos      map[string]*slo.Summary
+// runData is one policy run's summaries.
+type runData struct {
+	summary *metrics.Summary
+	slo     *slo.Summary
 }
 
-// RunCampaign expands the claims into one campaign — the union of their
-// scenarios and seeds as the matrix, the union of their policies in every
-// cell — runs it through sweep.Campaign and evaluates every claim against
-// the resulting summaries.
+// block is one sweep.Campaign of the expansion: a (trace, scenario) pair
+// with the policies that share one seed set there.
+type block struct {
+	src   scenario.Source
+	scen  string
+	seeds []int64
+	pols  []string
+}
+
+// RunCampaign expands the claims into the policy runs they name and
+// evaluates every claim against the resulting summaries. A (trace,
+// scenario, policy) triple runs exactly on the union of the seeds of the
+// claims that name it; the triples of one (trace, scenario) pair with the
+// same seeds run as one sweep.Campaign, so each cell's workload loads once
+// for all of them. Nothing else runs: a claim's policies never run in
+// another claim's scenarios.
 //
 // Specs must be normalized (Parse and Register output always is). The
-// matrix axes are assembled deterministically: scenarios and policies in
-// first-appearance order over the claims, seeds ascending — so the campaign
-// (and its report) is a pure function of the claim batch.
+// expansion is assembled deterministically: triples in first-appearance
+// order over the claims, seeds ascending — so the campaigns (and the
+// report) are a pure function of the claim batch, and each run's summary
+// is the one a full (trace × scenario × seed × policy) product would give.
 //
 // A failed cell does not discard the batch: the claims that read it report
 // an ERROR row on that seed, every other claim keeps its verdicts, and the
-// aggregated *sweep.Errors comes back alongside the Evaluation. A nil
-// Evaluation means the batch itself was invalid.
+// aggregated *sweep.Errors comes back alongside the Evaluation. A policy
+// the study's topology cannot run fails every claim before any cell loads.
+// A nil Evaluation means the batch itself was invalid.
 func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("hypothesis: no claims to run")
@@ -126,18 +144,12 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 		}
 	}
 
-	// Union the axes in deterministic order. The trace axis: unscoped
-	// claims run on the default Source; a trace clause selects a named
-	// source, in first-appearance order over the claims.
+	// The trace axis: unscoped claims run on the default Source; a trace
+	// clause selects a named source, in first-appearance order over the
+	// claims.
 	var (
-		scenNames  []string
-		scenSeen   = map[string]bool{}
-		polKeys    []string
-		polSeen    = map[string]bool{}
-		seedSet    = map[int64]bool{}
-		seedsUnion []int64
-		srcs       []scenario.Source
-		srcSeen    = map[string]bool{}
+		srcs    []scenario.Source
+		srcSeen = map[string]bool{}
 	)
 	srcName := func(trace string) string {
 		if trace == "" {
@@ -173,96 +185,135 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 			}
 		}
 	}
+	srcByName := make(map[string]scenario.Source, len(srcs))
+	for _, src := range srcs {
+		srcByName[src.Name] = src
+	}
+
+	// The (trace, scenario, policy) triples the claims name, each with the
+	// union of its claims' seeds.
+	type triple struct{ src, scen, pol string }
+	var (
+		triples []triple
+		seedsOf = map[triple]map[int64]bool{}
+	)
 	for _, s := range specs {
 		for _, t := range s.Terms {
 			for _, side := range []Side{t.Left, t.Right} {
 				if side.IsConst {
 					continue
 				}
-				if !scenSeen[side.Config.Scenario] {
-					scenSeen[side.Config.Scenario] = true
-					scenNames = append(scenNames, side.Config.Scenario)
+				tr := triple{srcName(s.Trace), side.Config.Scenario, side.Config.Policy}
+				if seedsOf[tr] == nil {
+					seedsOf[tr] = map[int64]bool{}
+					triples = append(triples, tr)
 				}
-				if !polSeen[side.Config.Policy] {
-					polSeen[side.Config.Policy] = true
-					polKeys = append(polKeys, side.Config.Policy)
+				for _, seed := range s.EffectiveSeeds() {
+					seedsOf[tr][seed] = true
 				}
-			}
-		}
-		for _, seed := range s.EffectiveSeeds() {
-			if !seedSet[seed] {
-				seedSet[seed] = true
-				seedsUnion = append(seedsUnion, seed)
 			}
 		}
 	}
-	sort.Slice(seedsUnion, func(i, j int) bool { return seedsUnion[i] < seedsUnion[j] })
+	var blocks []*block
+	blockOf := map[string]*block{}
+	cells := map[runKey]bool{} // Policy left empty: one entry per cell
+	runs := 0
+	for _, tr := range triples {
+		seeds := make([]int64, 0, len(seedsOf[tr]))
+		for seed := range seedsOf[tr] {
+			seeds = append(seeds, seed)
+			cells[runKey{Source: tr.src, Scenario: tr.scen, Seed: seed}] = true
+		}
+		sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+		runs += len(seeds)
+		key := fmt.Sprint(tr.src, "\x00", tr.scen, "\x00", seeds)
+		b := blockOf[key]
+		if b == nil {
+			b = &block{src: srcByName[tr.src], scen: tr.scen, seeds: seeds}
+			blockOf[key] = b
+			blocks = append(blocks, b)
+		}
+		b.pols = append(b.pols, tr.pol)
+	}
 
-	scens := make([]scenario.Scenario, len(scenNames))
-	for i, name := range scenNames {
-		sc, err := scenario.Parse(name)
+	// Resolve every block's axes before any cell loads.
+	scens := make([]scenario.Scenario, len(blocks))
+	pols := make([][]core.Spec, len(blocks))
+	var admitErr error
+	for i, b := range blocks {
+		sc, err := scenario.Parse(b.scen)
 		if err != nil {
-			return nil, fmt.Errorf("hypothesis: scenario %q: %w", name, err)
+			return nil, fmt.Errorf("hypothesis: scenario %q: %w", b.scen, err)
 		}
 		scens[i] = sc
-	}
-	pols := make([]core.Spec, len(polKeys))
-	for i, key := range polKeys {
-		sp, err := core.SpecByKey(key)
-		if err != nil {
-			return nil, fmt.Errorf("hypothesis: policy %q: %w", key, err)
+		for _, key := range b.pols {
+			sp, err := core.SpecByKey(key)
+			if err != nil {
+				return nil, fmt.Errorf("hypothesis: policy %q: %w", key, err)
+			}
+			if err := opt.Study.Topology.Admit(sp); err != nil && admitErr == nil {
+				admitErr = err
+			}
+			pols[i] = append(pols[i], sp)
 		}
-		pols[i] = sp
 	}
 
-	cells, runErr := sweep.Campaign{
-		Sources:   srcs,
-		Scenarios: scens,
-		Seeds:     seedsUnion,
-		Specs:     pols,
-		Study:     opt.Study,
-		Parallel:  opt.Parallel,
-	}.Run()
-
-	// Index the cells. Failed cells (nil slots) simply stay unindexed; the
-	// claims that need them report the miss per seed.
-	index := make(map[cellKey]*cellData, len(cells))
-	for _, cell := range cells {
-		if cell == nil {
-			continue
+	index := map[runKey]runData{}
+	runErr := admitErr
+	var failed sweep.Errors
+	for i, b := range blocks {
+		if admitErr != nil {
+			break
 		}
-		cd := &cellData{
-			summaries: make(map[string]*metrics.Summary, len(cell.Policies)),
-			slos:      make(map[string]*slo.Summary, len(cell.Policies)),
+		sums, err := sweep.Campaign{
+			Sources:   []scenario.Source{b.src},
+			Scenarios: []scenario.Scenario{scens[i]},
+			Seeds:     b.seeds,
+			Specs:     pols[i],
+			Study:     opt.Study,
+			Parallel:  opt.Parallel,
+		}.Run()
+		var errs *sweep.Errors
+		switch {
+		case errors.As(err, &errs):
+			failed.Runs = append(failed.Runs, errs.Runs...)
+		case err != nil && runErr == nil:
+			runErr = err
 		}
-		for i, pol := range cell.Policies {
-			cd.summaries[pol] = cell.Summaries[i]
-			if cell.SLOs != nil {
-				cd.slos[pol] = cell.SLOs[i]
+		// Failed cells (nil slots) simply stay unindexed; the claims that
+		// need them report the miss per seed.
+		for _, cell := range sums {
+			if cell == nil {
+				continue
+			}
+			for k, pol := range cell.Policies {
+				rd := runData{summary: cell.Summaries[k]}
+				if cell.SLOs != nil {
+					rd.slo = cell.SLOs[k]
+				}
+				index[runKey{Source: cell.Source, Scenario: b.scen, Seed: cell.Seed, Policy: pol}] = rd
 			}
 		}
-		index[cellKey{Source: cell.Source, Scenario: cell.Scenario, Seed: cell.Seed}] = cd
+	}
+	if runErr == nil && len(failed.Runs) > 0 {
+		runErr = &failed
 	}
 
 	names := make([]string, len(srcs))
 	for i, src := range srcs {
 		names[i] = src.Name
 	}
-	eval := &Evaluation{
-		Source:   strings.Join(names, ", "),
-		Cells:    len(srcs) * len(scens) * len(seedsUnion),
-		Policies: len(pols),
-	}
+	eval := &Evaluation{Source: strings.Join(names, ", "), Cells: len(cells), Runs: runs}
 	for _, s := range specs {
 		spec := s
 		eval.Outcomes = append(eval.Outcomes, Evaluate(spec, func(seed int64) Resolver {
 			return func(cfg Config, metric string) (float64, error) {
-				key := cellKey{Source: srcName(spec.Trace), Scenario: cfg.Scenario, Seed: seed}
-				cd, ok := index[key]
+				key := runKey{Source: srcName(spec.Trace), Scenario: cfg.Scenario, Seed: seed, Policy: cfg.Policy}
+				rd, ok := index[key]
 				if !ok {
 					return 0, fmt.Errorf("hypothesis: cell (%s × %s × seed %d) did not complete", key.Source, cfg.Scenario, seed)
 				}
-				return resolveMetric(cd.summaries[cfg.Policy], cd.slos[cfg.Policy], metric)
+				return resolveMetric(rd.summary, rd.slo, metric)
 			}
 		}))
 	}

@@ -37,16 +37,21 @@ type aggressiveEngine struct {
 
 	main    []*job.Job
 	starved []*job.Job
+	// minWidth is a lower bound on the widths of main, its reserved heads
+	// included: arrive lowers it, removals keep it, and every scan of main
+	// sets it exactly (scanMain).
+	minWidth int
 	// qBuf is the reused queued() buffer (callers must not retain it).
 	qBuf []*job.Job
 }
 
 // reset keeps the sorter's sorted state: an empty queue is sorted under
 // any keys, so a stale epoch cannot misplace the next run's arrivals.
-func (e *aggressiveEngine) reset() { e.main, e.starved = nil, nil }
+func (e *aggressiveEngine) reset() { e.main, e.starved, e.minWidth = nil, nil, math.MaxInt }
 
 func (e *aggressiveEngine) arrive(env sim.Env, j *job.Job) {
 	e.main = e.prio.insert(env, e.main, j)
+	e.minWidth = min(e.minWidth, j.Nodes)
 	e.schedule(env)
 }
 
@@ -82,22 +87,22 @@ func (e *aggressiveEngine) schedule(env sim.Env) {
 		e.comp.startHeads(env, &e.starved)
 	}
 	e.prio.sort(env, e.main, nil)
-	if len(e.starved) > 0 {
-		e.starved, e.main = e.backfill(env, e.starved, e.starve.depth, e.main)
-		return
+	if len(e.starved) == 0 {
+		e.comp.startHeads(env, &e.main)
 	}
-	e.comp.startHeads(env, &e.main)
-	e.main, _ = e.backfill(env, e.main, e.depth, nil)
+	e.backfill(env)
 }
 
-// backfill reserves q's first depth jobs and starts every other job of q,
-// then of tail, in order, that delays none of those reservations. It
-// returns the jobs of q and of tail left queued.
+// backfill reserves the first depth jobs of the starvation queue, if it
+// holds any, else of the main queue, and starts every other job of that
+// queue, then of the main queue behind a starvation queue, in order, that
+// delays none of those reservations.
 //
 // A pass costs in proportion to the candidates that fit the free nodes:
-// startAdmitted skips the others on the free count alone, and the
-// reservations are placed only when the first candidate fits. No job has
-// started in the pass before then, so they are the reservations an
+// startAdmitted skips the others on the free count alone, scanMain skips
+// the whole main queue when fewer nodes are free than its width bound, and
+// the reservations are placed only when the first candidate fits. No job
+// has started in the pass before then, so they are the reservations an
 // up-front placement would make, and a pass where nothing fits never
 // builds the availability profile.
 //
@@ -108,7 +113,11 @@ func (e *aggressiveEngine) schedule(env sim.Env) {
 // Deeper reservations are placed on the composite's scratch profile, which
 // each candidate must fit from now on (fitsNow).
 // TestShadowRuleMatchesProfileRule pins that the two tests agree at depth 1.
-func (e *aggressiveEngine) backfill(env sim.Env, q []*job.Job, depth int, tail []*job.Job) ([]*job.Job, []*job.Job) {
+func (e *aggressiveEngine) backfill(env sim.Env) {
+	q, depth := e.main, e.depth
+	if len(e.starved) > 0 {
+		q, depth = e.starved, e.starve.depth
+	}
 	depth = min(depth, len(q))
 	now, free := env.Now(), env.FreeNodes()
 	resAt, shadow := int64(math.MaxInt64), 0
@@ -147,22 +156,46 @@ func (e *aggressiveEngine) backfill(env sim.Env, q []*job.Job, depth int, tail [
 		free = env.FreeNodes()
 		return true
 	}
-	rest := startAdmitted(q[depth:], &free, admit)
-	return q[:depth+len(rest)], startAdmitted(tail, &free, admit)
+	if len(e.starved) == 0 {
+		e.main = e.scanMain(depth, &free, admit)
+		return
+	}
+	rest, _ := startAdmitted(q[depth:], &free, admit)
+	e.starved = q[:depth+len(rest)]
+	e.main = e.scanMain(0, &free, admit)
+}
+
+// scanMain offers the main queue behind its first heads jobs to admit and
+// returns the main queue left. With fewer nodes free than minWidth no job
+// of it fits, so the scan is skipped: a scan would offer nothing. A scan
+// reads every candidate's width, so it sets minWidth exactly, the heads'
+// widths included — a later order can make a reserved head a candidate.
+func (e *aggressiveEngine) scanMain(heads int, free *int, admit func(*job.Job) bool) []*job.Job {
+	if *free < e.minWidth {
+		return e.main
+	}
+	rest, w := startAdmitted(e.main[heads:], free, admit)
+	for _, r := range e.main[:heads] {
+		w = min(w, r.Nodes)
+	}
+	e.minWidth = w
+	return e.main[:heads+len(rest)]
 }
 
 // startAdmitted offers each job of q that fits the *free nodes, in order,
 // to admit, which starts the jobs it accepts and updates *free, and returns
-// the rest compacted in place.
-func startAdmitted(q []*job.Job, free *int, admit func(*job.Job) bool) []*job.Job {
-	kept := q[:0]
+// the rest compacted in place with their least width (math.MaxInt when
+// none is left).
+func startAdmitted(q []*job.Job, free *int, admit func(*job.Job) bool) (kept []*job.Job, minWidth int) {
+	kept, minWidth = q[:0], math.MaxInt
 	for _, c := range q {
 		if c.Nodes > *free || !admit(c) {
 			kept = append(kept, c)
+			minWidth = min(minWidth, c.Nodes)
 		}
 	}
 	clear(q[len(kept):]) // drop started jobs' pointers from the vacated tail
-	return kept
+	return kept, minWidth
 }
 
 // reserve occupies r's earliest fit on prof from now on and returns its

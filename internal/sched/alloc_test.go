@@ -128,6 +128,36 @@ func TestAggressivePassAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSkippedPassAllocatesNothing: on a full machine every queued job is
+// wider than the free nodes, so once a scan has set the main queue's width
+// bound, a warm easy or cplant24.nomax.all pass skips the main queue's
+// scan: it allocates nothing, starts nothing and never reads the
+// availability profile.
+func TestSkippedPassAllocatesNothing(t *testing.T) {
+	for _, spec := range []string{"easy", "cplant24.nomax.all"} {
+		env := newBusyEnv(100)
+		pol := MustParse(spec)
+		pol.Reset(env)
+		eng := pol.engine.(*aggressiveEngine)
+		standingQueue(env, pol, 32)
+		if eng.minWidth <= env.FreeNodes() {
+			t.Fatalf("%s: width bound %d does not skip a pass with %d free nodes", spec, eng.minWidth, env.FreeNodes())
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			pol.Wake(env)
+			if len(eng.main) != 32 {
+				t.Fatal("a job left the standing queue")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm skipped %s pass allocates %.1f times, want 0", spec, allocs)
+		}
+		if env.availCalls != 0 {
+			t.Fatalf("%s: skipped passes read the availability profile %d times", spec, env.availCalls)
+		}
+	}
+}
+
 // TestReservingPassAllocatesNothing: a warm easy or edf pass on a machine
 // with free nodes, where narrow candidates fit by width but would delay the
 // blocked head's reservation, places that reservation, starts nothing and

@@ -112,8 +112,9 @@ func TestShadowRuleMatchesProfileRule(t *testing.T) {
 			}
 		}
 
-		e := aggressiveEngine{comp: &Composite{}}
-		keptQ, keptTail := e.backfill(env, q[:split], 1, q[split:])
+		e := aggressiveEngine{comp: &Composite{}, starve: &starvation{depth: 1}, starved: q[:split], main: q[split:]}
+		e.backfill(env)
+		keptQ, keptTail := e.starved, e.main
 		if len(keptQ) == 0 || keptQ[0] != head {
 			t.Logf("seed %d: the reserved head left the queue", seed)
 			return false
