@@ -102,9 +102,10 @@ type runData struct {
 // with the policies that share one seed set there.
 type block struct {
 	src   scenario.Source
-	scen  string
+	scen  scenario.Scenario
+	name  string // the scenario as the claims spell it
 	seeds []int64
-	pols  []string
+	specs []core.Spec
 }
 
 // RunCampaign expands the claims into the policy runs they name and
@@ -214,10 +215,14 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 			}
 		}
 	}
-	var blocks []*block
-	blockOf := map[string]*block{}
-	cells := map[runKey]bool{} // Policy left empty: one entry per cell
-	runs := 0
+	// Resolve every block's axes before any cell loads.
+	var (
+		blocks   []*block
+		blockOf  = map[string]*block{}
+		cells    = map[runKey]bool{} // Policy left empty: one entry per cell
+		runs     int
+		admitErr error
+	)
 	for _, tr := range triples {
 		seeds := make([]int64, 0, len(seedsOf[tr]))
 		for seed := range seedsOf[tr] {
@@ -229,47 +234,36 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 		key := fmt.Sprint(tr.src, "\x00", tr.scen, "\x00", seeds)
 		b := blockOf[key]
 		if b == nil {
-			b = &block{src: srcByName[tr.src], scen: tr.scen, seeds: seeds}
+			sc, err := scenario.Parse(tr.scen)
+			if err != nil {
+				return nil, fmt.Errorf("hypothesis: scenario %q: %w", tr.scen, err)
+			}
+			b = &block{src: srcByName[tr.src], scen: sc, name: tr.scen, seeds: seeds}
 			blockOf[key] = b
 			blocks = append(blocks, b)
 		}
-		b.pols = append(b.pols, tr.pol)
-	}
-
-	// Resolve every block's axes before any cell loads.
-	scens := make([]scenario.Scenario, len(blocks))
-	pols := make([][]core.Spec, len(blocks))
-	var admitErr error
-	for i, b := range blocks {
-		sc, err := scenario.Parse(b.scen)
+		sp, err := core.SpecByKey(tr.pol)
 		if err != nil {
-			return nil, fmt.Errorf("hypothesis: scenario %q: %w", b.scen, err)
+			return nil, fmt.Errorf("hypothesis: policy %q: %w", tr.pol, err)
 		}
-		scens[i] = sc
-		for _, key := range b.pols {
-			sp, err := core.SpecByKey(key)
-			if err != nil {
-				return nil, fmt.Errorf("hypothesis: policy %q: %w", key, err)
-			}
-			if err := opt.Study.Topology.Admit(sp); err != nil && admitErr == nil {
-				admitErr = err
-			}
-			pols[i] = append(pols[i], sp)
+		if err := opt.Study.Topology.Admit(sp); err != nil && admitErr == nil {
+			admitErr = err
 		}
+		b.specs = append(b.specs, sp)
 	}
 
 	index := map[runKey]runData{}
 	runErr := admitErr
 	var failed sweep.Errors
-	for i, b := range blocks {
+	for _, b := range blocks {
 		if admitErr != nil {
 			break
 		}
 		sums, err := sweep.Campaign{
 			Sources:   []scenario.Source{b.src},
-			Scenarios: []scenario.Scenario{scens[i]},
+			Scenarios: []scenario.Scenario{b.scen},
 			Seeds:     b.seeds,
-			Specs:     pols[i],
+			Specs:     b.specs,
 			Study:     opt.Study,
 			Parallel:  opt.Parallel,
 		}.Run()
@@ -291,7 +285,7 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 				if cell.SLOs != nil {
 					rd.slo = cell.SLOs[k]
 				}
-				index[runKey{Source: cell.Source, Scenario: b.scen, Seed: cell.Seed, Policy: pol}] = rd
+				index[runKey{Source: cell.Source, Scenario: b.name, Seed: cell.Seed, Policy: pol}] = rd
 			}
 		}
 	}
