@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fairsched"
 	"fairsched/internal/core"
@@ -294,10 +295,9 @@ func BenchmarkFullSweep(b *testing.B) {
 // --- Sweep engine throughput (docs/PERFORMANCE.md) ---
 
 // benchSweepThroughput drives the nine-policy sweep through the worker pool
-// at a fixed parallelism and reports runs/sec and simulated events/sec —
-// the two axes BENCH_*.json tracks across PRs. The workload is generated
-// once outside the timed region; each iteration re-simulates all nine
-// policies.
+// at a fixed parallelism and reports runs/sec and simulated events/sec.
+// The workload is generated once outside the timed region; each iteration
+// re-simulates all nine policies.
 func benchSweepThroughput(b *testing.B, parallel int) {
 	_, jobs := benchSetup(b)
 	specs := core.AllSpecs()
@@ -352,6 +352,56 @@ func BenchmarkSweepMatrixSeeds(b *testing.B) {
 	}
 }
 
+// --- Population scaling (DESIGN.md §15) ---
+
+// BenchmarkPopulation measures one cohort population per size, from trace
+// scale (640 users) to a million users. The job budget is fixed at 20k, so
+// only the user axis varies and ns/event isolates the per-user index cost:
+// §15's bar is 10^5 users within 1.5x of the 640-user ns/event. Each op
+// generates the population and simulates it under list.fairshare on a
+// 1000-node machine; users/s times the generation alone, and tracker-B/user
+// is the fairshare tracker's retained heap after charging every user once.
+func BenchmarkPopulation(b *testing.B) {
+	for _, users := range []int{640, 1_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("users%d", users), func(b *testing.B) {
+			cfg := workload.PopConfig{Seed: benchSeed, Users: users, Jobs: 20_000}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tr := fairshare.NewTracker(fairshare.DefaultConfig(), 0)
+			for u := 1; u <= users; u++ {
+				tr.Charge(u, 1)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(tr)
+			bytesPerUser := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(users)
+
+			var gen, run time.Duration
+			var events int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				jobs, err := workload.GeneratePopulation(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				res, err := sim.New(sim.Config{SystemSize: 1000}, sched.MustParse("list.fairshare")).Run(jobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gen, run = gen+t1.Sub(t0), run+time.Since(t1)
+				events = res.Events
+			}
+			b.ReportMetric(float64(b.N*users)/gen.Seconds(), "users/s")
+			b.ReportMetric(bytesPerUser, "tracker-B/user")
+			b.ReportMetric(float64(run.Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+			b.ReportMetric(float64(events), "events/run")
+		})
+	}
+}
+
 // --- Ablations (DESIGN.md §7) ---
 
 func benchRunPolicy(b *testing.B, cfg core.StudyConfig, key string) *fairsched.Summary {
@@ -374,92 +424,61 @@ func benchRunPolicy(b *testing.B, cfg core.StudyConfig, key string) *fairsched.S
 	return run.Summary
 }
 
-// BenchmarkAblationFSTOverhead* measure the hybrid-FST engine's cost by
-// running the baseline with and without the observer attached.
-func BenchmarkAblationFSTOverheadOn(b *testing.B) {
-	s := benchRunPolicy(b, core.StudyConfig{}, "cplant24.nomax.all")
-	b.ReportMetric(s.PercentUnfair, "unfair-%")
-}
-
-func BenchmarkAblationFSTOverheadOff(b *testing.B) {
-	benchRunPolicy(b, core.StudyConfig{SkipFST: true}, "cplant24.nomax.all")
-}
-
-// BenchmarkAblationCompression* compare static conservative (reservation-
-// preserving with fairshare improvement passes) against dynamic rebuilds.
-func BenchmarkAblationCompressionStatic(b *testing.B) {
-	s := benchRunPolicy(b, core.StudyConfig{}, "cons.nomax")
-	b.ReportMetric(s.PercentUnfair, "unfair-%")
-	b.ReportMetric(s.AvgMissTime, "miss-s")
-}
-
-func BenchmarkAblationCompressionDynamic(b *testing.B) {
-	s := benchRunPolicy(b, core.StudyConfig{}, "consdyn.nomax")
-	b.ReportMetric(s.PercentUnfair, "unfair-%")
-	b.ReportMetric(s.AvgMissTime, "miss-s")
-}
-
-// BenchmarkAblationDecay* sweep the fairshare decay factor (the paper fixes
-// the 24h interval but not the factor; 0.5 is our default).
-func benchDecay(b *testing.B, factor float64) {
-	s := benchRunPolicy(b, core.StudyConfig{
-		Fairshare: fairshare.Config{DecayFactor: factor},
-	}, "cplant24.nomax.all")
-	b.ReportMetric(s.PercentUnfair, "unfair-%")
-	b.ReportMetric(s.AvgMissTime, "miss-s")
-}
-
-func BenchmarkAblationDecay25(b *testing.B) { benchDecay(b, 0.25) }
-func BenchmarkAblationDecay50(b *testing.B) { benchDecay(b, 0.50) }
-func BenchmarkAblationDecay75(b *testing.B) { benchDecay(b, 0.75) }
-
-// BenchmarkAblationHeavy* compare heavy-user classifiers on the *.fair
-// policy (our default is above-mean).
-func benchHeavy(b *testing.B, heavy fairshare.HeavyClassifier) {
-	_, jobs := benchSetup(b)
-	var unfair float64
-	for i := 0; i < b.N; i++ {
-		pol := sched.MustParse("cplant24.nomax.fair")
-		pol.SetHeavyClassifier(heavy)
-		fst := fairness.NewHybridFST()
-		res, err := sim.New(sim.Config{SystemSize: benchNodes}, pol, fst).Run(jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		u := fairness.Measure(res.Records, fst.Table())
-		unfair = u.PercentUnfair()
+// BenchmarkAblation runs the design-choice ablations, one sub-benchmark
+// per choice, each reporting the summary metrics its comparison reads:
+//   - FSTOverhead: the baseline with and without the hybrid-FST observer;
+//   - Compression: static conservative (reservation-preserving, with
+//     fairshare improvement passes) against dynamic rebuilds;
+//   - Decay: the fairshare decay factor (the paper fixes the 24h interval
+//     but not the factor; 0.5 is the default);
+//   - Heavy: heavy-user classifiers on the *.fair policy (above-mean is the
+//     default, q75 the above-quantile alternative);
+//   - Split: the three split-submission models under the 72h limit;
+//   - Depth: the reservation depth of depth-n backfilling, the paper's
+//     "first n jobs get a reservation" spectrum between aggressive and
+//     conservative.
+func BenchmarkAblation(b *testing.B) {
+	const (
+		unfair = 1 << iota
+		miss
+		loc
+	)
+	for _, c := range []struct {
+		name    string
+		cfg     core.StudyConfig
+		key     string
+		metrics int
+	}{
+		{"FSTOverheadOn", core.StudyConfig{}, "cplant24.nomax.all", unfair},
+		{"FSTOverheadOff", core.StudyConfig{SkipFST: true}, "cplant24.nomax.all", 0},
+		{"CompressionStatic", core.StudyConfig{}, "cons.nomax", unfair | miss},
+		{"CompressionDynamic", core.StudyConfig{}, "consdyn.nomax", unfair | miss},
+		{"Decay25", core.StudyConfig{Fairshare: fairshare.Config{DecayFactor: 0.25}}, "cplant24.nomax.all", unfair | miss},
+		{"Decay50", core.StudyConfig{Fairshare: fairshare.Config{DecayFactor: 0.50}}, "cplant24.nomax.all", unfair | miss},
+		{"Decay75", core.StudyConfig{Fairshare: fairshare.Config{DecayFactor: 0.75}}, "cplant24.nomax.all", unfair | miss},
+		{"HeavyAboveMean", core.StudyConfig{}, "cplant24.nomax.fair", unfair},
+		{"HeavyAboveQuantile", core.StudyConfig{}, "order=fairshare+starve=24h.q75", unfair},
+		{"SplitUpfront", core.StudyConfig{Split: sim.SplitUpfront}, "cplant24.72max.all", unfair | miss},
+		{"SplitStaggered", core.StudyConfig{Split: sim.SplitStaggered}, "cplant24.72max.all", unfair | miss},
+		{"SplitChained", core.StudyConfig{Split: sim.SplitChained}, "cplant24.72max.all", unfair | miss},
+		{"Depth1", core.StudyConfig{}, "depth1", unfair | miss | loc},
+		{"Depth4", core.StudyConfig{}, "depth4", unfair | miss | loc},
+		{"Depth16", core.StudyConfig{}, "depth16", unfair | miss | loc},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := benchRunPolicy(b, c.cfg, c.key)
+			if c.metrics&unfair != 0 {
+				b.ReportMetric(s.PercentUnfair, "unfair-%")
+			}
+			if c.metrics&miss != 0 {
+				b.ReportMetric(s.AvgMissTime, "miss-s")
+			}
+			if c.metrics&loc != 0 {
+				b.ReportMetric(100*s.LossOfCapacity, "loc-%")
+			}
+		})
 	}
-	b.ReportMetric(unfair, "unfair-%")
 }
-
-func BenchmarkAblationHeavyAboveMean(b *testing.B)     { benchHeavy(b, fairshare.AboveMean{}) }
-func BenchmarkAblationHeavyAboveQuantile(b *testing.B) { benchHeavy(b, fairshare.AboveQuantile{}) }
-
-// BenchmarkAblationSplit* compare the three split-submission models under
-// the 72h maximum-runtime policy.
-func benchSplit(b *testing.B, mode sim.SplitMode) {
-	s := benchRunPolicy(b, core.StudyConfig{Split: mode}, "cplant24.72max.all")
-	b.ReportMetric(s.PercentUnfair, "unfair-%")
-	b.ReportMetric(s.AvgMissTime, "miss-s")
-}
-
-func BenchmarkAblationSplitUpfront(b *testing.B)   { benchSplit(b, sim.SplitUpfront) }
-func BenchmarkAblationSplitStaggered(b *testing.B) { benchSplit(b, sim.SplitStaggered) }
-func BenchmarkAblationSplitChained(b *testing.B)   { benchSplit(b, sim.SplitChained) }
-
-// BenchmarkAblationDepth* sweep the reservation depth of depth-n
-// backfilling (the paper's "first n jobs get a reservation" spectrum
-// between aggressive and conservative).
-func benchDepth(b *testing.B, depth int) {
-	s := benchRunPolicy(b, core.StudyConfig{}, fmt.Sprintf("depth%d", depth))
-	b.ReportMetric(s.PercentUnfair, "unfair-%")
-	b.ReportMetric(s.AvgMissTime, "miss-s")
-	b.ReportMetric(100*s.LossOfCapacity, "loc-%")
-}
-
-func BenchmarkAblationDepth1(b *testing.B)  { benchDepth(b, 1) }
-func BenchmarkAblationDepth4(b *testing.B)  { benchDepth(b, 4) }
-func BenchmarkAblationDepth16(b *testing.B) { benchDepth(b, 16) }
 
 // --- Substrate micro-benchmarks ---
 

@@ -199,20 +199,21 @@ func TurnaroundStdDev(res *Result) float64 { return metrics.TurnaroundStdDev(res
 // the processor-seconds delivered per user.
 func JainIndexOfUserService(res *Result) float64 { return metrics.JainIndexOfUserService(res) }
 
-// ReadSWF parses a Standard Workload Format trace into jobs, returning the
-// jobs and the declared system size (0 when the header lacks MaxNodes).
-// Cancelled records (status 5) are dropped; see ReadSWFWith to keep them.
+// ReadSWF streams a Standard Workload Format trace into jobs, returning the
+// jobs in trace order and the declared system size: MaxNodes, else
+// MaxProcs (0 when the header declares neither). Cancelled records
+// (status 5) are dropped; see ReadSWFWith to keep them.
 func ReadSWF(r io.Reader) ([]*Job, int, error) {
 	return ReadSWFWith(r, SWFConvertOptions{})
 }
 
 // ReadSWFWith is ReadSWF with explicit record-conversion options.
 func ReadSWFWith(r io.Reader, opts SWFConvertOptions) ([]*Job, int, error) {
-	trace, err := swf.Parse(r)
+	jobs, h, err := swf.ReadJobs(r, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	return trace.JobsWith(opts), trace.Header.MaxNodes, nil
+	return jobs, h.SystemSize(), nil
 }
 
 // Streaming SWF ingestion: a Scanner yields one record at a time from any

@@ -70,6 +70,20 @@ func TestPublicAPISWFRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadSWFSizeFallsBackToMaxProcs: a header without MaxNodes declares
+// its machine through MaxProcs, the same rule every trace loader follows.
+func TestReadSWFSizeFallsBackToMaxProcs(t *testing.T) {
+	trace := "; Version: 2\n; MaxProcs: 64\n" +
+		"1 0 0 100 4 -1 -1 4 200 -1 1 3 1 -1 -1 -1 -1 -1\n"
+	jobs, size, err := fairsched.ReadSWF(strings.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != 64 || len(jobs) != 1 {
+		t.Fatalf("MaxProcs-only header: size=%d jobs=%d, want 64 and 1", size, len(jobs))
+	}
+}
+
 func TestPublicAPICustomSimulator(t *testing.T) {
 	jobs := []*fairsched.Job{
 		{ID: 1, User: 1, Submit: 0, Runtime: 100, Estimate: 100, Nodes: 4},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"fairsched/internal/sched"
 )
@@ -37,14 +38,26 @@ func ListPolicies(w io.Writer) {
 	}
 	fmt.Fprintln(w, "\nAny \"depth<N>\" (N >= 1) is depth-N backfilling over the fairshare queue.")
 	fmt.Fprintln(w, "\nAd-hoc chains join components with '+':")
-	fmt.Fprintln(w, "  order=fairshare|fcfs|sjf|lxf|widest|narrowest   queue order (default fairshare)")
-	fmt.Fprintln(w, "  bf=none|noguarantee|easy|depth|conservative|consdyn")
-	fmt.Fprintln(w, "                                                  backfill discipline (default noguarantee)")
-	fmt.Fprintln(w, "  starve=24h[.all|.nonheavy|.q75|.abs280h]        starvation queue: wait threshold + admission")
-	fmt.Fprintln(w, "                                                  (q<N>: heavy above the N-th usage quantile;")
-	fmt.Fprintln(w, "                                                  abs<S>: heavy above S decayed proc-seconds)")
-	fmt.Fprintln(w, "  depth=2                                         reservation depth (with starve or bf=depth)")
-	fmt.Fprintln(w, "  max=72h                                         maximum-runtime limit (simulator-enforced)")
+	// component writes a syntax column and a description starting at column
+	// 50; a syntax too wide for its column puts the description underneath.
+	component := func(syntax string, desc ...string) {
+		if len(syntax) > 46 {
+			fmt.Fprintf(w, "  %s\n%50s", syntax, "")
+		} else {
+			fmt.Fprintf(w, "  %-48s", syntax)
+		}
+		fmt.Fprintln(w, strings.Join(desc, "\n"+strings.Repeat(" ", 50)))
+	}
+	component("order="+strings.Join(sched.OrderNames(), "|"), "queue order (default fairshare)")
+	component("bf="+strings.Join(sched.BackfillNames(), "|"), "backfill discipline (default noguarantee)")
+	component("starve=24h[.all|.nonheavy|.q75|.abs280h]", "starvation queue: wait threshold + admission",
+		"(q<N>: heavy above the N-th usage quantile;",
+		"abs<S>: heavy above S decayed proc-seconds)")
+	component("depth=2", "reservation depth (with starve or bf=depth)")
+	component("max=72h", "maximum-runtime limit (simulator-enforced)")
+	component("preempt="+strings.Join(sched.PreemptTriggers(), "|")+"[."+strings.Join(sched.PreemptVictims(), "|.")+"]",
+		"checkpoint preemption: trigger + victim (default lowpri;",
+		"with bf=none, easy or depth, no starve or max)")
 	fmt.Fprintln(w, "\nExample: -policy 'order=fairshare+bf=easy+starve=24h.nonheavy+depth=2'")
 }
 

@@ -68,23 +68,11 @@ func TraceFileWith(path string, opts swf.ConvertOptions) Source {
 				return nil, fmt.Errorf("scenario: %w", err)
 			}
 			defer f.Close()
-			sc := swf.NewScanner(f)
-			var jobs []*job.Job
-			for sc.Scan() {
-				if j, ok := swf.Convert(sc.Record(), opts); ok {
-					jobs = append(jobs, j)
-				}
-			}
-			if err := sc.Err(); err != nil {
+			jobs, h, err := swf.ReadJobs(f, opts)
+			if err != nil {
 				return nil, fmt.Errorf("scenario: %s: %w", path, err)
 			}
-			swf.SortJobs(jobs)
-			h := sc.Header()
-			size := h.MaxNodes
-			if size <= 0 {
-				size = h.MaxProcs
-			}
-			return &Workload{Jobs: jobs, SystemSize: size, UnixStartTime: h.UnixStartTime}, nil
+			return &Workload{Jobs: jobs, SystemSize: h.SystemSize(), UnixStartTime: h.UnixStartTime}, nil
 		},
 	}
 }

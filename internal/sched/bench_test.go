@@ -45,7 +45,9 @@ func benchPolicyEventsWith(b *testing.B, mk func() *Composite) {
 	var events int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.New(sim.Config{SystemSize: 250}, mk()).Run(jobs)
+		pol := mk()
+		cfg := sim.Config{SystemSize: 250, Preemptable: pol.spec.PreemptTrigger != ""}
+		res, err := sim.New(cfg, pol).Run(jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,3 +73,4 @@ func BenchmarkEventConsDynamicRef(b *testing.B)  { benchPolicyEventsRef(b, "cons
 func BenchmarkEventDepth8(b *testing.B)          { benchPolicyEvents(b, "depth8") }
 func BenchmarkEventListFairshare(b *testing.B)   { benchPolicyEvents(b, "list.fairshare") }
 func BenchmarkEventSJFEasy(b *testing.B)         { benchPolicyEvents(b, "easy.sjf") }
+func BenchmarkEventSRPT(b *testing.B)            { benchPolicyEvents(b, "srpt") }

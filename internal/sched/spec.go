@@ -110,6 +110,15 @@ const (
 var preemptTriggers = []string{PreemptReserve, PreemptDeadline}
 var preemptVictims = []string{VictimLowPri, VictimNewest}
 
+// BackfillNames lists the bf= tokens in listing order.
+func BackfillNames() []string { return slices.Clone(backfills) }
+
+// PreemptTriggers lists the preempt= trigger tokens in listing order.
+func PreemptTriggers() []string { return slices.Clone(preemptTriggers) }
+
+// PreemptVictims lists the preempt= victim tokens in listing order.
+func PreemptVictims() []string { return slices.Clone(preemptVictims) }
+
 // Spec is one point in the policy design space: pure data naming the
 // composed components. Specs are comparable, serializable and cheap to
 // copy; New assembles the runnable policy.
@@ -247,7 +256,7 @@ func ParseSpec(spec string) (Spec, error) {
 		return s, nil
 	}
 	if !strings.Contains(spec, "=") {
-		return Spec{}, fmt.Errorf("sched: unknown policy %q (want a registered name — see -list-policies — or an order=/bf=/starve=/depth=/max= chain)", spec)
+		return Spec{}, fmt.Errorf("sched: unknown policy %q (want a registered name — see -list-policies — or an order=/bf=/starve=/depth=/max=/preempt= chain)", spec)
 	}
 	var s Spec
 	pos := 0
@@ -273,7 +282,7 @@ func parseComponent(spec, part string, pos int, s *Spec) error {
 	pos += strings.Index(part, trimmed) // account for leading spaces
 	key, val, ok := strings.Cut(trimmed, "=")
 	if !ok {
-		return fmt.Errorf("position %d: component %q is not key=value (want order=, bf=, starve=, depth= or max=)", pos, trimmed)
+		return fmt.Errorf("position %d: component %q is not key=value (want order=, bf=, starve=, depth=, max= or preempt=)", pos, trimmed)
 	}
 	if first, _ := componentPos(spec, key); first != pos {
 		return fmt.Errorf("position %d: duplicate %s= (first at position %d)", pos, key, first)

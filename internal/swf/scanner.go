@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"io"
 	"strings"
+
+	"fairsched/internal/job"
 )
 
 // Scanner streams an SWF trace one record at a time, the archive-scale
@@ -88,3 +90,21 @@ func (s *Scanner) Line() int { return s.line }
 
 // Err returns the first error encountered, nil at a clean end of input.
 func (s *Scanner) Err() error { return s.err }
+
+// ReadJobs streams r through a Scanner and Convert and returns the converted
+// jobs in trace order (SortJobs) with the trace's header. Only the jobs are
+// held in memory, never the raw records.
+func ReadJobs(r io.Reader, opts ConvertOptions) ([]*job.Job, *Header, error) {
+	sc := NewScanner(r)
+	var jobs []*job.Job
+	for sc.Scan() {
+		if j, ok := Convert(sc.Record(), opts); ok {
+			jobs = append(jobs, j)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	SortJobs(jobs)
+	return jobs, sc.Header(), nil
+}

@@ -39,6 +39,15 @@ type Header struct {
 	Raw []Directive
 }
 
+// SystemSize is the declared machine size: MaxNodes, else MaxProcs (0 when
+// the header declares neither).
+func (h *Header) SystemSize() int {
+	if h.MaxNodes > 0 {
+		return h.MaxNodes
+	}
+	return h.MaxProcs
+}
+
 // Directive is one "; Key: Value" header line.
 type Directive struct {
 	Key   string

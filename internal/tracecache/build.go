@@ -12,7 +12,7 @@ import (
 	"fairsched/internal/swf"
 )
 
-// BuildFromSWF streams an SWF file through swf.Scanner/Convert — the exact
+// BuildFromSWF streams an SWF file through swf.ReadJobs — the exact
 // pipeline scenario.TraceFileWith runs — and returns the converted jobs
 // (trace order) plus the Meta identifying this build: the SHA-256 of the
 // raw bytes (hashed while scanning, one pass) and the options fingerprint.
@@ -23,25 +23,13 @@ func BuildFromSWF(path string, opts swf.ConvertOptions) ([]*job.Job, Meta, error
 	}
 	defer f.Close()
 	h := sha256.New()
-	sc := swf.NewScanner(io.TeeReader(f, h))
-	var jobs []*job.Job
-	for sc.Scan() {
-		if j, ok := swf.Convert(sc.Record(), opts); ok {
-			jobs = append(jobs, j)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	jobs, hdr, err := swf.ReadJobs(io.TeeReader(f, h), opts)
+	if err != nil {
 		return nil, Meta{}, fmt.Errorf("tracecache: %s: %w", path, err)
-	}
-	swf.SortJobs(jobs)
-	hdr := sc.Header()
-	size := hdr.MaxNodes
-	if size <= 0 {
-		size = hdr.MaxProcs
 	}
 	meta := Meta{
 		Fingerprint:   OptionsFingerprint(opts),
-		SystemSize:    size,
+		SystemSize:    hdr.SystemSize(),
 		UnixStartTime: hdr.UnixStartTime,
 	}
 	h.Sum(meta.SourceSHA256[:0])

@@ -98,18 +98,18 @@ func TestManifestCampaignByteIdentity(t *testing.T) {
 	}
 }
 
-// BenchmarkCampaignManifest times a whole manifest campaign with every
-// cache warm — the steady-state cost of an archive-scale sweep iteration
-// (docs/PERFORMANCE.md records the methodology).
+// BenchmarkCampaignManifest times a whole manifest campaign, cold (each
+// iteration builds every trace's cache in a fresh directory) and warm
+// (every cache reused — the steady-state cost of an archive-scale sweep
+// iteration; docs/PERFORMANCE.md records the methodology).
 func BenchmarkCampaignManifest(b *testing.B) {
 	dir := b.TempDir()
 	m := writeManifestTraces(b, dir)
-	cacheDir := filepath.Join(dir, "cache")
 	spec, err := fairsched.PolicyByName("consdyn.nomax")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func() int {
+	run := func(cacheDir string) int {
 		cells, err := fairsched.Campaign{
 			Sources:   fairsched.ManifestSources(m, m.Entries, cacheDir),
 			Scenarios: []fairsched.Scenario{fairsched.BuiltinScenarios()[0]},
@@ -122,11 +122,22 @@ func BenchmarkCampaignManifest(b *testing.B) {
 		}
 		return len(cells)
 	}
-	run() // prime the cache; the timed iterations are all warm
-	b.ResetTimer()
-	cells := 0
-	for i := 0; i < b.N; i++ {
-		cells += run()
-	}
-	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "runs/s")
+	b.Run("cold", func(b *testing.B) {
+		root := b.TempDir()
+		cells := 0
+		for i := 0; i < b.N; i++ {
+			cells += run(filepath.Join(root, fmt.Sprint(i)))
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "runs/s")
+	})
+	b.Run("warm", func(b *testing.B) {
+		cacheDir := filepath.Join(dir, "cache")
+		run(cacheDir) // prime the cache; the timed iterations are all warm
+		b.ResetTimer()
+		cells := 0
+		for i := 0; i < b.N; i++ {
+			cells += run(cacheDir)
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "runs/s")
+	})
 }
