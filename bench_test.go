@@ -18,13 +18,13 @@ import (
 	"testing"
 	"time"
 
-	"fairsched"
 	"fairsched/internal/core"
 	"fairsched/internal/eventq"
 	"fairsched/internal/experiments"
 	"fairsched/internal/fairness"
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
+	"fairsched/internal/metrics"
 	"fairsched/internal/profile"
 	"fairsched/internal/scenario"
 	"fairsched/internal/sched"
@@ -404,7 +404,7 @@ func BenchmarkPopulation(b *testing.B) {
 
 // --- Ablations (DESIGN.md §7) ---
 
-func benchRunPolicy(b *testing.B, cfg core.StudyConfig, key string) *fairsched.Summary {
+func benchRunPolicy(b *testing.B, cfg core.StudyConfig, key string) *metrics.Summary {
 	b.Helper()
 	_, jobs := benchSetup(b)
 	spec, err := core.SpecByKey(key)

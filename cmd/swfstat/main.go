@@ -33,11 +33,10 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	trace, err := swf.Parse(r)
+	jobs, _, err := swf.ReadJobs(r, swf.ConvertOptions{KeepCancelled: *keepCanc})
 	if err != nil {
 		fatal(err)
 	}
-	jobs := trace.JobsWith(swf.ConvertOptions{KeepCancelled: *keepCanc})
 	if len(jobs) == 0 {
 		fatal(fmt.Errorf("no jobs in trace"))
 	}

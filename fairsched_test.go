@@ -2,11 +2,49 @@ package fairsched_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"fairsched"
+	"fairsched/internal/core"
+	"fairsched/internal/experiments"
+	"fairsched/internal/hypothesis"
+	"fairsched/internal/job"
+	"fairsched/internal/scenario"
+	"fairsched/internal/sched"
+	"fairsched/internal/swf"
+	"fairsched/internal/workload"
 )
+
+// writeSWF writes jobs as an SWF v2 trace declaring a systemSize-node
+// machine, the way cmd/workloadgen does.
+func writeSWF(w io.Writer, jobs []*job.Job, systemSize int) error {
+	return swf.Write(w, swf.FromJobs(jobs, swf.Header{
+		Version:  2,
+		MaxNodes: systemSize,
+		MaxProcs: systemSize,
+	}))
+}
+
+// readSWF reads a trace back into jobs plus the machine size its header
+// declares, the way cmd/experiments -in does.
+func readSWF(r io.Reader) ([]*job.Job, int, error) {
+	jobs, h, err := swf.ReadJobs(r, swf.ConvertOptions{})
+	if err != nil {
+		return nil, 0, err
+	}
+	return jobs, h.SystemSize(), nil
+}
+
+func mustPolicy(t testing.TB, name string) core.Spec {
+	t.Helper()
+	spec, err := fairsched.PolicyByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
 	jobs, err := fairsched.GenerateWorkload(fairsched.WorkloadConfig{
@@ -35,10 +73,10 @@ func TestPublicAPIPolicyLists(t *testing.T) {
 	if len(fairsched.AllPolicies()) != 9 {
 		t.Fatal("AllPolicies should list the paper's nine configurations")
 	}
-	if len(fairsched.MinorPolicies()) != 5 {
-		t.Fatal("MinorPolicies should list five configurations")
+	if len(core.MinorSpecs()) != 5 {
+		t.Fatal("MinorSpecs should list five configurations")
 	}
-	names := fairsched.PolicyNames()
+	names := core.SpecKeys()
 	found := false
 	for _, n := range names {
 		if n == "consdyn.72max" {
@@ -58,10 +96,10 @@ func TestPublicAPISWFRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := fairsched.WriteSWF(&buf, jobs, 100); err != nil {
+	if err := writeSWF(&buf, jobs, 100); err != nil {
 		t.Fatal(err)
 	}
-	back, size, err := fairsched.ReadSWF(&buf)
+	back, size, err := readSWF(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,30 +108,12 @@ func TestPublicAPISWFRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadSWFSizeFallsBackToMaxProcs: a header without MaxNodes declares
-// its machine through MaxProcs, the same rule every trace loader follows.
-func TestReadSWFSizeFallsBackToMaxProcs(t *testing.T) {
-	trace := "; Version: 2\n; MaxProcs: 64\n" +
-		"1 0 0 100 4 -1 -1 4 200 -1 1 3 1 -1 -1 -1 -1 -1\n"
-	jobs, size, err := fairsched.ReadSWF(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != 64 || len(jobs) != 1 {
-		t.Fatalf("MaxProcs-only header: size=%d jobs=%d, want 64 and 1", size, len(jobs))
-	}
-}
-
 func TestPublicAPICustomSimulator(t *testing.T) {
 	jobs := []*fairsched.Job{
 		{ID: 1, User: 1, Submit: 0, Runtime: 100, Estimate: 100, Nodes: 4},
 		{ID: 2, User: 2, Submit: 10, Runtime: 50, Estimate: 50, Nodes: 4},
 	}
-	spec, err := fairsched.PolicyByName("easy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := fairsched.NewPolicy(spec)
+	pol, err := sched.New(mustPolicy(t, "easy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,30 +143,26 @@ func TestPublicAPIExperimentsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	fairsched.WriteReport(&buf, res)
+	experiments.WriteReport(&buf, res, 0)
 	if !strings.Contains(buf.String(), "FIG14") {
 		t.Fatal("report missing figures")
 	}
 }
 
 func TestPublicAPIHypotheses(t *testing.T) {
-	spec, err := fairsched.ParseHypothesis(
-		"claim facade: fcfs#avg_wait < fcfs#avg_tat")
+	spec, err := hypothesis.Parse("claim facade: fcfs#avg_wait < fcfs#avg_tat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := fairsched.RunHypotheses([]fairsched.HypothesisSpec{spec},
-		fairsched.HypothesisOptions{
-			Source: fairsched.SyntheticSource(fairsched.WorkloadConfig{
-				Scale: 0.05, SystemSize: 100,
-			}),
-			Study: fairsched.StudyConfig{SystemSize: 100},
-		})
+	eval, err := hypothesis.RunCampaign([]hypothesis.Spec{spec}, hypothesis.CampaignOptions{
+		Source: scenario.Synthetic(workload.Config{Scale: 0.05, SystemSize: 100}),
+		Study:  core.StudyConfig{SystemSize: 100},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	fairsched.RenderFindings(&buf, eval)
+	hypothesis.RenderFindings(&buf, eval)
 	if !strings.Contains(buf.String(), "facade — CONFIRMED") {
 		t.Fatalf("unexpected findings:\n%s", buf.String())
 	}

@@ -7,6 +7,7 @@ import (
 	"fairsched"
 	"fairsched/internal/core"
 	"fairsched/internal/experiments"
+	"fairsched/internal/metrics"
 	"fairsched/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func TestIntegrationHeadlineClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := res.Baseline()
-	get := func(key string) *fairsched.Summary {
+	get := func(key string) *metrics.Summary {
 		s, ok := res.ByKey[key]
 		if !ok {
 			t.Fatalf("missing %s", key)
@@ -108,10 +109,10 @@ func TestIntegrationSWFPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := fairsched.WriteSWF(&buf, jobs, 100); err != nil {
+	if err := writeSWF(&buf, jobs, 100); err != nil {
 		t.Fatal(err)
 	}
-	back, size, err := fairsched.ReadSWF(&buf)
+	back, size, err := readSWF(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package hypothesis
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -51,13 +50,4 @@ func ByID(id string) (Spec, bool) {
 	defer regMu.Unlock()
 	s, ok := regByID[id]
 	return s, ok
-}
-
-// IDs returns the registered claim ids, sorted.
-func IDs() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := append([]string(nil), regIDs...)
-	sort.Strings(out)
-	return out
 }

@@ -243,6 +243,7 @@ type preemptEnv struct {
 	preempted int
 }
 
+func (e *preemptEnv) Preemptable() bool        { return true }
 func (e *preemptEnv) CanPreempt(*job.Job) bool { return true }
 func (e *preemptEnv) Preempt(*job.Job) error   { e.preempted++; return nil }
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/profile"
 	"fairsched/internal/sim"
@@ -137,7 +136,7 @@ func (c *Composite) Name() string { return c.spec.Key }
 // Reset implements sim.Policy.
 func (c *Composite) Reset(env sim.Env) {
 	if c.spec.PreemptTrigger != "" {
-		if _, ok := env.(sim.Preempter); !ok {
+		if p, ok := env.(sim.Preempter); !ok || !p.Preemptable() {
 			panic(fmt.Sprintf("sched: policy %s needs a preempt-capable environment (sim.Config.Preemptable)", c.Name()))
 		}
 	}
@@ -213,16 +212,4 @@ func (c *Composite) startHeads(env sim.Env, q *[]*job.Job) {
 		*q, head = popHead(*q)
 		c.start(env, head)
 	}
-}
-
-// SetHeavyClassifier overrides the starvation component's heavy-user
-// classifier, for ablations exploring classifiers the spec grammar does not
-// name (e.g. fairshare.AboveQuantile). It panics if the policy has no
-// starvation component.
-func (c *Composite) SetHeavyClassifier(h fairshare.HeavyClassifier) {
-	a, ok := c.engine.(*aggressiveEngine)
-	if !ok || a.starve == nil {
-		panic(fmt.Sprintf("sched: policy %s has no starvation component", c.Name()))
-	}
-	a.starve.heavy = h
 }

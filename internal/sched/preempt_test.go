@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +78,20 @@ func TestSRPTPreemptsLongJobForShortArrival(t *testing.T) {
 	if victim.Preempted && rem.Preempted {
 		t.Error("remainder must not carry the victim's Preempted flag")
 	}
+}
+
+// TestPreemptSpecNeedsPreemptableRun: a preempt= spec on a simulator
+// whose run does not allow preemption fails at Reset, naming the policy,
+// instead of silently never preempting.
+func TestPreemptSpecNeedsPreemptableRun(t *testing.T) {
+	jobs := []*job.Job{{ID: 1, User: 1, Submit: 0, Runtime: 10, Estimate: 10, Nodes: 4}}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "srpt") || !strings.Contains(msg, "Preemptable") {
+			t.Fatalf("want a panic naming srpt and Preemptable, got %q", msg)
+		}
+	}()
+	sim.New(sim.Config{SystemSize: 8}, MustParse("srpt")).Run(jobs)
 }
 
 // TestPreemptNeverThrashes: a preempted remainder must not immediately

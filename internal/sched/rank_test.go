@@ -42,6 +42,7 @@ func (e rankEnv) Start(j *job.Job) error {
 	return e.Env.Start(j)
 }
 
+func (e rankEnv) Preemptable() bool          { return e.Env.(sim.Preempter).Preemptable() }
 func (e rankEnv) CanPreempt(j *job.Job) bool { return e.Env.(sim.Preempter).CanPreempt(j) }
 
 func (e rankEnv) Preempt(j *job.Job) error {

@@ -81,8 +81,8 @@ var builtins = []Builtin{
 		"dynamic-reservation conservative over a largest-expansion-factor queue"},
 
 	// Heavy-classifier ablations: the *.fair admission rule with the
-	// alternative classifiers (quantile and absolute-budget) addressable
-	// from the grammar, not just via Composite.SetHeavyClassifier.
+	// alternative classifiers (quantile and absolute-budget), named in the
+	// grammar's heavy-user field.
 	{Spec{Key: "cplant24.nomax.q75", Order: "fairshare", Backfill: BackfillNoGuarantee, Wait: hours24, Heavy: "q75"},
 		"baseline with users above the 75th usage quantile barred from the starvation queue"},
 	{Spec{Key: "cplant24.nomax.abs280h", Order: "fairshare", Backfill: BackfillNoGuarantee, Wait: hours24, Heavy: "abs280h"},

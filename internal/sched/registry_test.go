@@ -52,13 +52,22 @@ func TestEveryBuiltinBuildsAndRuns(t *testing.T) {
 		if pol.Name() != b.Key {
 			t.Errorf("%s: policy named %q", b.Key, pol.Name())
 		}
-		res, err := sim.New(sim.Config{SystemSize: 16, Validate: true}, pol).Run(jobs)
+		cfg := sim.Config{SystemSize: 16, Validate: true, Preemptable: b.Spec.PreemptTrigger != ""}
+		res, err := sim.New(cfg, pol).Run(jobs)
 		if err != nil {
 			t.Errorf("%s: %v", b.Key, err)
 			continue
 		}
-		if len(res.Records) != len(jobs) {
-			t.Errorf("%s: %d records for %d jobs", b.Key, len(res.Records), len(jobs))
+		// A preempted segment leaves a record of its own; every job ends in
+		// exactly one that ran to completion.
+		done := 0
+		for _, r := range res.Records {
+			if !r.Preempted {
+				done++
+			}
+		}
+		if done != len(jobs) {
+			t.Errorf("%s: %d completed records for %d jobs", b.Key, done, len(jobs))
 		}
 	}
 }

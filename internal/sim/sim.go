@@ -151,10 +151,14 @@ type Env interface {
 }
 
 // Preempter is the optional Env extension preemption-capable environments
-// provide (the Simulator implements it when Config.Preemptable is set).
-// Policies discover it by type assertion — env.(Preempter) — so existing
-// Env implementations stay valid.
+// provide. Policies discover it by type assertion — env.(Preempter) — so
+// existing Env implementations stay valid. The Simulator always implements
+// it; Preemptable reports whether this run actually allows preemption.
 type Preempter interface {
+	// Preemptable reports whether the run allows preemption at all (for
+	// the Simulator, Config.Preemptable). When false, CanPreempt is always
+	// false and Preempt always fails.
+	Preemptable() bool
 	// CanPreempt reports whether j can be checkpointed right now: the run
 	// is preemptable and j is running with at least one second of realized
 	// service and one second of scheduled service left. Policies use it to

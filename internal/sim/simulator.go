@@ -292,6 +292,10 @@ func (s *Simulator) scheduledEnd(r RunningJob) int64 {
 	return r.Start + runtime
 }
 
+// Preemptable implements Preempter: the run allows preemption when
+// Config.Preemptable is set.
+func (s *Simulator) Preemptable() bool { return s.cfg.Preemptable }
+
 // CanPreempt implements Preempter: j is preemptable when the run allows
 // preemption, j is running with at least one second of realized service
 // (a checkpoint needs something to save) and at least one second of

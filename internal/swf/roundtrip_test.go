@@ -20,15 +20,13 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&buf, FromJobs(jobs, header)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(&buf)
+	got, h, err := ReadJobs(&buf, ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Header.MaxNodes != 512 || back.Header.Computer != "test" ||
-		back.Header.UnixStartTime != 42 {
-		t.Errorf("header lost in round trip: %+v", back.Header)
+	if h.MaxNodes != 512 || h.Computer != "test" || h.UnixStartTime != 42 {
+		t.Errorf("header lost in round trip: %+v", h)
 	}
-	got := back.Jobs()
 	if len(got) != len(jobs) {
 		t.Fatalf("job count %d != %d", len(got), len(jobs))
 	}
@@ -62,11 +60,10 @@ func TestRoundTripQuickProperty(t *testing.T) {
 		if err := Write(&buf, FromJobs(jobs, Header{Version: 2})); err != nil {
 			return false
 		}
-		back, err := Parse(&buf)
+		got, _, err := ReadJobs(&buf, ConvertOptions{})
 		if err != nil {
 			return false
 		}
-		got := back.Jobs()
 		if len(got) != count {
 			return false
 		}

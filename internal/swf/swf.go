@@ -276,25 +276,6 @@ func Convert(r Record, opts ConvertOptions) (j *job.Job, ok bool) {
 	}, true
 }
 
-// Jobs converts the trace records into simulator jobs under the default
-// ConvertOptions (cancelled records dropped — see JobsWith to keep them).
-// Jobs are returned sorted by submit time (then job number).
-func (t *Trace) Jobs() []*job.Job {
-	return t.JobsWith(ConvertOptions{})
-}
-
-// JobsWith is Jobs with explicit conversion options.
-func (t *Trace) JobsWith(opts ConvertOptions) []*job.Job {
-	jobs := make([]*job.Job, 0, len(t.Records))
-	for _, r := range t.Records {
-		if j, ok := Convert(r, opts); ok {
-			jobs = append(jobs, j)
-		}
-	}
-	SortJobs(jobs)
-	return jobs
-}
-
 // SortJobs sorts jobs into trace order: submit time, then job number.
 func SortJobs(jobs []*job.Job) {
 	sort.SliceStable(jobs, func(i, k int) bool {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fairsched/internal/job"
 )
 
 const sampleTrace = `; Version: 2
@@ -111,12 +113,18 @@ func TestParseAcceptsFloatFields(t *testing.T) {
 	}
 }
 
-func TestJobsConversionRules(t *testing.T) {
-	tr, err := Parse(strings.NewReader(sampleTrace))
+// readJobs is ReadJobs over a string, failing the test on a read error.
+func readJobs(t *testing.T, input string, opts ConvertOptions) ([]*job.Job, *Header) {
+	t.Helper()
+	jobs, h, err := ReadJobs(strings.NewReader(input), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := tr.Jobs()
+	return jobs, h
+}
+
+func TestJobsConversionRules(t *testing.T) {
+	jobs, _ := readJobs(t, sampleTrace, ConvertOptions{})
 	if len(jobs) != 3 {
 		t.Fatalf("got %d jobs, want 3", len(jobs))
 	}
@@ -136,23 +144,15 @@ func TestJobsConversionRules(t *testing.T) {
 
 func TestJobsDropsRecordsWithoutNodes(t *testing.T) {
 	line := "1 0 0 60 -1 -1 -1 -1 60 -1 1 1 1 -1 -1 -1 -1 -1\n"
-	tr, err := Parse(strings.NewReader(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tr.Jobs()); got != 0 {
-		t.Fatalf("job without node count kept: %d", got)
+	if jobs, _ := readJobs(t, line, ConvertOptions{}); len(jobs) != 0 {
+		t.Fatalf("job without node count kept: %d", len(jobs))
 	}
 }
 
 func TestJobsSortedBySubmit(t *testing.T) {
 	input := "2 500 0 60 4 -1 -1 4 60 -1 1 1 1 -1 -1 -1 -1 -1\n" +
 		"1 100 0 60 4 -1 -1 4 60 -1 1 1 1 -1 -1 -1 -1 -1\n"
-	tr, err := Parse(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := tr.Jobs()
+	jobs, _ := readJobs(t, input, ConvertOptions{})
 	if jobs[0].ID != 1 || jobs[1].ID != 2 {
 		t.Fatalf("jobs not sorted by submit: %v %v", jobs[0], jobs[1])
 	}
@@ -160,11 +160,8 @@ func TestJobsSortedBySubmit(t *testing.T) {
 
 func TestJobsNegativeSubmitClampedToZero(t *testing.T) {
 	line := "1 -5 0 60 4 -1 -1 4 60 -1 1 1 1 -1 -1 -1 -1 -1\n"
-	tr, err := Parse(strings.NewReader(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Jobs()[0].Submit; got != 0 {
+	jobs, _ := readJobs(t, line, ConvertOptions{})
+	if got := jobs[0].Submit; got != 0 {
 		t.Fatalf("submit = %d, want 0", got)
 	}
 }
@@ -211,20 +208,27 @@ func TestHeaderFractionalNonVersionDirectivesRejected(t *testing.T) {
 	}
 }
 
+// A header without MaxNodes declares its machine through MaxProcs, the
+// same rule every trace loader follows.
+func TestReadJobsSizeFallsBackToMaxProcs(t *testing.T) {
+	trace := "; Version: 2\n; MaxProcs: 64\n" +
+		"1 0 0 100 4 -1 -1 4 200 -1 1 3 1 -1 -1 -1 -1 -1\n"
+	jobs, h := readJobs(t, trace, ConvertOptions{})
+	if size := h.SystemSize(); size != 64 || len(jobs) != 1 {
+		t.Fatalf("MaxProcs-only header: size=%d jobs=%d, want 64 and 1", size, len(jobs))
+	}
+}
+
 func TestJobsDropsCancelledRecords(t *testing.T) {
 	// Record 2 is cancelled (status 5) but carries a plausible node count
 	// and runtime; it must not be simulated as real work by default.
 	input := "1 0 0 60 4 -1 -1 4 60 -1 1 1 1 -1 -1 -1 -1 -1\n" +
 		"2 10 0 60 4 -1 -1 4 60 -1 5 1 1 -1 -1 -1 -1 -1\n"
-	tr, err := Parse(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := tr.Jobs()
+	jobs, _ := readJobs(t, input, ConvertOptions{})
 	if len(jobs) != 1 || jobs[0].ID != 1 {
 		t.Fatalf("cancelled record kept: %v", jobs)
 	}
-	old := tr.JobsWith(ConvertOptions{KeepCancelled: true})
+	old, _ := readJobs(t, input, ConvertOptions{KeepCancelled: true})
 	if len(old) != 2 {
 		t.Fatalf("KeepCancelled dropped records: %v", old)
 	}

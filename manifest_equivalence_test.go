@@ -8,13 +8,18 @@ import (
 	"testing"
 
 	"fairsched"
+	"fairsched/internal/core"
+	"fairsched/internal/experiments"
+	"fairsched/internal/scenario"
+	"fairsched/internal/sweep"
+	"fairsched/internal/tracecache"
 )
 
 // writeManifestTraces generates three distinct synthetic workloads, writes
 // them as SWF files under dir and returns the manifest naming them.
-func writeManifestTraces(t testing.TB, dir string) *fairsched.TraceManifest {
+func writeManifestTraces(t testing.TB, dir string) *tracecache.Manifest {
 	t.Helper()
-	m := &fairsched.TraceManifest{Path: filepath.Join(dir, "traces.toml")}
+	m := &tracecache.Manifest{Path: filepath.Join(dir, "traces.toml")}
 	for i := 1; i <= 3; i++ {
 		jobs, err := fairsched.GenerateWorkload(fairsched.WorkloadConfig{
 			Seed: int64(i), Scale: 0.01, SystemSize: 100,
@@ -27,14 +32,14 @@ func writeManifestTraces(t testing.TB, dir string) *fairsched.TraceManifest {
 		if err != nil {
 			t.Fatal(err)
 		}
-		werr := fairsched.WriteSWF(f, jobs, 100)
+		werr := writeSWF(f, jobs, 100)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		m.Entries = append(m.Entries, fairsched.TraceManifestEntry{
+		m.Entries = append(m.Entries, tracecache.ManifestEntry{
 			Name: fmt.Sprintf("trace%d", i), Path: path,
 		})
 	}
@@ -47,14 +52,14 @@ func writeManifestTraces(t testing.TB, dir string) *fairsched.TraceManifest {
 func TestManifestCampaignByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	m := writeManifestTraces(t, dir)
-	specs := []fairsched.PolicySpec{
+	specs := []core.Spec{
 		mustPolicy(t, "cons.nomax"),
 		mustPolicy(t, "consdyn.nomax"),
 	}
-	render := func(sources []fairsched.ScenarioSource, parallel int) string {
-		cells, err := fairsched.Campaign{
+	render := func(sources []scenario.Source, parallel int) string {
+		cells, err := sweep.Campaign{
 			Sources:   sources,
-			Scenarios: []fairsched.Scenario{fairsched.BuiltinScenarios()[0]},
+			Scenarios: []scenario.Scenario{scenario.Builtins()[0]},
 			Seeds:     []int64{7},
 			Specs:     specs,
 			Parallel:  parallel,
@@ -63,13 +68,13 @@ func TestManifestCampaignByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		fairsched.RenderCampaign(&b, cells)
+		experiments.RenderCampaign(&b, cells)
 		return b.String()
 	}
 
 	// The reference: manifest sources with caching disabled stream each SWF
-	// through the scanner, exactly like TraceSource.
-	ref := render(fairsched.ManifestSources(m, m.Entries, ""), 1)
+	// through the scanner, exactly like scenario.TraceFile.
+	ref := render(scenario.ManifestSources(m, m.Entries, ""), 1)
 	if !strings.Contains(ref, "CROSS-TRACE ROBUSTNESS") {
 		t.Fatalf("three-trace report lacks the robustness section:\n%s", ref)
 	}
@@ -79,17 +84,17 @@ func TestManifestCampaignByteIdentity(t *testing.T) {
 	// source memoizes its load, so reuse would not touch the cache again.
 	cacheDir := filepath.Join(dir, "cache")
 	for _, parallel := range []int{1, 2, 8} {
-		if got := render(fairsched.ManifestSources(m, m.Entries, cacheDir), parallel); got != ref {
+		if got := render(scenario.ManifestSources(m, m.Entries, cacheDir), parallel); got != ref {
 			t.Fatalf("cached report at parallel=%d differs from the streamed report:\n--- streamed ---\n%s\n--- cached ---\n%s",
 				parallel, ref, got)
 		}
 	}
 
-	// The plain streamed TraceSource path agrees too once its sources carry
+	// The plain streamed scenario.TraceFile path agrees too once its sources carry
 	// the manifest names (the name is part of the rendered report).
-	var plain []fairsched.ScenarioSource
+	var plain []scenario.Source
 	for _, e := range m.Entries {
-		s := fairsched.TraceSource(e.Path)
+		s := scenario.TraceFile(e.Path)
 		s.Name = e.Name
 		plain = append(plain, s)
 	}
@@ -105,16 +110,13 @@ func TestManifestCampaignByteIdentity(t *testing.T) {
 func BenchmarkCampaignManifest(b *testing.B) {
 	dir := b.TempDir()
 	m := writeManifestTraces(b, dir)
-	spec, err := fairsched.PolicyByName("consdyn.nomax")
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := mustPolicy(b, "consdyn.nomax")
 	run := func(cacheDir string) int {
-		cells, err := fairsched.Campaign{
-			Sources:   fairsched.ManifestSources(m, m.Entries, cacheDir),
-			Scenarios: []fairsched.Scenario{fairsched.BuiltinScenarios()[0]},
+		cells, err := sweep.Campaign{
+			Sources:   scenario.ManifestSources(m, m.Entries, cacheDir),
+			Scenarios: []scenario.Scenario{scenario.Builtins()[0]},
 			Seeds:     []int64{7},
-			Specs:     []fairsched.PolicySpec{spec},
+			Specs:     []core.Spec{spec},
 			Parallel:  1,
 		}.Run()
 		if err != nil {

@@ -6,10 +6,20 @@ import (
 	"testing"
 
 	"fairsched"
+	"fairsched/internal/core"
+	"fairsched/internal/experiments"
+	"fairsched/internal/fairness"
+	"fairsched/internal/fairshare"
+	"fairsched/internal/scenario"
+	"fairsched/internal/sched"
+	"fairsched/internal/sim"
+	"fairsched/internal/slo"
+	"fairsched/internal/sweep"
+	"fairsched/internal/swf"
 )
 
-// The facade's scenario-engine surface: stream a trace, build a campaign
-// over built-in scenarios, render the report.
+// The scenario-engine library route: stream a trace, build a campaign over
+// built-in scenarios, render the report.
 func TestPublicAPICampaignFlow(t *testing.T) {
 	jobs, err := fairsched.GenerateWorkload(fairsched.WorkloadConfig{Seed: 5, Scale: 0.02, SystemSize: 100})
 	if err != nil {
@@ -18,13 +28,13 @@ func TestPublicAPICampaignFlow(t *testing.T) {
 
 	// Round-trip through the streaming scanner.
 	var buf bytes.Buffer
-	if err := fairsched.WriteSWF(&buf, jobs, 100); err != nil {
+	if err := writeSWF(&buf, jobs, 100); err != nil {
 		t.Fatal(err)
 	}
-	sc := fairsched.NewSWFScanner(bytes.NewReader(buf.Bytes()))
+	sc := swf.NewScanner(bytes.NewReader(buf.Bytes()))
 	streamed := 0
 	for sc.Scan() {
-		if _, ok := fairsched.ConvertSWFRecord(sc.Record(), fairsched.SWFConvertOptions{}); ok {
+		if _, ok := swf.Convert(sc.Record(), swf.ConvertOptions{}); ok {
 			streamed++
 		}
 	}
@@ -35,25 +45,25 @@ func TestPublicAPICampaignFlow(t *testing.T) {
 		t.Fatalf("streamed %d of %d jobs", streamed, len(jobs))
 	}
 
-	// Scenario specs resolve through the facade.
-	if len(fairsched.ScenarioNames()) < 4 {
-		t.Fatalf("want at least 4 builtin scenarios, got %v", fairsched.ScenarioNames())
+	// Scenario specs resolve by name and by grammar.
+	if len(scenario.Names()) < 4 {
+		t.Fatalf("want at least 4 builtin scenarios, got %v", scenario.Names())
 	}
-	loadScaled, err := fairsched.ParseScenario("load=1.4")
+	loadScaled, err := scenario.Parse("load=1.4")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A two-scenario campaign over the in-memory workload.
-	cells, err := fairsched.Campaign{
-		Sources:   []fairsched.ScenarioSource{fairsched.JobsSource("mem", jobs, 100)},
-		Scenarios: []fairsched.Scenario{fairsched.BuiltinScenarios()[0], loadScaled},
+	cells, err := sweep.Campaign{
+		Sources:   []scenario.Source{scenario.Jobs("mem", jobs, 100)},
+		Scenarios: []scenario.Scenario{scenario.Builtins()[0], loadScaled},
 		Seeds:     []int64{1},
-		Specs: []fairsched.PolicySpec{
+		Specs: []core.Spec{
 			mustPolicy(t, "fcfs"),
 			mustPolicy(t, "cplant24.nomax.all"),
 		},
-		Study:    fairsched.StudyConfig{SystemSize: 100},
+		Study:    core.StudyConfig{SystemSize: 100},
 		Parallel: 2,
 	}.Run()
 	if err != nil {
@@ -64,19 +74,19 @@ func TestPublicAPICampaignFlow(t *testing.T) {
 	}
 
 	var report strings.Builder
-	fairsched.RenderCampaign(&report, cells)
+	experiments.RenderCampaign(&report, cells)
 	for _, want := range []string{"mem × baseline", "mem × load=1.4", "fcfs", "cplant24.nomax.all"} {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("campaign report missing %q:\n%s", want, report.String())
 		}
 	}
 
-	if got := fairsched.FairshareEpochFor(1038700800, 0); got != -(1038700800 % 86400) {
+	if got := fairshare.EpochFor(1038700800, 0); got != -(1038700800 % 86400) {
 		t.Errorf("FairshareEpochFor = %d", got)
 	}
 }
 
-// The facade's per-user SLO surface: parse a tagging spec, sweep it
+// The per-user SLO library route: parse a tagging spec, sweep it
 // through a campaign, read the attainment table, and cross-check the
 // online observer against the post-run reference.
 func TestPublicAPISLOFlow(t *testing.T) {
@@ -84,16 +94,16 @@ func TestPublicAPISLOFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagger, err := fairsched.ParseSLO("p50:30m,p90:4h,default:24h")
+	tagger, err := scenario.ParseTransform("slo=p50:30m,p90:4h,default:24h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged := fairsched.BuiltinScenarios()[0].With(tagger)
-	cells, err := fairsched.Campaign{
-		Sources:   []fairsched.ScenarioSource{fairsched.JobsSource("mem", jobs, 100)},
-		Scenarios: []fairsched.Scenario{tagged},
-		Specs:     []fairsched.PolicySpec{mustPolicy(t, "fcfs")},
-		Study:     fairsched.StudyConfig{SystemSize: 100},
+	tagged := scenario.Builtins()[0].With(tagger)
+	cells, err := sweep.Campaign{
+		Sources:   []scenario.Source{scenario.Jobs("mem", jobs, 100)},
+		Scenarios: []scenario.Scenario{tagged},
+		Specs:     []core.Spec{mustPolicy(t, "fcfs")},
+		Study:     core.StudyConfig{SystemSize: 100},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +115,7 @@ func TestPublicAPISLOFlow(t *testing.T) {
 		t.Fatal("SLO summary measured no jobs")
 	}
 	var report strings.Builder
-	fairsched.RenderCampaign(&report, cells)
+	experiments.RenderCampaign(&report, cells)
 	for _, want := range []string{"SLO attainment", "p50", "default", "(all)"} {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("campaign report missing %q:\n%s", want, report.String())
@@ -114,33 +124,24 @@ func TestPublicAPISLOFlow(t *testing.T) {
 
 	// Library route: assignment built by hand, observer attached to a bare
 	// simulator, output equal to the post-run reference.
-	b := fairsched.NewSLOBuilder()
-	b.AddClass("gold", fairsched.SLOTarget{Wait: 1800, Slowdown: 8})
+	b := slo.NewBuilder()
+	b.AddClass("gold", slo.Target{Wait: 1800, Slowdown: 8})
 	for _, j := range jobs {
 		b.Tag(j.User, "gold")
 	}
 	asg := b.Build()
-	engine := fairsched.NewHybridFST()
-	obs := fairsched.NewSLOObserver(asg, engine)
-	pol, err := fairsched.NewPolicy(mustPolicy(t, "easy"))
+	engine := fairness.NewHybridFST()
+	obs := fairness.NewSLOObserver(asg, engine)
+	pol, err := sched.New(mustPolicy(t, "easy"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fairsched.NewSimulator(fairsched.SimConfig{SystemSize: 100}, pol, engine, obs).Run(jobs)
+	res, err := sim.New(sim.Config{SystemSize: 100}, pol, engine, obs).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := fairsched.SLOFromRecords(asg, res.Records, engine.Table())
+	ref := slo.FromRecords(asg, res.Records, engine.Table()).Summary()
 	if got, want := obs.Summary().Total, ref.Total; got != want {
 		t.Fatalf("online observer %+v != reference %+v", got, want)
 	}
-}
-
-func mustPolicy(t *testing.T, name string) fairsched.PolicySpec {
-	t.Helper()
-	spec, err := fairsched.PolicyByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spec
 }
