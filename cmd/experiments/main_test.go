@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"fairsched/internal/core"
+	"fairsched/internal/fairshare"
+	"fairsched/internal/scenario"
 	"fairsched/internal/swf"
 	"fairsched/internal/workload"
 )
@@ -106,5 +110,74 @@ func TestInTraceSizeFallsBackToMaxProcs(t *testing.T) {
 	}
 	if a, b := report(full), report(stripped); a != b {
 		t.Errorf("-in report differs once the MaxNodes line is removed:\n--- MaxNodes 256 ---\n%s\n--- MaxProcs only ---\n%s", a, b)
+	}
+}
+
+// TestSinglePolicyTraceRunMatchesExecute: -policy P -in T is the
+// single-policy run. Its report is one cell with one row, and that row
+// reads core.Execute's summary for the trace under the machine size of
+// scenario.SystemSize and the fairshare epoch of fairshare.EpochFor. The
+// trace starts 5h past midnight, so the epoch is not zero; at this scale a
+// run with epoch 0 reads a different row.
+func TestSinglePolicyTraceRunMatchesExecute(t *testing.T) {
+	const policy = "consdyn.nomax"
+	gen, err := workload.Generate(workload.Config{Seed: 7, Scale: 0.05, SystemSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := swf.Header{Version: 2, MaxNodes: 256, MaxProcs: 256, UnixStartTime: 1038700800 + 5*3600}
+	var buf bytes.Buffer
+	if err := swf.Write(&buf, swf.FromJobs(gen, header)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.swf")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	wl, err := scenario.TraceFile(path).Load(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := core.StudyConfig{
+		SystemSize:     scenario.SystemSize(wl.Jobs, 0, wl.SystemSize),
+		Fairshare:      fairshare.Config{DecayFactor: 0.5},
+		FairshareEpoch: fairshare.EpochFor(wl.UnixStartTime, 0),
+	}
+	if study.FairshareEpoch == 0 {
+		t.Fatal("the trace's start is aligned to the decay interval; the epoch goes untested")
+	}
+	spec, err := core.SpecByKey(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := core.Execute(study, spec, wl.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := run.Summary
+	// RenderCampaign's row format, at its minimum policy-column width.
+	want := fmt.Sprintf("  %-*s %12.2f %12.2f %8.3f %9.1f %12.2f", 22, policy,
+		s.AvgWait/3600, s.AvgTurnaround/3600, s.Utilization, s.PercentUnfair, s.AvgMissTime/3600)
+
+	code, stdout, stderr := runCLIOutput(t, "-policy "+policy+" -in "+path+" -parallel 1")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "CAMPAIGN — 1 cells\n") {
+		t.Fatalf("want a one-cell report, got:\n%s", stdout)
+	}
+	var rows []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "  policy ") {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) != 1 || rows[0] != want {
+		t.Errorf("rows %q; want exactly %q", rows, want)
+	}
+	cellHeader := fmt.Sprintf("t.swf × baseline (seed 42) — %d jobs on %d nodes", len(wl.Jobs), study.SystemSize)
+	if !strings.Contains(stdout, cellHeader) {
+		t.Errorf("report lacks the cell header %q:\n%s", cellHeader, stdout)
 	}
 }

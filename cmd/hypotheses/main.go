@@ -61,7 +61,7 @@ func main() {
 		manifest = flag.String("manifest", "", "trace-set manifest (traces.toml); its entries become the named sources trace clauses select")
 		cacheDir = flag.String("cache-dir", "", "binary trace-cache directory for manifest sources (empty: stream SWF every load)")
 		scale    = flag.Float64("scale", 1.0, "synthetic workload scale")
-		nodes    = flag.Int("nodes", 0, "system size (default 1000, or the trace's MaxNodes)")
+		nodes    = flag.Int("nodes", 0, "system size (default: the trace's MaxNodes, else MaxProcs, else 1000 widened to the widest job)")
 		burst    = flag.Float64("burst", 0, "synthetic workload burst gamma (default 0.3)")
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		parallel = flag.Int("parallel", 0, "worker pool size (0: one per CPU; 1: serial — output is byte-identical at every setting)")

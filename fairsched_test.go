@@ -76,7 +76,7 @@ func TestPublicAPIPolicyLists(t *testing.T) {
 	if len(core.MinorSpecs()) != 5 {
 		t.Fatal("MinorSpecs should list five configurations")
 	}
-	names := core.SpecKeys()
+	names := sched.Names()
 	found := false
 	for _, n := range names {
 		if n == "consdyn.72max" {

@@ -71,13 +71,6 @@ func SpecByKey(key string) (Spec, error) {
 	return sched.ParseSpec(key)
 }
 
-// SpecKeys lists every registered policy name. Ad-hoc component chains and
-// "depth<n>" names (n >= 1) also resolve through SpecByKey; the list shows
-// the registry entries.
-func SpecKeys() []string {
-	return sched.Names()
-}
-
 // StudyConfig parameterizes a run.
 type StudyConfig struct {
 	// SystemSize is the cluster size (default 1000, matching the

@@ -63,7 +63,7 @@ func TestSpecByKeyAcceptsComponentChains(t *testing.T) {
 }
 
 func TestEverySpecBuildsAPolicy(t *testing.T) {
-	for _, key := range SpecKeys() {
+	for _, key := range sched.Names() {
 		spec, err := SpecByKey(key)
 		if err != nil {
 			t.Fatal(err)

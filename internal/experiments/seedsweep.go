@@ -90,14 +90,3 @@ func RenderSeedSweep(w io.Writer, tally []ClaimTally, seeds []int64) {
 	}
 	fmt.Fprintf(w, "  %d/%d claims hold under every seed (* = unanimous)\n", pass, len(tally))
 }
-
-// HoldsUnanimously reports whether the claim with the given id passed under
-// every seed of the sweep.
-func HoldsUnanimously(tally []ClaimTally, id string) bool {
-	for _, t := range tally {
-		if t.ID == id {
-			return t.Total > 0 && t.Passed == t.Total
-		}
-	}
-	return false
-}

@@ -86,15 +86,20 @@ func TestRenderSeedSweep(t *testing.T) {
 	}
 }
 
+// TestHoldsUnanimously: the report stars a claim only when it passed under
+// every seed, and a claim no seed evaluated is not unanimous.
 func TestHoldsUnanimously(t *testing.T) {
 	tally := []ClaimTally{
 		{ID: "a", Passed: 2, Total: 2},
 		{ID: "b", Passed: 1, Total: 2},
+		{ID: "c"},
 	}
-	if !HoldsUnanimously(tally, "a") {
-		t.Error("a should be unanimous")
-	}
-	if HoldsUnanimously(tally, "b") || HoldsUnanimously(tally, "missing") {
-		t.Error("b/missing should not be unanimous")
+	var buf bytes.Buffer
+	RenderSeedSweep(&buf, tally, []int64{1, 2})
+	out := buf.String()
+	for _, want := range []string{"  * 2/2 a ", "    1/2 b ", "    0/0 c ", "  1/3 claims hold under every seed"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
 	}
 }

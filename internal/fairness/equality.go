@@ -75,9 +75,6 @@ func (e *Equality) Interval(from, to int64, _, _ int) {
 	}
 }
 
-// Deficit returns a job's accumulated unmet share in processor-seconds.
-func (e *Equality) Deficit(id job.ID) float64 { return e.deficit[id] }
-
 // AveragePerJob returns the mean unmet share per submitted job.
 func (e *Equality) AveragePerJob() float64 {
 	if e.jobs == 0 {

@@ -201,3 +201,6 @@ func TestEqualityEmptyIntervals(t *testing.T) {
 		t.Fatal("deficit accrued with no live jobs")
 	}
 }
+
+// Deficit returns a job's accumulated unmet share in processor-seconds.
+func (e *Equality) Deficit(id job.ID) float64 { return e.deficit[id] }

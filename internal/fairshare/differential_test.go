@@ -350,31 +350,3 @@ func FuzzTrackerRunning(f *testing.F) {
 		d.compareAll("final")
 	})
 }
-
-// benchTracker charges n users once: the Snapshot benchmarks' fixture.
-func benchTracker(n int) *Tracker {
-	tr := NewTracker(DefaultConfig(), 0)
-	for u := 0; u < n; u++ {
-		tr.Charge(u, float64(u%977)+1)
-	}
-	return tr
-}
-
-func BenchmarkSnapshotMap(b *testing.B) {
-	tr := benchTracker(100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Snapshot()
-	}
-}
-
-func BenchmarkAppendSnapshot(b *testing.B) {
-	tr := benchTracker(100_000)
-	buf := tr.AppendSnapshot(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = tr.AppendSnapshot(buf)
-	}
-}

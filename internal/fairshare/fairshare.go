@@ -455,39 +455,3 @@ func Compare(ka float64, a *job.Job, kb float64, b *job.Job) int {
 		return 0
 	}
 }
-
-// Snapshot returns a copy of the per-user usage map (for metric engines that
-// must not observe later mutation).
-func (t *Tracker) Snapshot() map[int]float64 {
-	out := make(map[int]float64, t.usage.Len())
-	for _, e := range t.AppendSnapshot(nil) {
-		out[e.User] = e.Usage
-	}
-	return out
-}
-
-// UserUsage is one user's settled decayed usage, as rendered by
-// AppendSnapshot.
-type UserUsage struct {
-	User  int
-	Usage float64
-}
-
-// AppendSnapshot appends every user's settled usage to buf (reusing its
-// capacity) in ascending user order and returns it: the reuse-buffer form
-// of Snapshot for render paths that snapshot per cell. The replay is
-// read-only — the ledger is not settled in place — so with enough capacity
-// a call allocates nothing, whatever the population size.
-func (t *Tracker) AppendSnapshot(buf []UserUsage) []UserUsage {
-	buf = buf[:0]
-	t.usage.Range(func(u int, e decayedUsage) bool {
-		if e.gen < 0 {
-			e = t.run[^e.gen].decayedUsage
-		}
-		if v, ok := t.settledValue(e); ok {
-			buf = append(buf, UserUsage{User: u, Usage: v})
-		}
-		return true
-	})
-	return buf
-}

@@ -348,3 +348,20 @@ func TestWarmStartStopAllocatesNothing(t *testing.T) {
 		t.Fatalf("warm start/stop cycle allocates %v times", allocs)
 	}
 }
+
+// Snapshot returns a copy of the per-user settled usage: the map the
+// differential tests compare against their reference ledger. The replay is
+// read-only, so taking it does not settle the ledger in place.
+func (t *Tracker) Snapshot() map[int]float64 {
+	out := make(map[int]float64, t.usage.Len())
+	t.usage.Range(func(u int, e decayedUsage) bool {
+		if e.gen < 0 {
+			e = t.run[^e.gen].decayedUsage
+		}
+		if v, ok := t.settledValue(e); ok {
+			out[u] = v
+		}
+		return true
+	})
+	return out
+}

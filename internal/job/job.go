@@ -124,15 +124,6 @@ func ValidateAll(jobs []*Job, systemSize int) error {
 	return nil
 }
 
-// TotalProcSeconds sums ProcSeconds over all jobs.
-func TotalProcSeconds(jobs []*Job) int64 {
-	var t int64
-	for _, j := range jobs {
-		t += j.ProcSeconds()
-	}
-	return t
-}
-
 // MaxNodes returns the widest job's node count, 0 for an empty slice.
 func MaxNodes(jobs []*Job) int {
 	m := 0

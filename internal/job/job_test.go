@@ -125,14 +125,18 @@ func TestTotalProcSecondsAndMaxNodes(t *testing.T) {
 		{Nodes: 5, Runtime: 100},
 		{Nodes: 3, Runtime: 1},
 	}
-	if got := TotalProcSeconds(jobs); got != 20+500+3 {
-		t.Fatalf("TotalProcSeconds = %d", got)
+	var total int64
+	for _, j := range jobs {
+		total += j.ProcSeconds()
+	}
+	if total != 20+500+3 {
+		t.Fatalf("total ProcSeconds = %d", total)
 	}
 	if got := MaxNodes(jobs); got != 5 {
 		t.Fatalf("MaxNodes = %d", got)
 	}
-	if MaxNodes(nil) != 0 || TotalProcSeconds(nil) != 0 {
-		t.Fatal("empty slice aggregates should be zero")
+	if MaxNodes(nil) != 0 {
+		t.Fatal("MaxNodes of an empty slice should be zero")
 	}
 }
 

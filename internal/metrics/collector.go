@@ -140,9 +140,6 @@ func (c *Collector) Merge(o *Collector) {
 // LostProcSeconds returns the Equation 4 numerator.
 func (c *Collector) LostProcSeconds() float64 { return c.lostProcSec }
 
-// BusyProcSeconds returns the integral of nodes-in-use over time.
-func (c *Collector) BusyProcSeconds() float64 { return c.busyProcSec }
-
 // Weeks returns the number of weekly bins observed.
 func (c *Collector) Weeks() int { return len(c.weeklySubmitted) }
 

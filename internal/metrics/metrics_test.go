@@ -205,3 +205,6 @@ func TestCollectorEmptySummary(t *testing.T) {
 		t.Fatal("empty result should produce zero summary")
 	}
 }
+
+// BusyProcSeconds returns the integral of nodes-in-use over time.
+func (c *Collector) BusyProcSeconds() float64 { return c.busyProcSec }

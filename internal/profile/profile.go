@@ -138,9 +138,6 @@ func (p *Profile) TrimBefore(t int64) {
 	}
 }
 
-// Size returns the system size.
-func (p *Profile) Size() int { return p.size }
-
 // Origin returns the first breakpoint time.
 func (p *Profile) Origin() int64 { return p.bps[0].t }
 

@@ -347,3 +347,6 @@ func TestEarliestFitBefore(t *testing.T) {
 		t.Fatal("wider than the system admitted a fit")
 	}
 }
+
+// Size returns the system size.
+func (p *Profile) Size() int { return p.size }

@@ -148,28 +148,6 @@ func Synthetic(cfg workload.Config) Source {
 	}
 }
 
-// Population is a Source generating a population-scale workload; as with
-// Synthetic, the campaign seed overrides cfg.Seed. The declared system size
-// is the config's (defaulted) SystemSize.
-func Population(cfg workload.PopConfig) Source {
-	return Source{
-		Name: "population",
-		Load: func(seed int64) (*Workload, error) {
-			c := cfg
-			c.Seed = seed
-			jobs, err := workload.GeneratePopulation(c)
-			if err != nil {
-				return nil, err
-			}
-			size := c.SystemSize
-			if size <= 0 {
-				size = 1000 // PopConfig default
-			}
-			return &Workload{Jobs: jobs, SystemSize: size}, nil
-		},
-	}
-}
-
 // Jobs is a Source over an in-memory workload (tests, library callers). The
 // slice is shared, not copied; scenarios never mutate it.
 func Jobs(name string, jobs []*job.Job, systemSize int) Source {

@@ -19,8 +19,8 @@ type recordIndex struct {
 // maxID. The dense layout is used when the id space wastes at most a small
 // constant factor over the workload size; headroom for split-segment ids
 // (allocated sequentially above maxID) is reserved up front.
-func newRecordIndex(n int, maxID job.ID, forceSparse bool) recordIndex {
-	if !forceSparse && int64(maxID) <= 2*int64(n)+64 {
+func newRecordIndex(n int, maxID job.ID) recordIndex {
+	if int64(maxID) <= 2*int64(n)+64 {
 		return recordIndex{dense: make([]*Record, int(maxID)+1, int(maxID)+1+n/4+1)}
 	}
 	return recordIndex{sparse: make(map[job.ID]*Record, n)}

@@ -7,9 +7,10 @@ import (
 	"fairsched/internal/job"
 )
 
-// runBoth executes the same workload through the dense record index and
-// the forced-sparse (map) layout and returns both results.
-func runBoth(t *testing.T, cfg Config, jobs []*job.Job) (dense, sparse *Result) {
+// runBoth executes the same workload through the dense record index and,
+// with every job id shifted past the dense bound (2n+64), through the map
+// layout. It returns both results and the id offset.
+func runBoth(t *testing.T, cfg Config, jobs []*job.Job) (dense, sparse *Result, off job.ID) {
 	t.Helper()
 	sd := New(cfg, &greedy{})
 	rd, err := sd.Run(jobs)
@@ -19,16 +20,27 @@ func runBoth(t *testing.T, cfg Config, jobs []*job.Job) (dense, sparse *Result) 
 	if sd.records.sparse != nil {
 		t.Fatal("dense run fell back to the map layout")
 	}
+	off = job.ID(2*len(jobs) + 64)
+	shifted := make([]*job.Job, len(jobs))
+	for i, j := range jobs {
+		shifted[i] = j.Clone()
+		shifted[i].ID += off
+	}
 	ss := New(cfg, &greedy{})
-	ss.sparseRecords = true
-	rs, err := ss.Run(jobs)
+	rs, err := ss.Run(shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rd, rs
+	if ss.records.sparse == nil {
+		t.Fatal("shifted run used the dense layout")
+	}
+	return rd, rs, off
 }
 
-func assertSameRecords(t *testing.T, got, want *Result) {
+// assertSameRecords compares records position by position, job ids modulo
+// the sparse run's id offset (split segments keep it: their ids are
+// allocated sequentially above the workload maximum).
+func assertSameRecords(t *testing.T, got, want *Result, off job.ID) {
 	t.Helper()
 	if got.Events != want.Events {
 		t.Errorf("events %d != %d", got.Events, want.Events)
@@ -38,7 +50,7 @@ func assertSameRecords(t *testing.T, got, want *Result) {
 	}
 	for i := range got.Records {
 		g, w := got.Records[i], want.Records[i]
-		if g.Job.ID != w.Job.ID || g.Submit != w.Submit || g.Start != w.Start ||
+		if g.Job.ID+off != w.Job.ID || g.Submit != w.Submit || g.Start != w.Start ||
 			g.Complete != w.Complete || g.Killed != w.Killed || g.Finished != w.Finished {
 			t.Fatalf("record %d diverged: dense %+v (job %d) vs sparse %+v (job %d)",
 				i, *g, g.Job.ID, *w, w.Job.ID)
@@ -82,8 +94,8 @@ func TestRecordIndexDenseMatchesSparse(t *testing.T) {
 			{SystemSize: size, Kill: KillWhenNeeded, Validate: true},
 		}
 		for _, cfg := range cfgs {
-			dense, sparse := runBoth(t, cfg, jobs)
-			assertSameRecords(t, dense, sparse)
+			dense, sparse, off := runBoth(t, cfg, jobs)
+			assertSameRecords(t, dense, sparse, off)
 		}
 	}
 }
@@ -117,9 +129,9 @@ func TestRecordIndexGrowsForSegments(t *testing.T) {
 		{ID: 1, User: 1, Submit: 0, Runtime: 4000, Estimate: 4000, Nodes: 2},
 	}
 	cfg := Config{SystemSize: 4, MaxRuntime: 100, Split: SplitUpfront, Validate: true}
-	dense, sparse := runBoth(t, cfg, jobs)
+	dense, sparse, off := runBoth(t, cfg, jobs)
 	if len(dense.Records) != 40 {
 		t.Fatalf("got %d segment records, want 40", len(dense.Records))
 	}
-	assertSameRecords(t, dense, sparse)
+	assertSameRecords(t, dense, sparse, off)
 }

@@ -66,11 +66,9 @@ type Simulator struct {
 	fs      *fairshare.Tracker
 	// records indexes every record by job id — a dense slice for the
 	// common dense id space, a map for sparse ones (see recordIndex).
-	// sparseRecords forces the map layout (differential tests).
-	records       recordIndex
-	sparseRecords bool
-	order         []*Record // submit order as processed
-	nextID        job.ID    // id allocator for split segments
+	records recordIndex
+	order   []*Record // submit order as processed
+	nextID  job.ID    // id allocator for split segments
 	// splitOriginals maps an original job id to the original job while its
 	// segment chain is in flight.
 	splitOriginals map[job.ID]*job.Job
@@ -465,7 +463,7 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 	// arrival and a completion, and the records map holds one entry per
 	// submission (plus split segments, which stay rare).
 	s.q.Grow(2 * len(workload))
-	s.records = newRecordIndex(len(workload), maxID, s.sparseRecords)
+	s.records = newRecordIndex(len(workload), maxID)
 	s.order = make([]*Record, 0, len(workload))
 	for _, j := range workload {
 		for _, sub := range s.submissionsFor(j) {

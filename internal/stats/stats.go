@@ -56,34 +56,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Min returns the smallest value, 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest value, 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -120,24 +92,6 @@ func PearsonR(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// JainFairnessIndex computes Jain, Chiu and Hawe's fairness index
-// (sum x)^2 / (n * sum x^2), one of the classic metrics the paper's Section
-// 4 reviews. Returns 1 for an empty slice (perfectly fair vacuously).
-func JainFairnessIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var s, ss float64
-	for _, x := range xs {
-		s += x
-		ss += x * x
-	}
-	if ss == 0 {
-		return 1
-	}
-	return s * s / (float64(len(xs)) * ss)
 }
 
 // LogBins builds n logarithmically spaced bin edges covering [lo, hi].

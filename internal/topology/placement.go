@@ -52,11 +52,6 @@ func (p *Placement) QueuePaths() []string {
 	return out
 }
 
-// Empty reports whether the placement carries no tags.
-func (p *Placement) Empty() bool {
-	return p == nil || (len(p.queue) == 0 && len(p.part) == 0)
-}
-
 // PlacementBuilder accumulates user tags; transforms in a scenario chain
 // contribute in order, later writes winning (like slo.Builder).
 type PlacementBuilder struct {

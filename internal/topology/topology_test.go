@@ -254,3 +254,8 @@ func TestIsAncestor(t *testing.T) {
 		}
 	}
 }
+
+// Empty reports whether the placement carries no tags.
+func (p *Placement) Empty() bool {
+	return p == nil || (len(p.queue) == 0 && len(p.part) == 0)
+}
