@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"fairsched/internal/fairshare"
@@ -41,7 +40,9 @@ func (h *referenceFST) JobArrived(env sim.Env, j *job.Job, queued []*job.Job) {
 	}
 	order = append(order, j)
 	fs := env.Fairshare()
-	sort.SliceStable(order, func(i, k int) bool { return fs.Less(order[i], order[k]) })
+	slices.SortStableFunc(order, func(a, b *job.Job) int {
+		return fairshare.Compare(fs.Usage(a.User), a, fs.Usage(b.User), b)
+	})
 
 	avail := newAvailability(env.Now(), env.FreeNodes(), env.Running())
 	for _, q := range order {

@@ -145,14 +145,24 @@ type runningUser struct {
 	marker *decayedUsage
 }
 
-// NewTracker creates a tracker whose decay boundaries align to epoch. It
-// panics if cfg fails Validate; the entry points validate first.
+// NewTracker creates a tracker whose decay boundaries align to epoch.
+// Boundaries depend only on the epoch's phase (they fire at epoch +
+// k·interval), so a positive epoch folds to its congruent value in
+// (-interval, 0]: the accrual frontier, which starts at the epoch, never
+// starts ahead of a clock that starts at 0. It panics if cfg fails
+// Validate; the entry points validate first.
 func NewTracker(cfg Config, epoch int64) *Tracker {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	cfg = cfg.withDefaults()
+	if epoch > 0 {
+		if epoch %= cfg.DecayInterval; epoch > 0 {
+			epoch -= cfg.DecayInterval
+		}
+	}
 	return &Tracker{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		epoch: epoch,
 		now:   epoch,
 	}
@@ -418,22 +428,13 @@ func (t *Tracker) Charge(user int, procSeconds float64) {
 	}
 }
 
-// Less is the fairshare queue order: lower decayed usage first, then earlier
-// submission, then lower job id. It is a strict weak ordering for distinct
-// jobs.
-func (t *Tracker) Less(a, b *job.Job) bool {
-	ua, _ := t.settled(a.User)
-	ub, _ := t.settled(b.User)
-	return Compare(ua, a, ub, b) < 0
-}
-
 // Compare is the fairshare queue order over precomputed priority keys as a
 // three-way comparison: the lower key first, then earlier submission, then
-// lower job id. With each job's decayed usage as its key it is exactly
-// Tracker.Less; callers that read every usage once per pass (the scheduling
-// engines, the hybrid FST engine) compare through it instead of re-reading
-// the ledger per comparison. Job ids are unique within a workload, so it
-// never answers 0 for different jobs.
+// lower job id. With each job's decayed usage (Usage) as its key it is the
+// fairshare order; callers read every key once per pass (the scheduling
+// engines, the hybrid FST engine) instead of re-reading the ledger per
+// comparison. Job ids are unique within a workload, so it never answers 0
+// for different jobs.
 func Compare(ka float64, a *job.Job, kb float64, b *job.Job) int {
 	switch {
 	case ka != kb:

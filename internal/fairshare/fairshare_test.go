@@ -182,21 +182,49 @@ func TestNextBoundaryAfter(t *testing.T) {
 	}
 }
 
+// less is the fairshare queue order as a comparator over the ledger: lower
+// decayed usage first, then earlier submission, then lower job id. It is
+// the reference Compare over Usage keys is checked against.
+func (t *Tracker) less(a, b *job.Job) bool {
+	ua, _ := t.settled(a.User)
+	ub, _ := t.settled(b.User)
+	if ua != ub {
+		return ua < ub
+	}
+	if a.Submit != b.Submit {
+		return a.Submit < b.Submit
+	}
+	return a.ID < b.ID
+}
+
+// TestNewTrackerFoldsPositiveEpoch: a positive epoch keeps its boundary
+// lattice (epoch + k·interval) but folds into (-interval, 0], so the
+// accrual frontier starts at or before a clock that starts at 0.
+func TestNewTrackerFoldsPositiveEpoch(t *testing.T) {
+	tr := NewTracker(Config{DecayFactor: 0.5, DecayInterval: 100}, 250)
+	if err := tr.Advance(0); err != nil {
+		t.Fatalf("Advance(0) after a positive epoch: %v", err)
+	}
+	if got := tr.NextBoundaryAfter(0); got != 50 {
+		t.Fatalf("NextBoundaryAfter(0) = %d, want 50", got)
+	}
+}
+
 func TestLessOrdersByUsageThenSubmitThenID(t *testing.T) {
 	tr := NewTracker(DefaultConfig(), 0)
 	tr.Charge(1, 100)
 	tr.Charge(2, 50)
 	a := &job.Job{ID: 1, User: 1, Submit: 0}
 	b := &job.Job{ID: 2, User: 2, Submit: 100}
-	if !tr.Less(b, a) {
+	if !tr.less(b, a) {
 		t.Error("lower usage should rank first despite later submit")
 	}
 	c := &job.Job{ID: 3, User: 2, Submit: 50}
-	if !tr.Less(c, b) {
+	if !tr.less(c, b) {
 		t.Error("same usage: earlier submit should rank first")
 	}
 	d := &job.Job{ID: 4, User: 2, Submit: 50}
-	if !tr.Less(c, d) || tr.Less(d, c) {
+	if !tr.less(c, d) || tr.less(d, c) {
 		t.Error("same usage and submit: lower id should rank first")
 	}
 }
@@ -224,7 +252,7 @@ func TestCompareSortIsDeterministic(t *testing.T) {
 	for _, a := range jobs {
 		for _, b := range jobs {
 			c := Compare(tr.Usage(a.User), a, tr.Usage(b.User), b)
-			if less := tr.Less(a, b); less != (c < 0) || (a == b) != (c == 0) {
+			if less := tr.less(a, b); less != (c < 0) || (a == b) != (c == 0) {
 				t.Errorf("Compare(%d, %d) = %d disagrees with Less = %v", a.ID, b.ID, c, less)
 			}
 		}

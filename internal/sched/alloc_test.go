@@ -95,16 +95,16 @@ func standingQueue(env *busyEnv, pol *Composite, n int) {
 	}
 }
 
-// TestAggressivePassAllocatesNothing: a warm cplant24.nomax.all or edf
-// scheduling pass whose standing queue is out of priority order sorts it
-// through the reused key buffer and allocates nothing. edf runs under an
-// SLO context with at-risk, targeted and untargeted users; its kept queue
-// forgets its sorted state before each pass, as a breach flip would make
-// it re-sort. The machine is full, so no candidate fits: the passes never
+// TestAggressivePassAllocatesNothing: a warm cplant24.nomax.all, edf or
+// easy.lxf scheduling pass whose standing queue is out of priority order
+// sorts it through the reused key buffer and allocates nothing. edf runs
+// under an SLO context with at-risk, targeted and untargeted users; its
+// kept queue forgets its sorted state before each pass, as a breach flip
+// would make it re-sort. The machine is full, so no candidate fits: the passes never
 // read the availability profile (the head's reservation is placed only
 // once a candidate fits).
 func TestAggressivePassAllocatesNothing(t *testing.T) {
-	for _, spec := range []string{"cplant24.nomax.all", "edf"} {
+	for _, spec := range []string{"cplant24.nomax.all", "edf", "easy.lxf"} {
 		env := newBusyEnv(100)
 		pol := MustParse(spec)
 		pol.SetSLOContext(mapDeadlines{1: 60, 2: 600, 3: job.MaxTime}, riskSet{2: true, 4: true})
@@ -158,12 +158,12 @@ func TestSkippedPassAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReservingPassAllocatesNothing: a warm easy or edf pass on a machine
-// with free nodes, where narrow candidates fit by width but would delay the
-// blocked head's reservation, places that reservation, starts nothing and
-// allocates nothing.
+// TestReservingPassAllocatesNothing: a warm easy, edf or easy.lxf pass on
+// a machine with free nodes, where narrow candidates fit by width but would
+// delay the blocked head's reservation, places that reservation, starts
+// nothing and allocates nothing.
 func TestReservingPassAllocatesNothing(t *testing.T) {
-	for _, spec := range []string{"easy", "edf"} {
+	for _, spec := range []string{"easy", "edf", "easy.lxf"} {
 		const free = 4
 		env := newBusyEnv(100)
 		hog := env.running[0].Job
@@ -177,8 +177,8 @@ func TestReservingPassAllocatesNothing(t *testing.T) {
 		pol.SetSLOContext(mapDeadlines{1: 60, 2: 600}, riskSet{2: true})
 		pol.Reset(fit)
 		eng := pol.engine.(*aggressiveEngine)
-		// The head (at risk under edf, first submitted under easy) needs the
-		// whole machine; every other job fits the free nodes but runs past
+		// The head (at risk under edf, first submitted under easy, of the
+		// largest expansion factor under lxf) needs the whole machine; every other job fits the free nodes but runs past
 		// the hog's release, when the head takes every node.
 		pol.Arrive(fit, &job.Job{ID: 1, User: 2, Submit: 0, Runtime: 100, Estimate: 100, Nodes: busySize})
 		for i := 2; i <= 16; i++ {

@@ -38,7 +38,6 @@ type Composite struct {
 	spec   Spec
 	engine engine
 	order  Order
-	keys   keyOrder // order as a keyOrder, nil for lxf (preemption ranking)
 
 	// slo carries the run's SLO signals (deadlines, breach risk) for the
 	// edf order and the deadline preemption trigger; SetSLOContext fills it
@@ -71,7 +70,6 @@ func New(spec Spec) (*Composite, error) {
 	}
 	ord, _ := OrderByName(norm.Order) // Validate vetted every component
 	c := &Composite{spec: norm, order: ord}
-	c.keys, _ = ord.(keyOrder)
 	if e, ok := ord.(*edfOrder); ok {
 		e.ctx = &c.slo
 	}

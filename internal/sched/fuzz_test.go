@@ -68,8 +68,8 @@ func FuzzParseSpec(f *testing.F) {
 
 // FuzzQueueKeyOrder drives checkQueueSorter: the priority-key sort of every
 // order (edf under a random SLO context) must equal sort.SliceStable over
-// Order.Less on random queues, and report a change exactly when its input
-// was out of order.
+// the comparator oracle on random queues, and report a change exactly when
+// its input was out of order.
 func FuzzQueueKeyOrder(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(2), uint8(2))
@@ -82,7 +82,7 @@ func FuzzQueueKeyOrder(f *testing.F) {
 
 // FuzzKeptQueue drives checkKeptQueue: under every static order and kept
 // engine, with users flagged at risk mid-run, every scheduling pass must
-// leave the queue a full re-sort over Order.Less would give.
+// leave the queue a full re-sort over the comparator oracle would give.
 func FuzzKeptQueue(f *testing.F) {
 	f.Add(int64(1), uint8(5))
 	f.Add(int64(2), uint8(20))

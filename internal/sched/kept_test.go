@@ -29,7 +29,8 @@ var staticOrders = []string{"fcfs", "sjf", "widest", "narrowest", "edf"}
 // may flag one more user at risk (between passes, as the SLO observer
 // would have flagged them at a start or completion), and after each event
 // it checks that the engine's queue is exactly what a full re-sort would
-// give: the main queue equals sort.SliceStable over Less, and the
+// give: the main queue equals sort.SliceStable over the comparator oracle,
+// and the
 // starvation queue is in arrival order.
 type keptProbe struct {
 	*Composite
@@ -83,7 +84,7 @@ func (p *keptProbe) check(env sim.Env) {
 		p.starvedPasses++
 	}
 	want := slices.Clone(main)
-	sort.SliceStable(want, func(i, k int) bool { return p.order.Less(env, want[i], want[k]) })
+	sort.SliceStable(want, func(i, k int) bool { return lessOracle(p.order, env, want[i], want[k]) })
 	if !slices.Equal(main, want) {
 		p.t.Fatalf("%s at t=%d (pass %d): queue %v, a re-sort gives %v", p.Name(), env.Now(), p.passes, ids(main), ids(want))
 	}

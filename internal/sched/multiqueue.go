@@ -74,7 +74,7 @@ func NewMultiQueue(queues []QueueConfig, route func(*job.Job) int, fsCfg fairsha
 	if err := fsCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: multiqueue: %w", err)
 	}
-	mq := &MultiQueue{cfgs: queues, route: route, fsCfg: fsCfg, epoch: foldEpoch(epoch, fsCfg)}
+	mq := &MultiQueue{cfgs: queues, route: route, fsCfg: fsCfg, epoch: epoch}
 	for _, qc := range queues {
 		if qc.Spec == nil {
 			continue
@@ -95,23 +95,6 @@ func NewMultiQueue(queues []QueueConfig, route func(*job.Job) int, fsCfg fairsha
 // QuotaNodes is the node count a cap= quota of fraction frac leaves a
 // subtree on a system of size nodes.
 func QuotaNodes(frac float64, size int) int { return int(frac * float64(size)) }
-
-// foldEpoch folds a positive epoch to its congruent value in
-// (-interval, 0], exactly as the simulator does for its per-user tracker,
-// so the tree's decay boundaries land on the same instants.
-func foldEpoch(epoch int64, cfg fairshare.Config) int64 {
-	if epoch <= 0 {
-		return epoch
-	}
-	interval := cfg.DecayInterval
-	if interval <= 0 {
-		interval = 24 * 3600
-	}
-	if epoch %= interval; epoch > 0 {
-		epoch -= interval
-	}
-	return epoch
-}
 
 // Name implements sim.Policy: the single leaf's name when the tree is
 // trivial, a queue=path:policy listing otherwise.

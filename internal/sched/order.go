@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"fairsched/internal/fairshare"
@@ -11,39 +10,28 @@ import (
 	"fairsched/internal/sim"
 )
 
-// Order is the queue-ordering component of a composed policy: a strict weak
-// ordering over queued jobs, evaluated against the live environment (the
-// fairshare order reads decayed usage, the expansion-factor order reads the
-// clock). Orders are stateless; all state lives in the environment.
-//
-// Every order but lxf is also a keyOrder: within one sort its priority is a
-// per-job key, so the engines sort (key, entry) pairs instead of calling
-// Less per comparison. lxf is the only comparator order: its
-// cross-multiplied integer compare must not become a float.
+// Order is the queue-ordering component of a composed policy: it ranks
+// queued jobs by a per-job priority key read against the live environment
+// (the fairshare order reads decayed usage, the expansion-factor order
+// reads the clock). a schedules before b exactly when
+// fairshare.Compare(key(a), a, key(b), b) < 0 — the lower key first, ties
+// by submission then id. Job ids are unique, so the order is total. Orders
+// are stateless; all state lives in the environment (and, for edf, in the
+// run's SLO context).
 type Order interface {
 	// Name is the grammar token ("fairshare", "fcfs", "sjf", ...).
 	Name() string
-	// Less reports whether a schedules before b. It must be a strict weak
-	// ordering and deterministic: implementations tie-break on submission
-	// time then job id so equal-priority jobs keep a stable order.
-	Less(env sim.Env, a, b *job.Job) bool
-}
-
-// keyOrder is an Order whose priority is a per-sort key: while no job
-// starts, Less(a, b) holds exactly when
-// fairshare.Compare(key(a), a, key(b), b) < 0 — the lower key first, ties
-// by submission then id. Keys are read once per entry per sort call, and
-// no job starts inside one. fs is the pass's fairshare tracker, fetched
-// once per sort (nil in environments without one; only the fairshare
-// order reads it).
-type keyOrder interface {
-	Order
-	key(fs *fairshare.Tracker, j *job.Job) float64
+	// key is j's priority key at clock now. Keys are read once per entry
+	// per sort call, and no job starts inside one. fs is the pass's
+	// fairshare tracker, fetched once per sort (nil in environments
+	// without one; only the fairshare order reads it).
+	key(fs *fairshare.Tracker, now int64, j *job.Job) float64
 	// epoch is the order's key epoch. A static order's keys change only
 	// when v does: fcfs, sjf, widest and narrowest never move (v is
 	// constant), and edf's v counts the users flagged at risk so far,
-	// which grows exactly when some user's flag flips. fairshare is not
-	// static: its keys are decayed usages, which move with the clock.
+	// which grows exactly when some user's flag flips. fairshare and lxf
+	// are not static: their keys are decayed usages and expansion factors,
+	// which move with the clock.
 	epoch() (v int, static bool)
 }
 
@@ -52,12 +40,16 @@ type constEpoch struct{}
 
 func (constEpoch) epoch() (int, bool) { return 0, true }
 
+// clockEpoch is the epoch of the orders whose keys move with the clock.
+type clockEpoch struct{}
+
+func (clockEpoch) epoch() (int, bool) { return 0, false }
+
 // queueSorter sorts an engine's queue entries (E is *job.Job or an engine's
-// wrapper around one) into the order's priority order. A keyOrder's keys
-// are read once per entry per sort into a reused buffer, so a warm sort
-// allocates nothing; lxf goes through Less. Job ids are unique, so
-// the priority order is total and both paths produce exactly the stable
-// sort over Less.
+// wrapper around one) into the order's priority order. The keys are read
+// once per entry per sort into a reused buffer, so a warm sort allocates
+// nothing. The priority order is total, so the result is the one sorted
+// arrangement of the queue.
 //
 // A kept sorter (keptSorter: a static order, driven by an engine that adds
 // arrivals only through insert and otherwise only removes entries in place)
@@ -66,7 +58,6 @@ func (constEpoch) epoch() (int, bool) { return 0, true }
 // kept queue is exactly the queue a full re-sort would give.
 type queueSorter[E any] struct {
 	order Order
-	keys  keyOrder // order as a keyOrder, nil for lxf
 	jobOf func(E) *job.Job
 	buf   []keyedEntry[E]
 
@@ -82,8 +73,7 @@ type keyedEntry[E any] struct {
 }
 
 func newQueueSorter[E any](o Order, jobOf func(E) *job.Job) queueSorter[E] {
-	ko, _ := o.(keyOrder)
-	return queueSorter[E]{order: o, keys: ko, jobOf: jobOf}
+	return queueSorter[E]{order: o, jobOf: jobOf}
 }
 
 // jobSorter is the queueSorter over plain job queues.
@@ -92,12 +82,10 @@ func jobSorter(o Order) queueSorter[*job.Job] {
 }
 
 // keptSorter is the jobSorter of an engine that keeps its queue sorted
-// between passes; it is kept only when the order is static (see keyOrder).
+// between passes; it is kept only when the order is static.
 func keptSorter(o Order) queueSorter[*job.Job] {
 	s := jobSorter(o)
-	if s.keys != nil {
-		_, s.kept = s.keys.epoch()
-	}
+	_, s.kept = o.epoch()
 	return s
 }
 
@@ -107,7 +95,7 @@ func (s *queueSorter[E]) current() bool {
 	if !s.kept {
 		return false
 	}
-	v, _ := s.keys.epoch()
+	v, _ := s.order.epoch()
 	return v == s.at
 }
 
@@ -118,12 +106,12 @@ func (s *queueSorter[E]) insert(env sim.Env, q []E, e E) []E {
 	if !s.current() {
 		return append(q, e)
 	}
-	fs := env.Fairshare()
+	fs, now := env.Fairshare(), env.Now()
 	j := s.jobOf(e)
-	k := s.keys.key(fs, j)
+	k := s.order.key(fs, now, j)
 	i, _ := slices.BinarySearchFunc(q, e, func(x, _ E) int {
 		xj := s.jobOf(x)
-		return fairshare.Compare(s.keys.key(fs, xj), xj, k, j)
+		return fairshare.Compare(s.order.key(fs, now, xj), xj, k, j)
 	})
 	return slices.Insert(q, i, e)
 }
@@ -138,19 +126,16 @@ func (s *queueSorter[E]) sort(env sim.Env, q []E, pre func(a, b E) int) bool {
 		if s.current() {
 			return false
 		}
-		s.at, _ = s.keys.epoch()
+		s.at, _ = s.order.epoch()
 	}
 	if len(q) < 2 {
 		return false
 	}
-	if s.keys == nil {
-		return s.sortByLess(env, q, pre)
-	}
-	fs := env.Fairshare()
+	fs, now := env.Fairshare(), env.Now()
 	buf := s.buf[:0]
 	for _, e := range q {
 		j := s.jobOf(e)
-		buf = append(buf, keyedEntry[E]{key: s.keys.key(fs, j), job: j, e: e})
+		buf = append(buf, keyedEntry[E]{key: s.order.key(fs, now, j), job: j, e: e})
 	}
 	s.buf = buf
 	cmp := func(a, b keyedEntry[E]) int {
@@ -171,52 +156,21 @@ func (s *queueSorter[E]) sort(env sim.Env, q []E, pre func(a, b E) int) bool {
 	return moved
 }
 
-// sortByLess is sort for the comparator order, lxf. Its order check runs
-// from the tail, where arrivals land, so an out-of-order arrival costs one
-// Less call before the sort.
-func (s *queueSorter[E]) sortByLess(env sim.Env, q []E, pre func(a, b E) int) bool {
-	less := func(a, b E) bool {
-		if pre != nil {
-			if c := pre(a, b); c != 0 {
-				return c < 0
-			}
-		}
-		return s.order.Less(env, s.jobOf(a), s.jobOf(b))
-	}
-	for n := len(q) - 1; n > 0; n-- {
-		if less(q[n], q[n-1]) {
-			sort.SliceStable(q, func(i, k int) bool { return less(q[i], q[k]) })
-			return true
-		}
-	}
-	return false
-}
-
-// arrivalLess is the shared FCFS tie-break: submission time then job id.
-func arrivalLess(a, b *job.Job) bool {
-	if a.Submit != b.Submit {
-		return a.Submit < b.Submit
-	}
-	return a.ID < b.ID
-}
-
-// fcfsOrder schedules in arrival order (Figure 1 semantics).
+// fcfsOrder schedules in arrival order (Figure 1 semantics): every key is
+// 0, so the tie-break alone decides.
 type fcfsOrder struct{ constEpoch }
 
-func (fcfsOrder) Name() string                             { return "fcfs" }
-func (fcfsOrder) Less(_ sim.Env, a, b *job.Job) bool       { return arrivalLess(a, b) }
-func (fcfsOrder) key(*fairshare.Tracker, *job.Job) float64 { return 0 }
+func (fcfsOrder) Name() string                                    { return "fcfs" }
+func (fcfsOrder) key(*fairshare.Tracker, int64, *job.Job) float64 { return 0 }
 
 // fairshareOrder is the Sandia decaying-usage priority: lowest decayed usage
 // first (paper §2.1), ties FCFS.
-type fairshareOrder struct{}
+type fairshareOrder struct{ clockEpoch }
 
 func (fairshareOrder) Name() string { return "fairshare" }
-func (fairshareOrder) Less(env sim.Env, a, b *job.Job) bool {
-	return env.Fairshare().Less(a, b)
+func (fairshareOrder) key(fs *fairshare.Tracker, _ int64, j *job.Job) float64 {
+	return fs.Usage(j.User)
 }
-func (fairshareOrder) key(fs *fairshare.Tracker, j *job.Job) float64 { return fs.Usage(j.User) }
-func (fairshareOrder) epoch() (int, bool)                            { return 0, false }
 
 // sjfOrder is shortest-job-first by the user's wall-clock estimate — the
 // size-based ordering whose fairness trade-offs Dell'Amico et al. ("On Fair
@@ -224,40 +178,29 @@ func (fairshareOrder) epoch() (int, bool)                            { return 0,
 type sjfOrder struct{ constEpoch }
 
 func (sjfOrder) Name() string { return "sjf" }
-func (sjfOrder) Less(_ sim.Env, a, b *job.Job) bool {
-	if a.Estimate != b.Estimate {
-		return a.Estimate < b.Estimate
-	}
-	return arrivalLess(a, b)
-}
 
 // key is exact: estimates are bounded by job.MaxTime < 2^53.
-func (sjfOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return float64(j.Estimate) }
+func (sjfOrder) key(_ *fairshare.Tracker, _ int64, j *job.Job) float64 {
+	return float64(j.Estimate)
+}
 
 // lxfOrder is largest-expansion-factor first: (wait + estimate)/estimate,
 // descending — the slowdown-driven ordering of the heSRPT line of work
 // (Berg et al.). A job's factor grows as it waits, so starvation
 // self-corrects. Ties FCFS.
-type lxfOrder struct{}
+type lxfOrder struct{ clockEpoch }
 
 func (lxfOrder) Name() string { return "lxf" }
-func (lxfOrder) Less(env sim.Env, a, b *job.Job) bool {
-	now := env.Now()
-	// Compare (wait_a+est_a)/est_a > (wait_b+est_b)/est_b without division:
-	// cross-multiply by the (positive) estimates.
-	ea, eb := a.Estimate, b.Estimate
-	if ea < 1 {
-		ea = 1
-	}
-	if eb < 1 {
-		eb = 1
-	}
-	xa := (now - a.Submit + ea) * eb
-	xb := (now - b.Submit + eb) * ea
-	if xa != xb {
-		return xa > xb
-	}
-	return arrivalLess(a, b)
+
+// key is the negated expansion factor −(now − submit + est)/est (an
+// estimate below 1 counts as 1). Correctly rounded division is monotone,
+// and two distinct factors differ by at least 1/(est_a·est_b), so the key
+// order is the exact order while (now − submit_a + est_a)·est_b < 2^52 for
+// every queued pair; past that bound, factors closer than one ulp tie into
+// FCFS (DESIGN.md §9).
+func (lxfOrder) key(_ *fairshare.Tracker, now int64, j *job.Job) float64 {
+	e := max(j.Estimate, 1)
+	return -float64(now-j.Submit+e) / float64(e)
 }
 
 // widestOrder schedules the widest jobs (most nodes) first; narrowest the
@@ -266,24 +209,16 @@ func (lxfOrder) Less(env sim.Env, a, b *job.Job) bool {
 type widestOrder struct{ constEpoch }
 
 func (widestOrder) Name() string { return "widest" }
-func (widestOrder) Less(_ sim.Env, a, b *job.Job) bool {
-	if a.Nodes != b.Nodes {
-		return a.Nodes > b.Nodes
-	}
-	return arrivalLess(a, b)
+func (widestOrder) key(_ *fairshare.Tracker, _ int64, j *job.Job) float64 {
+	return -float64(j.Nodes)
 }
-func (widestOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return -float64(j.Nodes) }
 
 type narrowestOrder struct{ constEpoch }
 
 func (narrowestOrder) Name() string { return "narrowest" }
-func (narrowestOrder) Less(_ sim.Env, a, b *job.Job) bool {
-	if a.Nodes != b.Nodes {
-		return a.Nodes < b.Nodes
-	}
-	return arrivalLess(a, b)
+func (narrowestOrder) key(_ *fairshare.Tracker, _ int64, j *job.Job) float64 {
+	return float64(j.Nodes)
 }
-func (narrowestOrder) key(_ *fairshare.Tracker, j *job.Job) float64 { return float64(j.Nodes) }
 
 // DeadlineSource supplies per-user SLO wait targets: a user's deadline for
 // a queued job is submit + target. slo.Assignment implements it; the
@@ -363,21 +298,6 @@ type edfOrder struct {
 
 func (*edfOrder) Name() string { return "edf" }
 
-func (o *edfOrder) Less(_ sim.Env, a, b *job.Job) bool {
-	if ra, rb := o.ctx.atRisk(a), o.ctx.atRisk(b); ra != rb {
-		return ra
-	}
-	da, oka := o.ctx.deadline(a)
-	db, okb := o.ctx.deadline(b)
-	if oka != okb {
-		return oka // targeted jobs ahead of untargeted ones
-	}
-	if oka && da != db {
-		return da < db
-	}
-	return arrivalLess(a, b)
-}
-
 // edfClass spaces the key's four classes (at-risk targeted, at-risk
 // untargeted, targeted, untargeted) above every deadline. A deadline is a
 // submit (at most job.MaxTime, or the clock for a preemption remainder)
@@ -388,7 +308,7 @@ const edfClass = 1 << 42
 // key is (2·!atRisk + !targeted)·2^42 + deadline, with deadline 0 for
 // untargeted jobs so they tie into arrival order. It stays below 2^44, so
 // it is exact in a float64.
-func (o *edfOrder) key(_ *fairshare.Tracker, j *job.Job) float64 {
+func (o *edfOrder) key(_ *fairshare.Tracker, _ int64, j *job.Job) float64 {
 	var class int64
 	if !o.ctx.atRisk(j) {
 		class = 2

@@ -12,7 +12,7 @@ import (
 	"fairsched/internal/sim"
 )
 
-// orderEnv is a minimal Env for exercising Order comparators directly.
+// orderEnv is a minimal Env for exercising Orders directly.
 type orderEnv struct {
 	now int64
 	fs  *fairshare.Tracker
@@ -27,6 +27,18 @@ func (e *orderEnv) Availability() *profile.Profile { return profile.New(e.now, 6
 func (e *orderEnv) Start(*job.Job) error           { return nil }
 
 var _ sim.Env = (*orderEnv)(nil)
+
+// ranksBefore reports whether a ranks before b under o through o's key,
+// failing the test when the comparator oracle disagrees.
+func ranksBefore(t *testing.T, o Order, env sim.Env, a, b *job.Job) bool {
+	t.Helper()
+	fs, now := env.Fairshare(), env.Now()
+	got := fairshare.Compare(o.key(fs, now, a), a, o.key(fs, now, b), b) < 0
+	if want := lessOracle(o, env, a, b); got != want {
+		t.Errorf("%s at t=%d: key order puts %d before %d: %v, oracle %v", o.Name(), now, a.ID, b.ID, got, want)
+	}
+	return got
+}
 
 func mustOrder(t *testing.T, name string) Order {
 	t.Helper()
@@ -60,11 +72,11 @@ func TestOrderSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		o := mustOrder(t, tc.order)
-		if !o.Less(env, tc.first, tc.second) {
+		if !ranksBefore(t, o, env, tc.first, tc.second) {
 			t.Errorf("%s: %d should come before %d", tc.order, tc.first.ID, tc.second.ID)
 		}
-		if o.Less(env, tc.second, tc.first) {
-			t.Errorf("%s: comparator not antisymmetric for %d,%d", tc.order, tc.second.ID, tc.first.ID)
+		if ranksBefore(t, o, env, tc.second, tc.first) {
+			t.Errorf("%s: order not antisymmetric for %d,%d", tc.order, tc.second.ID, tc.first.ID)
 		}
 	}
 }
@@ -75,7 +87,7 @@ func TestOrderTieBreaksAreArrivalOrder(t *testing.T) {
 	b := &job.Job{ID: 2, User: 2, Submit: 10, Estimate: 50, Nodes: 4}
 	for _, name := range OrderNames() {
 		o := mustOrder(t, name)
-		if !o.Less(env, a, b) || o.Less(env, b, a) {
+		if !ranksBefore(t, o, env, a, b) || ranksBefore(t, o, env, b, a) {
 			t.Errorf("%s: equal-priority jobs must tie-break by id", name)
 		}
 	}
@@ -98,11 +110,11 @@ func TestLXFGrowsWithWait(t *testing.T) {
 	fresh := &job.Job{ID: 2, User: 2, Submit: 0, Estimate: 100, Nodes: 1}
 	// At t=0 both have factor 1: the shorter job wins on... neither — tie
 	// breaks to id order, so patient (id 1) first.
-	if !o.Less(early, patient, fresh) {
+	if !ranksBefore(t, o, early, patient, fresh) {
 		t.Error("equal factors should tie-break FCFS")
 	}
 	// Much later the short job's factor exploded: (100000+100)/100 >> 11.
-	if !o.Less(late, fresh, patient) {
+	if !ranksBefore(t, o, late, fresh, patient) {
 		t.Error("waiting short job should overtake on expansion factor")
 	}
 }
@@ -152,10 +164,10 @@ func randomSLOContext(r *rand.Rand) *sloContext {
 
 // checkQueueSorter sorts a random queue, and then its sorted form, with a
 // queueSorter under every order and checks the result against
-// sort.SliceStable over Order.Less, and that sort reports a change exactly
-// when its input was out of order. edf reads a random SLO context. The
-// reservation-first form (byReservation) is checked the same way against
-// the equivalent Less-based comparator.
+// sort.SliceStable over the comparator oracle, and that sort reports a
+// change exactly when its input was out of order. edf reads a random SLO
+// context. The reservation-first form (byReservation) is checked the same
+// way against the equivalent oracle-based comparator.
 func checkQueueSorter(t *testing.T, r *rand.Rand, n int) {
 	t.Helper()
 	env := &orderEnv{now: 1000, fs: fairshare.NewTracker(fairshare.Config{}, 0)}
@@ -173,7 +185,7 @@ func checkQueueSorter(t *testing.T, r *rand.Rand, n int) {
 			e.ctx = randomSLOContext(r)
 		}
 		want := slices.Clone(q)
-		sort.SliceStable(want, func(i, k int) bool { return o.Less(env, want[i], want[k]) })
+		sort.SliceStable(want, func(i, k int) bool { return lessOracle(o, env, want[i], want[k]) })
 		s := jobSorter(o)
 		for _, in := range [][]*job.Job{q, want} {
 			got := slices.Clone(in)
@@ -195,7 +207,7 @@ func checkQueueSorter(t *testing.T, r *rand.Rand, n int) {
 			if qi.hasRes && qi.res != qk.res {
 				return qi.res < qk.res
 			}
-			return o.Less(env, qi.job, qk.job)
+			return lessOracle(o, env, qi.job, qk.job)
 		})
 		rs := newQueueSorter(o, func(q *reservedJob) *job.Job { return q.job })
 		gotRes := slices.Clone(res)
@@ -214,20 +226,69 @@ func TestQueueSorterMatchesComparator(t *testing.T) {
 	}
 }
 
-// TestKeyedOrders pins which orders are keyed (all but lxf) and which of
-// those are static, keeping their queues sorted between passes (all but
-// fairshare).
+// TestKeyedOrders pins which orders are static, keeping their queues
+// sorted between passes: all but fairshare and lxf, whose keys move with
+// the clock.
 func TestKeyedOrders(t *testing.T) {
 	for _, name := range OrderNames() {
-		ko, keyed := mustOrder(t, name).(keyOrder)
-		if want := name != "lxf"; keyed != want {
-			t.Errorf("%s: keyed = %v, want %v", name, keyed, want)
+		_, static := mustOrder(t, name).epoch()
+		if want := slices.Contains(staticOrders, name); static != want {
+			t.Errorf("%s: static = %v, want %v", name, static, want)
 		}
-		if !keyed {
-			continue
+	}
+	for _, name := range []string{"fairshare", "lxf"} {
+		if slices.Contains(staticOrders, name) {
+			t.Errorf("%s is listed static; its keys move with the clock", name)
 		}
-		if _, static := ko.epoch(); static != slices.Contains(staticOrders, name) {
-			t.Errorf("%s: static = %v", name, static)
-		}
+	}
+}
+
+// TestLXFKeyTiesPastExactnessBound pins the documented limit of the lxf
+// key: past (now − submit_a + est_a)·est_b < 2^52, two factors closer than
+// one ulp round to one key and tie into FCFS. At now = 2^31, a (est 2^30)
+// has factor 2 + 2^−30 and b (est 2^30 − 1) has 2 + 1/(2^30 − 1), larger
+// by about 2^−60 — below the ulp of 2, 2^−51. The exact order puts b
+// first; the keys tie, and a, submitted first, leads.
+func TestLXFKeyTiesPastExactnessBound(t *testing.T) {
+	const q = 1 << 30
+	env := &orderEnv{now: 2 * q}
+	a := &job.Job{ID: 1, Submit: q - 1, Estimate: q, Nodes: 1}
+	b := &job.Job{ID: 2, Submit: q, Estimate: q - 1, Nodes: 1}
+	if (env.now-a.Submit+a.Estimate)*b.Estimate < 1<<52 {
+		t.Fatal("the pair lies inside the exactness bound")
+	}
+	if !lessOracle(lxfOrder{}, env, b, a) {
+		t.Fatal("the exact order should put b first")
+	}
+	ka, kb := lxfOrder{}.key(nil, env.now, a), lxfOrder{}.key(nil, env.now, b)
+	if ka != kb || fairshare.Compare(ka, a, kb, b) >= 0 {
+		t.Fatalf("keys %v, %v: want a tie broken FCFS, a first", ka, kb)
+	}
+}
+
+// TestLXFRanksFactorsPastInt64Products runs list.lxf on a one-node machine
+// whose blocker runs until 2^40: then A (estimate 2^40) has expansion
+// factor 2 and B (estimate 1) has 2^40 + 1, so B starts first. A 64-bit
+// cross-multiplied compare wraps here ((2^40 + 1)·2^40 > 2^63) and would
+// start A first.
+func TestLXFRanksFactorsPastInt64Products(t *testing.T) {
+	const horizon = job.MaxTime
+	jobs := []*job.Job{
+		{ID: 1, User: 1, Runtime: horizon, Estimate: horizon, Nodes: 1},
+		{ID: 2, User: 2, Runtime: 1, Estimate: horizon, Nodes: 1},
+		{ID: 3, User: 3, Runtime: 1, Estimate: 1, Nodes: 1},
+	}
+	// A decay interval past the horizon keeps the run free of decay wakes.
+	cfg := sim.Config{SystemSize: 1, Fairshare: fairshare.Config{DecayInterval: 2 * horizon}, Validate: true}
+	res, err := sim.New(cfg, MustParse("list.lxf")).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := map[job.ID]int64{}
+	for _, r := range res.Records {
+		start[r.Job.ID] = r.Start
+	}
+	if start[3] != horizon || start[2] != horizon+1 {
+		t.Fatalf("B started at %d and A at %d; want B at %d, then A", start[3], start[2], int64(horizon))
 	}
 }

@@ -36,8 +36,9 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
+	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
 	"fairsched/internal/profile"
 	"fairsched/internal/sim"
@@ -67,9 +68,9 @@ func popHead(q []*job.Job) ([]*job.Job, *job.Job) {
 }
 
 // sortFCFS orders jobs by submission time then id (the starvation queue's
-// discipline).
+// discipline): the fairshare.Compare tie-break over zero keys.
 func sortFCFS(q []*job.Job) {
-	sort.SliceStable(q, func(i, k int) bool { return arrivalLess(q[i], q[k]) })
+	slices.SortFunc(q, func(a, b *job.Job) int { return fairshare.Compare(0, a, 0, b) })
 }
 
 // reservation computes the earliest time a job needing `nodes` nodes could

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
@@ -35,31 +34,12 @@ import (
 //     the queue), so rounds are bounded by the queue length at entry.
 
 // victim pairs a preemption candidate with its start time (newest rule)
-// and its priority key (lowpri rule).
+// and its priority key (lowpri rule). A round reads each candidate's key
+// once, at the round's clock; no job starts before its ranking is done.
 type victim struct {
 	job   *job.Job
 	start int64
 	key   float64
-}
-
-// prioKey is j's priority key under the composite's order for one
-// preemption round (0 for lxf, which ranks through Less). A round reads
-// each candidate's key once; no job starts before its ranking is done.
-func (c *Composite) prioKey(fs *fairshare.Tracker, j *job.Job) float64 {
-	if c.keys == nil {
-		return 0
-	}
-	return c.keys.key(fs, j)
-}
-
-// before reports whether a (priority key ka) sorts strictly before b (key
-// kb) under the composite's order: fairshare.Compare over the keys, or
-// Less for lxf.
-func (c *Composite) before(env sim.Env, ka float64, a *job.Job, kb float64, b *job.Job) bool {
-	if c.keys == nil {
-		return c.order.Less(env, a, b)
-	}
-	return fairshare.Compare(ka, a, kb, b) < 0
 }
 
 // preemptPass runs preemption rounds until the trigger no longer fires.
@@ -88,7 +68,7 @@ func (c *Composite) preemptPass(env sim.Env) {
 // victim set per the victim rule, and checkpoints it. It reports whether a
 // preemption happened (the caller then reruns the engine pass).
 func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
-	fs := env.Fairshare()
+	fs, now := env.Fairshare(), env.Now()
 	ben, kben := c.beneficiary(env, fs)
 	if ben == nil || ben.Nodes <= env.FreeNodes() {
 		// Nothing blocked on nodes. (A job blocked only by a reservation
@@ -102,8 +82,8 @@ func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
 		// Only strictly-lower-priority work is preemptable for ben, and
 		// only jobs the simulator can actually checkpoint (>= 1s realized
 		// and >= 1s remaining service).
-		k := c.prioKey(fs, r.Job)
-		if !c.before(env, kben, ben, k, r.Job) || !p.CanPreempt(r.Job) {
+		k := c.order.key(fs, now, r.Job)
+		if fairshare.Compare(kben, ben, k, r.Job) >= 0 || !p.CanPreempt(r.Job) {
 			continue
 		}
 		cands = append(cands, victim{job: r.Job, start: r.Start, key: k})
@@ -128,12 +108,6 @@ func (c *Composite) preemptOnce(env sim.Env, p sim.Preempter) bool {
 	default: // VictimLowPri
 		// Worst under the queue order first: the running set's lowest
 		// priority work is checkpointed before anything better.
-		if c.keys == nil {
-			sort.SliceStable(cands, func(i, k int) bool {
-				return c.order.Less(env, cands[k].job, cands[i].job)
-			})
-			break
-		}
 		slices.SortStableFunc(cands, func(a, b victim) int {
 			return fairshare.Compare(b.key, b.job, a.key, a.job)
 		})
@@ -172,7 +146,7 @@ func (c *Composite) beneficiary(env sim.Env, fs *fairshare.Tracker) (*job.Job, f
 	if q, ok := c.engine.ranked(); ok {
 		for _, cand := range q {
 			if accept(cand) {
-				return cand, c.prioKey(fs, cand)
+				return cand, c.order.key(fs, now, cand)
 			}
 		}
 		return nil, 0
@@ -183,7 +157,7 @@ func (c *Composite) beneficiary(env sim.Env, fs *fairshare.Tracker) (*job.Job, f
 		if !accept(cand) {
 			continue
 		}
-		if k := c.prioKey(fs, cand); ben == nil || c.before(env, k, cand, kben, ben) {
+		if k := c.order.key(fs, now, cand); ben == nil || fairshare.Compare(k, cand, kben, ben) < 0 {
 			ben, kben = cand, k
 		}
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // rankProbe drives a preemptive Composite through a simulation and checks
-// its preemption choices against a reference built from Order.Less alone.
+// its preemption choices against a reference built from the comparator
+// oracle alone.
 // The Composite sees a wrapped environment (rankEnv): at a round's first
 // Preempt call — nothing has changed since the round ranked its candidates
 // — the probe computes the reference beneficiary and victim order, and
@@ -94,12 +95,13 @@ func (p *rankProbe) check(env sim.Env) {
 	}
 }
 
-// reference is preemptOnce restated over Less: the trigger's beneficiary
-// (the first job it accepts in a stable Less sort of the queue, or nil
+// reference is preemptOnce restated over the comparator oracle: the
+// trigger's beneficiary (the first job it accepts in a stable oracle sort
+// of the queue, or nil
 // when none is blocked on nodes) and the victims a round preempts for it,
 // in order (none when preempting every candidate would not suffice).
 func (p *rankProbe) reference(env rankEnv) (*job.Job, []*job.Job) {
-	less := func(a, b *job.Job) bool { return p.order.Less(env, a, b) }
+	less := func(a, b *job.Job) bool { return lessOracle(p.order, env, a, b) }
 	q := slices.Clone(p.Queued())
 	sort.SliceStable(q, func(i, k int) bool { return less(q[i], q[k]) })
 	var ben *job.Job
@@ -148,9 +150,9 @@ func (p *rankProbe) reference(env rankEnv) (*job.Job, []*job.Job) {
 }
 
 // TestKeyedPreemptionMatchesLess: the keyed beneficiary scan, victim filter
-// and victim sort choose exactly what the Less-based reference chooses —
+// and victim sort choose exactly what the oracle-based reference chooses —
 // for srpt, for edf under both triggers and both victim rules with users
-// flagged at risk mid-run, and for lxf, which stays on the comparator path.
+// flagged at risk mid-run, and for lxf, whose keys move with the clock.
 func TestKeyedPreemptionMatchesLess(t *testing.T) {
 	specs := []string{
 		"srpt",

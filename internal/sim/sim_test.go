@@ -168,6 +168,27 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestStaleCompletionNeedsAFinishedRecord: a completion for a job that is
+// not running is stale exactly when a kill or a preemption already
+// finalized its record; for a job neither running nor finished it panics.
+func TestStaleCompletionNeedsAFinishedRecord(t *testing.T) {
+	s := New(Config{SystemSize: 1}, &greedy{})
+	j := &job.Job{ID: 1, User: 1, Runtime: 10, Estimate: 10, Nodes: 1}
+	s.records = newRecordIndex(1, j.ID)
+	rec := &Record{Job: j, Finished: true}
+	s.records.put(j.ID, rec)
+	if _, ok := s.release(j, false); ok {
+		t.Fatal("a finished job's completion was not stale")
+	}
+	rec.Finished = false
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a completion for a queued job did not panic")
+		}
+	}()
+	s.release(j, false)
+}
+
 func TestKillAlwaysTruncatesAtEstimate(t *testing.T) {
 	jobs := []*job.Job{{ID: 1, User: 1, Submit: 0, Runtime: 1000, Estimate: 300, Nodes: 2}}
 	res := run(t, Config{SystemSize: 4, Kill: KillAlways}, jobs)

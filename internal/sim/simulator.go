@@ -72,12 +72,7 @@ type Simulator struct {
 	// splitOriginals maps an original job id to the original job while its
 	// segment chain is in flight.
 	splitOriginals map[job.ID]*job.Job
-	// preempted marks jobs checkpointed by Preempt whose originally
-	// scheduled completion (and wall-clock-limit check) events are still on
-	// the list; those events are stale and must be dropped, exactly like a
-	// killed job's full-runtime completion under KillWhenNeeded.
-	preempted map[job.ID]bool
-	wakeVer   int64 // current wake event version; older wakes are stale
+	wakeVer        int64 // current wake event version; older wakes are stale
 	// pendingWake/pendingWakeOK describe the currently valid wake event on
 	// the list, so rescheduleWake can skip re-pushing an identical wake
 	// (the dominant case: the next reservation or promotion instant rarely
@@ -389,10 +384,6 @@ func (s *Simulator) Preempt(j *job.Job) error {
 	// kill (the remainder re-enters with the remaining estimate budget, and
 	// its own record carries the truncation if it still applies).
 	rec.Killed = false
-	if s.preempted == nil {
-		s.preempted = make(map[job.ID]bool)
-	}
-	s.preempted[j.ID] = true // the original completion/WCL events are now stale
 	for _, o := range s.observers {
 		o.JobCompleted(s, j, r.Start)
 	}
@@ -437,21 +428,7 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 	if s.cfg.FirstSegmentID > s.nextID {
 		s.nextID = s.cfg.FirstSegmentID
 	}
-	// Boundaries depend only on the epoch's phase (they fire at epoch +
-	// k·interval); fold a positive epoch to its congruent value in
-	// (-interval, 0] so the tracker's accrual frontier never starts ahead
-	// of the clock.
-	epoch := s.cfg.FairshareEpoch
-	if epoch > 0 {
-		interval := s.cfg.Fairshare.DecayInterval
-		if interval <= 0 {
-			interval = 24 * 3600
-		}
-		if epoch %= interval; epoch > 0 {
-			epoch -= interval
-		}
-	}
-	s.fs = fairshare.NewTracker(s.cfg.Fairshare, epoch)
+	s.fs = fairshare.NewTracker(s.cfg.Fairshare, s.cfg.FairshareEpoch)
 	// The tracker's accrual frontier starts at the epoch; settle the empty
 	// pre-trace span [epoch, 0) now, or the first real accrual would charge
 	// it to whatever is running by then.
@@ -619,22 +596,14 @@ func (s *Simulator) handleKill(j *job.Job) {
 
 // release performs the completion bookkeeping: removes the job from the
 // running set, returns its nodes and finalizes its record. ok is false for
-// a stale completion (the job was killed earlier under KillWhenNeeded).
+// a stale completion: the job is no longer running because a kill or a
+// preemption already finalized its record, and its originally scheduled
+// completion event fires anyway. A completion for a job that is neither
+// running nor finished is a bug.
 func (s *Simulator) release(j *job.Job, killed bool) (start int64, ok bool) {
-	idx := -1
-	for i, r := range s.running {
-		if r.Job.ID == j.ID {
-			idx = i
-			break
-		}
-	}
+	idx := s.runningIndex(j.ID)
 	if idx < 0 {
-		if killed || s.cfg.Kill == KillWhenNeeded || s.preempted[j.ID] {
-			// Under KillWhenNeeded the job's original full-runtime
-			// completion event still fires after an earlier kill; it is
-			// stale. Likewise a preempted job's originally scheduled
-			// completion. (KillAlways schedules the completion at the
-			// truncated time directly, so a missing job there is a bug.)
+		if s.records.get(j.ID).Finished {
 			return 0, false
 		}
 		panic(fmt.Sprintf("sim: completion for job %d not running", j.ID))
@@ -659,18 +628,8 @@ func (s *Simulator) release(j *job.Job, killed bool) (start int64, ok bool) {
 // handleWCLCheck fires when a running job reaches its wall-clock limit under
 // KillWhenNeeded: the job is killed if any work is queued.
 func (s *Simulator) handleWCLCheck(j *job.Job) {
-	running := false
-	for _, r := range s.running {
-		if r.Job.ID == j.ID {
-			running = true
-			break
-		}
-	}
-	if !running {
-		return
-	}
-	if s.queuedNodes == 0 {
-		return // nodes not needed; the job may keep running
+	if s.runningIndex(j.ID) < 0 || s.queuedNodes == 0 {
+		return // already gone, or nodes not needed: the job may keep running
 	}
 	s.handleKill(j)
 }
