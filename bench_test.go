@@ -277,7 +277,7 @@ func BenchmarkFig19LOCAll(b *testing.B) {
 }
 
 // BenchmarkFullSweep times the complete nine-policy quarter-scale sweep
-// (workload generation through claim checking).
+// (workload generation through the rendered report).
 func BenchmarkFullSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Run(experiments.Config{
@@ -287,8 +287,7 @@ func BenchmarkFullSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pass := experiments.CheckClaims(io.Discard, res)
-		b.ReportMetric(float64(pass), "claims-passing")
+		experiments.WriteReport(io.Discard, res)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation: Tables 1-2 and Figures 3-7 (workload characterization) and
 // Figures 8-19 (the nine-policy fairness study), followed by a paper-vs-
-// measured comparison and the Results-section claim checklist. It is also
-// the campaign driver: a (trace × scenario × policy × seed) matrix swept
-// with streamed, memory-bounded execution.
+// measured comparison (cmd/hypotheses judges the Results-section claims).
+// It is also the campaign driver: a (trace × scenario × policy × seed)
+// matrix swept with streamed, memory-bounded execution.
 //
 // Usage:
 //
@@ -11,16 +11,16 @@
 //	experiments -parallel 1     # serial sweep (byte-identical output)
 //	experiments -scale 0.25     # quick quarter-scale sweep
 //	experiments -in ross.swf    # sweep over an existing trace
-//	experiments -seeds 10       # tally claim robustness across 10 seeds
-//	experiments -markdown       # also emit EXPERIMENTS.md-style tables
+//	experiments -markdown       # also emit the paper-vs-measured table as Markdown
 //	experiments -cpuprofile cpu.out   # profile the run (go tool pprof cpu.out)
 //	experiments -memprofile mem.out   # allocation profile of the run
 //
-// Campaign mode (any -trace, -scenario, -policy or -window flag):
+// Campaign mode (any -trace, -scenario, -policy, -window or -seeds flag):
 //
 //	experiments -list-scenarios                  # show the built-in scenarios
 //	experiments -list-policies                   # show the policy registry + spec grammar
 //	experiments -scenario baseline -scenario load-scaled
+//	experiments -seeds 10                        # the nine policies over 10 synthetic seeds
 //	experiments -trace ross.swf -trace kth.swf -scenario estimate-perturbed
 //	experiments -scenario 'load=1.5+perturb=3' -window 1w..5w -seeds 3
 //	experiments -policy cplant24.nomax.all -policy 'order=sjf+bf=easy+starve=24h.all'
@@ -76,9 +76,9 @@ func main() {
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		csv      = flag.String("csv", "", "also export every artifact as CSV into this directory")
 		mcmp     = flag.Bool("metrics", false, "also compare the §4 fairness metrics (hybrid vs CONS-P) across all policies")
-		sweepN   = flag.Int("seeds", 0, "extra seeds: claim-robustness tally (full study) or campaign seed count")
+		sweepN   = flag.Int("seeds", 0, "campaign: seed count, from -seed upward (claim robustness across seeds: cmd/hypotheses -seeds)")
 		parallel = flag.Int("parallel", 0, "worker pool size for the sweep engine (0: one per CPU; 1: serial)")
-		markdown = flag.Bool("markdown", false, "also emit the paper-vs-measured and claim tables as Markdown (for EXPERIMENTS.md)")
+		markdown = flag.Bool("markdown", false, "also emit the paper-vs-measured table as Markdown (for EXPERIMENTS.md)")
 
 		window    = flag.String("window", "", "campaign: slice every scenario to START..END (e.g. 1w..5w)")
 		sloSpec   = flag.String("slo", "", "campaign: tag users with SLO targets in every scenario (e.g. 'p50:2h,p90:24h,default:96h'; see -list-slos)")
@@ -100,6 +100,9 @@ func main() {
 	flag.Parse()
 	if err := fairshare.CheckDecayFactor(*decay); err != nil {
 		badFlag("decay", err)
+	}
+	if *sweepN < 0 {
+		badFlag("seeds", fmt.Errorf("%d is negative", *sweepN))
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -239,7 +242,7 @@ func main() {
 		study.Topology = topo
 	}
 
-	if len(traces) > 0 || len(scenarios) > 0 || len(policies) > 0 || *window != "" || *sloSpec != "" || *topoSpec != "" || *manifest != "" {
+	if len(traces) > 0 || len(scenarios) > 0 || len(policies) > 0 || *window != "" || *sloSpec != "" || *topoSpec != "" || *manifest != "" || *sweepN > 0 {
 		// A manifest resolves the trace axis up front: its entries become the
 		// named sources, with -trace selecting a subset by name. The sources
 		// carry their own per-entry convert options and checksum pins, so the
@@ -286,7 +289,6 @@ func main() {
 		return
 	}
 
-	t0 := time.Now()
 	var res *experiments.Results
 	var err error
 	if *in != "" {
@@ -309,12 +311,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	experiments.WriteReport(os.Stdout, res, time.Since(t0))
+	experiments.WriteReport(os.Stdout, res)
 	if *markdown {
 		experiments.WriteMarkdownReport(os.Stdout, res)
 	}
 	if *mcmp {
-		rows, err := experiments.CompareMetrics(study, core.AllSpecs(), res.Jobs, false, *parallel)
+		rows, err := experiments.CompareMetrics(study, core.AllSpecs(), res.Jobs, *parallel)
 		if err != nil {
 			fatal(err)
 		}
@@ -325,24 +327,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("CSV artifacts written to %s\n", *csv)
-	}
-	if *sweepN > 0 {
-		seeds := make([]int64, *sweepN)
-		for i := range seeds {
-			seeds[i] = *seed + int64(i)
-		}
-		tally, err := experiments.SeedSweep(experiments.Config{
-			Workload: workload.Config{Scale: *scale, SystemSize: *nodes, BurstGamma: *burst},
-			Study:    study,
-			Parallel: *parallel,
-		}, seeds)
-		if tally != nil {
-			// Surviving seeds are still tallied when some runs failed.
-			experiments.RenderSeedSweep(os.Stdout, tally, seeds)
-		}
-		if err != nil {
-			fatal(err)
-		}
 	}
 }
 

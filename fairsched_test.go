@@ -143,7 +143,7 @@ func TestPublicAPIExperimentsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	experiments.WriteReport(&buf, res, 0)
+	experiments.WriteReport(&buf, res)
 	if !strings.Contains(buf.String(), "FIG14") {
 		t.Fatal("report missing figures")
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fairsched/internal/hypothesis"
 )
@@ -125,10 +124,6 @@ func parseClaims(table string, claims []claim) []hypothesis.Spec {
 	return out
 }
 
-// PaperHypotheses returns the paper's claims as hypothesis specs, paper
-// order.
-func PaperHypotheses() []hypothesis.Spec { return parseClaims("paper", paperClaims) }
-
 // init registers every claim table: the paper's claims first, then the
 // population, preemption and queue demonstrations.
 func init() {
@@ -141,39 +136,4 @@ func init() {
 	register("population", populationClaims)
 	register("preempt", preemptClaims)
 	register("queue", queueClaims)
-}
-
-// resultsResolver adapts one full nine-policy sweep (a *Results) to the
-// hypothesis evaluator. Paper claims address only baseline-scenario cells;
-// anything else is a spec bug and errors out (the seed counts as failed).
-func resultsResolver(r *Results) hypothesis.Resolver {
-	return func(cfg hypothesis.Config, metric string) (float64, error) {
-		if cfg.Scenario != "baseline" {
-			return 0, fmt.Errorf("experiments: claim addresses scenario %q but the sweep ran baseline only", cfg.Scenario)
-		}
-		s, ok := r.ByKey[cfg.Policy]
-		if !ok {
-			return 0, fmt.Errorf("experiments: policy %q is not part of the nine-policy sweep", cfg.Policy)
-		}
-		// The sweep path carries no SLO plane, so only aggregate summary
-		// keys resolve here.
-		return s.ValueByKey(metric)
-	}
-}
-
-// CheckClaims evaluates every paper claim against one sweep's results and
-// writes a pass/fail report. It returns the number of passing claims.
-func CheckClaims(w io.Writer, r *Results) int {
-	resolve := resultsResolver(r)
-	pass := 0
-	for _, s := range PaperHypotheses() {
-		res := hypothesis.EvaluateSeed(s, hypothesis.DefaultSeed, resolve)
-		status := "FAIL"
-		if res.Pass {
-			status = "ok"
-			pass++
-		}
-		fmt.Fprintf(w, "  [%-4s] %-30s %s\n", status, s.ID, s.Statement)
-	}
-	return pass
 }

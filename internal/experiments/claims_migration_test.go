@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"fairsched/internal/core"
 	"fairsched/internal/hypothesis"
+	"fairsched/internal/scenario"
+	"fairsched/internal/sweep"
 	"fairsched/internal/workload"
 )
 
@@ -92,44 +95,69 @@ func legacyChecks() map[string]func(r *Results) bool {
 	}
 }
 
-// TestPaperHypothesesMatchLegacyClaims runs a reduced-scale nine-policy
-// study under each of the reproduction's ten seeds (42–51) and demands that
-// every hypothesis spec returns exactly the verdict the legacy closure
-// would have — the differential pin that allowed deleting the closure
-// table. The reduced scale exercises both verdict polarities: some claims
-// flip per seed at this size, which is exactly what makes the comparison
-// meaningful.
+// TestPaperHypothesesMatchLegacyClaims judges the paper claims through
+// hypothesis.RunCampaign — the one claim evaluator — on a reduced-scale
+// synthetic trace (scale 0.15, 150 nodes) under each of the reproduction's
+// ten seeds (42–51), and demands that every spec returns exactly the
+// verdict the legacy closure gives on the same seed's nine-policy sweep:
+// the differential pin that allowed deleting the closure table. The
+// reduced scale exercises both verdict polarities (some claims flip per
+// seed at this size), which is what makes the comparison meaningful; the
+// test fails if either polarity goes missing.
 func TestPaperHypothesesMatchLegacyClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ten reduced-scale sweeps")
+		t.Skip("two reduced-scale ten-seed campaigns")
 	}
 	legacy := legacyChecks()
-	specs := PaperHypotheses()
+	specs := parseClaims("paper", paperClaims)
 	if len(specs) != len(legacy) {
 		t.Fatalf("spec count %d != legacy count %d", len(specs), len(legacy))
 	}
+	var seeds []int64
 	for seed := int64(42); seed <= 51; seed++ {
-		res, err := Run(Config{
-			Workload: workload.Config{Seed: seed, Scale: 0.15, SystemSize: 150},
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		seeds = append(seeds, seed)
+	}
+	src := scenario.Synthetic(workload.Config{Scale: 0.15, SystemSize: 150})
+	study := core.StudyConfig{SystemSize: 150}
+	eval, err := hypothesis.RunCampaign(specs, hypothesis.CampaignOptions{
+		Source: src, Study: study, Seeds: seeds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := sweep.Campaign{Sources: []scenario.Source{src}, Seeds: seeds, Study: study}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held, failed int
+	for _, o := range eval.Outcomes {
+		check, ok := legacy[o.Spec.ID]
+		if !ok {
+			t.Fatalf("claim %s has no legacy counterpart", o.Spec.ID)
 		}
-		resolve := resultsResolver(res)
-		for _, s := range specs {
-			check, ok := legacy[s.ID]
-			if !ok {
-				t.Fatalf("claim %s has no legacy counterpart", s.ID)
-			}
-			want := check(res)
-			got := hypothesis.EvaluateSeed(s, seed, resolve)
+		if len(o.Results) != len(seeds) {
+			t.Fatalf("claim %s judged on %d seeds, want %d", o.Spec.ID, len(o.Results), len(seeds))
+		}
+		for i, got := range o.Results {
 			if got.Err != nil {
-				t.Fatalf("seed %d claim %s: %v", seed, s.ID, got.Err)
+				t.Fatalf("seed %d claim %s: %v", got.Seed, o.Spec.ID, got.Err)
 			}
-			if got.Pass != want {
+			if got.Seed != cells[i].Seed {
+				t.Fatalf("claim %s result %d is seed %d, cell is seed %d", o.Spec.ID, i, got.Seed, cells[i].Seed)
+			}
+			if want := check(assemble(nil, cells[i])); got.Pass != want {
 				t.Errorf("seed %d claim %s: hypothesis %v, legacy %v\n  spec: %s",
-					seed, s.ID, got.Pass, want, s.Canonical())
+					got.Seed, o.Spec.ID, got.Pass, want, o.Spec.Canonical())
+			}
+			if got.Pass {
+				held++
+			} else {
+				failed++
 			}
 		}
 	}
+	if held == 0 || failed == 0 {
+		t.Fatalf("verdicts %d held / %d failed: the comparison needs both polarities", held, failed)
+	}
+	t.Logf("%d verdicts held, %d failed", held, failed)
 }

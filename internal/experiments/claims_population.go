@@ -6,7 +6,7 @@ package experiments
 // the claim walks the full path — streaming cohort generation, the dense
 // per-user fairshare/SLO hot paths at population scale, and the metric
 // plane. Registered alongside the paper claims (cmd/hypotheses runs them)
-// but NOT part of PaperHypotheses — the paper's case study is a ~640-user
+// but NOT part of paperClaims — the paper's case study is a ~640-user
 // trace; these pin the test-bed's million-user ambition into CI. Tier 3: a
 // flipped seed reports but never gates.
 var populationClaims = []claim{

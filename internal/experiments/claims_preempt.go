@@ -5,7 +5,7 @@ package experiments
 // every user one 30-minute wait target with arrivals compressed 1.5x, so
 // both the slowdown plane and the SLO attainment plane are live. Registered
 // alongside the paper claims (cmd/hypotheses runs them) but NOT part of
-// PaperHypotheses — the paper's schedulers never preempt; these pin the
+// paperClaims — the paper's schedulers never preempt; these pin the
 // extension's measured behavior, positive and negative. Tier 3: recorded,
 // never gating.
 //

@@ -5,7 +5,7 @@ package experiments
 // routes users into queue-tree leaves, the slo= transform gives every user
 // the same wait target, and the claim compares attainment between the
 // leaves. They are registered alongside the paper claims (cmd/hypotheses
-// runs them) but are NOT part of PaperHypotheses — the paper has no queue
+// runs them) but are NOT part of paperClaims — the paper has no queue
 // tree; these exercise the partition/queue subsystem end to end.
 var queueClaims = []claim{
 	{

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: the workload characterization (Tables 1-2, Figures 3-7), the
 // "minor changes" study (Figures 8-13) and the full nine-policy study
-// (Figures 14-19), plus the qualitative claim checklist recorded in
-// EXPERIMENTS.md.
+// (Figures 14-19). It also holds the paper's Results-section claims as
+// hypothesis specs, registered for cmd/hypotheses to judge.
 package experiments
 
 import (

@@ -10,12 +10,12 @@ import (
 	"fairsched/internal/sweep"
 )
 
-// Metric comparison (paper §4): the same schedules judged by the three FST
+// Metric comparison (paper §4): the same schedules judged by two of the FST
 // metrics the paper discusses. The hybrid metric is the paper's
 // contribution; CONS-P shares its FSTs across schedules but leaks packing
-// performance into the judgment; the Sabin metric is exact about
-// later-arrival impact but depends on the scheduler under test (and costs
-// one re-simulation per job, so it is optional here).
+// performance into the judgment. The third, the Sabin no-later-arrivals
+// FST, costs one re-simulation per job; fairness.Sabin over core.Starts
+// computes it for callers that want it.
 
 // MetricRow is one policy's unfairness under each metric.
 type MetricRow struct {
@@ -26,22 +26,16 @@ type MetricRow struct {
 
 	ConsPPercentUnfair float64
 	ConsPAvgMiss       float64
-
-	// Sabin values are NaN-free only when CompareMetrics ran with
-	// withSabin=true.
-	SabinPercentUnfair float64
-	SabinAvgMiss       float64
-	SabinComputed      bool
 }
 
 // CompareMetrics runs each spec over the workload and measures its
-// schedule with the hybrid FST, the CONS-P FST and (optionally, expensive)
-// the Sabin no-later-arrivals FST. The per-spec measurements fan out on at
-// most parallel workers (<= 0: one per CPU); rows come back in spec order.
-// A failing spec does not discard the others: its row is returned
-// zero-valued (Policy == "") alongside the aggregated error — on a non-nil
-// error, skip rows with an empty Policy before rendering.
-func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, withSabin bool, parallel int) ([]MetricRow, error) {
+// schedule with the hybrid FST and the CONS-P FST. The per-spec
+// measurements fan out on at most parallel workers (<= 0: one per CPU);
+// rows come back in spec order. A failing spec does not discard the
+// others: its row is returned zero-valued (Policy == "") alongside the
+// aggregated error — on a non-nil error, skip rows with an empty Policy
+// before rendering.
+func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, parallel int) ([]MetricRow, error) {
 	if cfg.SystemSize <= 0 {
 		cfg.SystemSize = 1000
 	}
@@ -65,17 +59,6 @@ func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, wi
 			cp := fairness.Measure(run.Result.Records, consP)
 			row.ConsPPercentUnfair = cp.PercentUnfair()
 			row.ConsPAvgMiss = cp.AvgMissTime()
-
-			if withSabin {
-				sabin, err := fairness.Sabin(core.Starts(cfg, spec), jobs)
-				if err != nil {
-					return MetricRow{}, err
-				}
-				sb := fairness.Measure(run.Result.Records, sabin)
-				row.SabinPercentUnfair = sb.PercentUnfair()
-				row.SabinAvgMiss = sb.AvgMissTime()
-				row.SabinComputed = true
-			}
 			return row, nil
 		})
 }
@@ -83,18 +66,12 @@ func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, wi
 // RenderMetricComparison writes the comparison as an aligned table.
 func RenderMetricComparison(w io.Writer, rows []MetricRow) {
 	fmt.Fprintln(w, "METRIC COMPARISON — the same schedules under the §4 fairness metrics")
-	fmt.Fprintf(w, "  %-22s %16s %16s %16s\n", "policy",
-		"hybrid (§4.1)", "CONS-P", "Sabin")
+	fmt.Fprintf(w, "  %-22s %16s %16s\n", "policy", "hybrid (§4.1)", "CONS-P")
 	for _, r := range rows {
-		sabin := "-"
-		if r.SabinComputed {
-			sabin = fmt.Sprintf("%5.2f%% %6.0fs", r.SabinPercentUnfair, r.SabinAvgMiss)
-		}
-		fmt.Fprintf(w, "  %-22s %6.2f%% %6.0fs %6.2f%% %6.0fs %16s\n",
+		fmt.Fprintf(w, "  %-22s %6.2f%% %6.0fs %6.2f%% %6.0fs\n",
 			r.Policy,
 			r.HybridPercentUnfair, r.HybridAvgMiss,
-			r.ConsPPercentUnfair, r.ConsPAvgMiss,
-			sabin)
+			r.ConsPPercentUnfair, r.ConsPAvgMiss)
 	}
 	fmt.Fprintln(w)
 }

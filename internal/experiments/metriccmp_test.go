@@ -22,7 +22,7 @@ func TestCompareMetricsWithoutSabin(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	rows, err := CompareMetrics(core.StudyConfig{SystemSize: 100}, specs, jobs, false, 2)
+	rows, err := CompareMetrics(core.StudyConfig{SystemSize: 100}, specs, jobs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +30,6 @@ func TestCompareMetricsWithoutSabin(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.SabinComputed {
-			t.Errorf("%s: sabin computed without being requested", r.Policy)
-		}
 		if r.HybridPercentUnfair < 0 || r.HybridPercentUnfair > 100 {
 			t.Errorf("%s: hybrid percent out of range: %v", r.Policy, r.HybridPercentUnfair)
 		}
@@ -42,42 +39,17 @@ func TestCompareMetricsWithoutSabin(t *testing.T) {
 	}
 }
 
-func TestCompareMetricsWithSabin(t *testing.T) {
-	// Tiny workload: Sabin re-simulates per job.
-	jobs, err := workload.Generate(workload.Config{Seed: 2, Scale: 0.01, SystemSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := core.SpecByKey("easy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := CompareMetrics(core.StudyConfig{SystemSize: 100}, []core.Spec{spec}, jobs, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows[0].SabinComputed {
-		t.Fatal("sabin not computed")
-	}
-	// The Sabin FST can never precede a job's start by construction for
-	// the last-arriving job; aggregate sanity only here.
-	if rows[0].SabinPercentUnfair < 0 || rows[0].SabinPercentUnfair > 100 {
-		t.Fatalf("sabin percent out of range: %v", rows[0].SabinPercentUnfair)
-	}
-}
-
 func TestRenderMetricComparison(t *testing.T) {
 	var buf bytes.Buffer
 	RenderMetricComparison(&buf, []MetricRow{
 		{Policy: "cplant24.nomax.all", HybridPercentUnfair: 7, HybridAvgMiss: 9000,
 			ConsPPercentUnfair: 40, ConsPAvgMiss: 50000},
-		{Policy: "easy", SabinComputed: true, SabinPercentUnfair: 3, SabinAvgMiss: 100},
 	})
 	out := buf.String()
 	if !strings.Contains(out, "METRIC COMPARISON") || !strings.Contains(out, "cplant24.nomax.all") {
 		t.Fatalf("render incomplete: %q", out)
 	}
-	if !strings.Contains(out, "-") {
-		t.Fatal("missing Sabin placeholder")
+	if !strings.Contains(out, "  cplant24.nomax.all       7.00%   9000s  40.00%  50000s\n") {
+		t.Fatalf("row misrendered: %q", out)
 	}
 }

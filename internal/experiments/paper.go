@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
-
-	"fairsched/internal/hypothesis"
 )
 
 // PaperValue records a number reported (or read off a figure) in the paper
@@ -74,12 +71,10 @@ func MeasuredFor(r *Results, pv PaperValue) (float64, bool) {
 	return 0, false
 }
 
-// WriteMarkdownReport renders the paper-vs-measured table and the claim
-// checklist as GitHub Markdown — the exact tables EXPERIMENTS.md embeds, so
-// the doc can be refreshed with `go run ./cmd/experiments -markdown`. The
-// checklist rows come from the hypothesis specs (PaperHypotheses) evaluated
-// against this sweep; the seed-tally view lives in `cmd/hypotheses
-// -markdown`.
+// WriteMarkdownReport renders the paper-vs-measured table as GitHub
+// Markdown — the exact table EXPERIMENTS.md embeds, so the doc can be
+// refreshed with `go run ./cmd/experiments -markdown`. The claim checklist
+// comes from `cmd/hypotheses -markdown`.
 func WriteMarkdownReport(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "### Paper vs measured")
 	fmt.Fprintln(w)
@@ -98,27 +93,12 @@ func WriteMarkdownReport(w io.Writer, r *Results) {
 			pv.Artifact, pv.Metric, pv.Policy, note, pv.Paper, m)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "### Claim checklist")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Status | Tier | Claim | Statement |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	resolve := resultsResolver(r)
-	pass, total := 0, 0
-	for _, s := range PaperHypotheses() {
-		total++
-		status := "✗"
-		if hypothesis.EvaluateSeed(s, hypothesis.DefaultSeed, resolve).Pass {
-			status = "✓"
-			pass++
-		}
-		fmt.Fprintf(w, "| %s | %d | `%s` | %s |\n", status, s.EffectiveTier(), s.ID, s.Statement)
-	}
-	fmt.Fprintf(w, "\n%d/%d claims reproduced.\n", pass, total)
 }
 
 // WriteReport renders the complete experiment sweep: characterization,
-// every figure, the load-weighted companion, and the claim checklist.
-func WriteReport(w io.Writer, r *Results, elapsed time.Duration) {
+// every figure, the load-weighted companion, and the paper-vs-measured
+// table. The claims are judged by `cmd/hypotheses`.
+func WriteReport(w io.Writer, r *Results) {
 	c := Characterize(r.Jobs)
 	RenderTable1(w, c.Table1)
 	RenderTable2(w, c.Table2)
@@ -141,13 +121,6 @@ func WriteReport(w io.Writer, r *Results, elapsed time.Duration) {
 		}
 		fmt.Fprintf(w, "  %-10s %-22s %-22s %s%11.0f %12.0f\n",
 			pv.Artifact, pv.Metric, pv.Policy, note, pv.Paper, m)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "PAPER CLAIMS")
-	pass := CheckClaims(w, r)
-	fmt.Fprintf(w, "  %d/%d claims reproduced", pass, len(PaperHypotheses()))
-	if elapsed > 0 {
-		fmt.Fprintf(w, " (sweep took %v)", elapsed.Round(time.Millisecond))
 	}
 	fmt.Fprintln(w)
 }

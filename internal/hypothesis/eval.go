@@ -81,10 +81,10 @@ func (o *Outcome) Status() Status {
 	}
 }
 
-// EvaluateSeed evaluates one claim on one seed through the resolver. A
+// evaluateSeed evaluates one claim on one seed through the resolver. A
 // resolver error (missing cell, metric without SLO data) surfaces in
 // SeedResult.Err and the seed counts as failed.
-func EvaluateSeed(s Spec, seed int64, resolve Resolver) SeedResult {
+func evaluateSeed(s Spec, seed int64, resolve Resolver) SeedResult {
 	res := SeedResult{Seed: seed, Terms: make([]TermResult, 0, len(s.Terms))}
 	for _, t := range s.Terms {
 		l, err := sideValue(s, t.Left, resolve)
@@ -112,7 +112,7 @@ func EvaluateSeed(s Spec, seed int64, resolve Resolver) SeedResult {
 func Evaluate(s Spec, mkResolver func(seed int64) Resolver) Outcome {
 	out := Outcome{Spec: s}
 	for _, seed := range s.EffectiveSeeds() {
-		out.Results = append(out.Results, EvaluateSeed(s, seed, mkResolver(seed)))
+		out.Results = append(out.Results, evaluateSeed(s, seed, mkResolver(seed)))
 	}
 	return out
 }

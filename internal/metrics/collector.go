@@ -30,10 +30,6 @@ type Collector struct {
 	weeklySubmitted []float64
 	// weeklyExecuted[w] integrates nodes-in-use dt within week w.
 	weeklyExecuted []float64
-	// span of observed simulated time.
-	firstTime int64
-	lastTime  int64
-	sawTime   bool
 }
 
 // NewCollector creates a collector for a system of the given size.
@@ -61,17 +57,14 @@ func (c *Collector) growWeeks(w int) {
 }
 
 // JobArrived implements sim.Observer.
-func (c *Collector) JobArrived(env sim.Env, j *job.Job, _ []*job.Job) {
+func (c *Collector) JobArrived(_ sim.Env, j *job.Job, _ []*job.Job) {
 	w := c.week(j.Submit)
 	c.growWeeks(w)
 	c.weeklySubmitted[w] += float64(j.ProcSeconds())
-	c.observe(env.Now())
 }
 
 // Interval implements sim.Observer.
 func (c *Collector) Interval(from, to int64, usedNodes, queuedNodes int) {
-	c.observe(from)
-	c.observe(to)
 	dt := to - from
 	if dt <= 0 {
 		return
@@ -99,26 +92,13 @@ func (c *Collector) Interval(from, to int64, usedNodes, queuedNodes int) {
 	}
 }
 
-func (c *Collector) observe(t int64) {
-	if !c.sawTime {
-		c.firstTime, c.lastTime, c.sawTime = t, t, true
-		return
-	}
-	if t < c.firstTime {
-		c.firstTime = t
-	}
-	if t > c.lastTime {
-		c.lastTime = t
-	}
-}
-
 // Merge folds another collector's integrals into c. Partitioned runs give
 // each partition its own collector (sized to the partition, so Equation 4's
 // min(queued, idle) sees only nodes the queued jobs could actually use) and
 // merge them into a fresh collector sized to the whole machine before
-// summarizing. Time spans and weekly bins combine exactly; the merge is
-// commutative up to float addition order, so callers must merge in a fixed
-// (declaration) order to keep reports byte-identical.
+// summarizing. Weekly bins combine exactly; the merge is commutative up to
+// float addition order, so callers must merge in a fixed (declaration)
+// order to keep reports byte-identical.
 func (c *Collector) Merge(o *Collector) {
 	c.lostProcSec += o.lostProcSec
 	c.busyProcSec += o.busyProcSec
@@ -130,10 +110,6 @@ func (c *Collector) Merge(o *Collector) {
 	}
 	for w, v := range o.weeklyExecuted {
 		c.weeklyExecuted[w] += v
-	}
-	if o.sawTime {
-		c.observe(o.firstTime)
-		c.observe(o.lastTime)
 	}
 }
 

@@ -177,9 +177,18 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 			tasks = append(tasks, task{cell: ci, spec: pi})
 		}
 	}
+	// A task hands back only what its CellSummary keeps: a *core.Run
+	// holds its records, and through them the cell's jobs, so keeping runs
+	// until the campaign ends would pin every workload it loaded.
+	type kept struct {
+		key        string
+		summary    *metrics.Summary
+		slo        *slo.Summary
+		systemSize int
+	}
 	runs, err := Map(c.Parallel, tasks,
 		func(t task) string { return cellLabel(srcs, scens, seeds, grid[t.cell]) },
-		func(_ int, t task) (*core.Run, error) {
+		func(_ int, t task) (kept, error) {
 			g, st := grid[t.cell], states[t.cell]
 			st.once.Do(func() {
 				st.jobs, st.study, st.err = c.loadCell(srcs[g[0]], scens[g[1]], seeds[g[2]])
@@ -188,11 +197,14 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 			st.mu.Lock()
 			jobs, loadErr := st.jobs, st.err
 			st.mu.Unlock()
-			var r *core.Run
+			var k kept
 			var runErr error
 			switch {
 			case loadErr == nil:
-				r, runErr = core.Execute(st.study, specs[t.spec], jobs)
+				var r *core.Run
+				if r, runErr = core.Execute(st.study, specs[t.spec], jobs); runErr == nil {
+					k = kept{r.Spec.Key, r.Summary, r.SLO, r.Result.SystemSize}
+				}
 			case t.spec == 0:
 				runErr = loadErr // the cell's other tasks leave their slots empty
 			}
@@ -202,7 +214,7 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 				st.jobs = nil // cell finished: release the workload share
 			}
 			st.mu.Unlock()
-			return r, runErr
+			return k, runErr
 		})
 	out := make([]*CellSummary, len(grid))
 	for ci, g := range grid {
@@ -217,21 +229,21 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 		}
 		complete := true
 		for i, r := range cellRuns {
-			if r == nil {
+			if r.summary == nil {
 				complete = false
 				break
 			}
-			sum.Policies[i] = r.Spec.Key
-			sum.Summaries[i] = r.Summary
-			if r.SLO != nil {
+			sum.Policies[i] = r.key
+			sum.Summaries[i] = r.summary
+			if r.slo != nil {
 				if sum.SLOs == nil {
 					sum.SLOs = make([]*slo.Summary, len(cellRuns))
 				}
-				sum.SLOs[i] = r.SLO
+				sum.SLOs[i] = r.slo
 			}
 		}
 		if complete { // any failed policy fails its whole cell
-			sum.SystemSize = cellRuns[0].Result.SystemSize
+			sum.SystemSize = cellRuns[0].systemSize
 			out[ci] = sum
 		}
 	}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"weak"
 
 	"fairsched/internal/core"
 	"fairsched/internal/experiments"
+	"fairsched/internal/job"
 	"fairsched/internal/scenario"
 	"fairsched/internal/sweep"
 	"fairsched/internal/topology"
@@ -106,6 +109,46 @@ func TestCampaignRunFailureIsolation(t *testing.T) {
 		if !broken && cell == nil {
 			t.Errorf("cell %d should have survived", i)
 		}
+	}
+}
+
+// TestCampaignRunReleasesFinishedCells pins Run's memory bound: it keeps
+// only each cell's summaries, so the jobs a finished cell loaded are
+// garbage once later cells run. At -parallel 1 the cells run in matrix
+// order, so when cell k loads, cell k-2 finished a whole cell earlier and
+// its jobs must be collectable.
+func TestCampaignRunReleasesFinishedCells(t *testing.T) {
+	synth := scenario.Synthetic(workload.Config{Scale: 0.01, SystemSize: 100})
+	var loaded []weak.Pointer[job.Job]
+	var pinned []int
+	src := scenario.Source{Name: synth.Name, Load: func(seed int64) (*scenario.Workload, error) {
+		if k := len(loaded); k >= 2 {
+			runtime.GC()
+			if loaded[k-2].Value() != nil {
+				pinned = append(pinned, k-2)
+			}
+		}
+		wl, err := synth.Load(seed)
+		if err == nil {
+			loaded = append(loaded, weak.Make(wl.Jobs[0]))
+		}
+		return wl, err
+	}}
+	cells, err := sweep.Campaign{
+		Sources:  []scenario.Source{src},
+		Seeds:    []int64{1, 2, 3, 4, 5},
+		Specs:    mustSpecs("fcfs", "easy"),
+		Study:    core.StudyConfig{SystemSize: 100},
+		Parallel: 1,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 5 || len(loaded) != 5 {
+		t.Fatalf("got %d cells from %d loads, want 5 and 5", len(cells), len(loaded))
+	}
+	if len(pinned) > 0 {
+		t.Fatalf("cells %v still held their jobs two cells later", pinned)
 	}
 }
 

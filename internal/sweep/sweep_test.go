@@ -172,8 +172,8 @@ func TestSweepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	experiments.WriteReport(&a, serial, 0)
-	experiments.WriteReport(&b, parallel, 0)
+	experiments.WriteReport(&a, serial)
+	experiments.WriteReport(&b, parallel)
 	if a.Len() == 0 {
 		t.Fatal("empty report")
 	}
