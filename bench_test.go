@@ -513,20 +513,44 @@ func BenchmarkAvailabilityListSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueue runs 1000 events through the list. pushed pushes
+// them all, then pops; preloaded is the simulator's shape: 1000 arrivals
+// preloaded in time order, each popped arrival pushing its completion.
 func BenchmarkEventQueue(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var q eventq.Queue[*job.Job]
-		q.Grow(1000)
-		for k := 0; k < 1000; k++ {
-			q.Push(eventq.Event[*job.Job]{Time: int64(k * 7919 % 1000)})
-		}
-		for {
-			if _, ok := q.Pop(); !ok {
-				break
+	b.Run("pushed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var q eventq.Queue[*job.Job]
+			for k := 0; k < 1000; k++ {
+				q.Push(eventq.Event[*job.Job]{Time: int64(k * 7919 % 1000)})
+			}
+			for {
+				if _, ok := q.Pop(); !ok {
+					break
+				}
 			}
 		}
-	}
+	})
+	b.Run("preloaded", func(b *testing.B) {
+		b.ReportAllocs()
+		arrivals := make([]eventq.Event[*job.Job], 1000)
+		for k := range arrivals {
+			arrivals[k] = eventq.Event[*job.Job]{Time: int64(k), Prio: 2}
+		}
+		for i := 0; i < b.N; i++ {
+			var q eventq.Queue[*job.Job]
+			q.Preload(len(arrivals), func(i int) eventq.Event[*job.Job] { return arrivals[i] })
+			for {
+				e, ok := q.Pop()
+				if !ok {
+					break
+				}
+				if e.Prio == 2 {
+					q.Push(eventq.Event[*job.Job]{Time: e.Time + int64(e.Seq*7919%97)})
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkFairshareAccrue(b *testing.B) {

@@ -1,7 +1,9 @@
 package eventq
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -105,30 +107,114 @@ func TestPushAssignsMonotonicSeq(t *testing.T) {
 	}
 }
 
-func TestGrowPreallocates(t *testing.T) {
+// preload hands q the batch as its stream.
+func preload[P any](q *Queue[P], batch []Event[P]) {
+	q.Preload(len(batch), func(i int) Event[P] { return batch[i] })
+}
+
+func TestPreloadMergesWithPushes(t *testing.T) {
 	var q Queue[int]
-	q.Grow(100)
-	if got := cap(q.h); got < 100 {
-		t.Fatalf("cap %d after Grow(100)", got)
+	preload(&q, []Event[int]{{Time: 10, Prio: 2, Payload: 1}, {Time: 20, Prio: 2, Payload: 2}, {Time: 20, Prio: 2, Payload: 3}})
+	q.Push(Event[int]{Time: 20, Prio: 0, Payload: 4}) // earlier prio: before the stream's 20s
+	q.Push(Event[int]{Time: 20, Prio: 2, Payload: 5}) // same (time, prio): after them, by seq
+	q.Push(Event[int]{Time: 5, Prio: 4, Payload: 6})
+	if q.Len() != 6 {
+		t.Fatalf("Len %d, want 6", q.Len())
 	}
-	base := &q.h[:1][0]
-	for i := 0; i < 100; i++ {
-		q.Push(Event[int]{Time: int64(100 - i), Payload: i})
-	}
-	if &q.h[0] != base {
-		t.Fatal("backing array reallocated despite Grow")
-	}
-	prev := int64(-1)
+	var got []int
 	for {
 		e, ok := q.Pop()
 		if !ok {
 			break
 		}
-		if e.Time < prev {
-			t.Fatalf("pop order broken after Grow: %d before %d", prev, e.Time)
-		}
-		prev = e.Time
+		got = append(got, e.Payload)
 	}
+	if want := []int{6, 1, 4, 2, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+}
+
+func TestPreloadRejectsUnsortedBatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unsorted batch accepted")
+		}
+	}()
+	var q Queue[int]
+	preload(&q, []Event[int]{{Time: 1, Prio: 2}, {Time: 1, Prio: 1}})
+	q.Pop()
+}
+
+// FuzzEventQueue pins the merged queue to a single heap: a preloaded sorted
+// batch followed by random Push/Pop/Peek calls must pop exactly what a
+// queue that pushed everything pops, with the same sequence numbers.
+// Times and prios come from small ranges so ties are the common case.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{4, 3, 3, 9, 0, 1, 2, 0, 5, 2, 2, 3})
+	f.Add([]byte{0, 0, 7, 1, 1, 2})
+	f.Add([]byte{8, 1, 1, 1, 1, 9, 9, 9, 9, 0, 9, 2, 0, 1, 3, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		event := func(b byte, id int) Event[int] {
+			return Event[int]{Time: int64(b % 8), Prio: int(b/8) % 3, Payload: id}
+		}
+		n := min(int(data[0]), len(data)-1)
+		batch := make([]Event[int], n)
+		for i := range batch {
+			batch[i] = event(data[1+i], i)
+		}
+		slices.SortStableFunc(batch, func(a, b Event[int]) int {
+			if c := cmp.Compare(a.Time, b.Time); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Prio, b.Prio)
+		})
+		var got, ref Queue[int]
+		for _, e := range batch {
+			ref.Push(e)
+		}
+		preload(&got, batch)
+		ops := data[1+n:]
+		for i := 0; i < len(ops); i++ {
+			switch ops[i] % 3 {
+			case 0:
+				if i+1 < len(ops) {
+					i++
+					e := event(ops[i], n+i)
+					if gs, rs := got.Push(e), ref.Push(e); gs != rs {
+						t.Fatalf("Push seq %d, reference %d", gs, rs)
+					}
+				}
+			case 1:
+				ge, gok := got.Pop()
+				re, rok := ref.Pop()
+				if gok != rok || ge != re {
+					t.Fatalf("Pop %+v %v, reference %+v %v", ge, gok, re, rok)
+				}
+			case 2:
+				ge, gok := got.Peek()
+				re, rok := ref.Peek()
+				if gok != rok || ge != re {
+					t.Fatalf("Peek %+v %v, reference %+v %v", ge, gok, re, rok)
+				}
+			}
+			if got.Len() != ref.Len() {
+				t.Fatalf("Len %d, reference %d", got.Len(), ref.Len())
+			}
+		}
+		for ref.Len() > 0 {
+			ge, _ := got.Pop()
+			re, _ := ref.Pop()
+			if ge != re {
+				t.Fatalf("drain: Pop %+v, reference %+v", ge, re)
+			}
+		}
+		if _, ok := got.Pop(); ok {
+			t.Fatal("merged queue outlived the reference")
+		}
+	})
 }
 
 func TestPayloadRoundTrips(t *testing.T) {

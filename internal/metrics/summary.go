@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 
 	"fairsched/internal/fairness"
 	"fairsched/internal/job"
@@ -204,15 +204,16 @@ func offeredLoad(submitted, executed []float64) []float64 {
 	return out
 }
 
+// median returns the median of xs, sorting xs in place (Summarize's
+// per-record slices are its own scratch).
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
+	slices.Sort(xs)
+	n := len(xs)
 	if n%2 == 1 {
-		return s[n/2]
+		return xs[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

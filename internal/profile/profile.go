@@ -260,18 +260,19 @@ func (p *Profile) EarliestFitBefore(after, limit, dur int64, nodes int) (s int64
 	return p.fit(after, limit, math.MaxInt64, dur, nodes)
 }
 
-// EarliestMove returns the earliest start s in [after, res) at which a
-// rectangle of `nodes` nodes for `dur` seconds fits once the same rectangle,
-// currently occupied on [res, res+dur), is released; ok is false when no
-// such start exists. It reads the profile without mutating it: a window
-// starting before res ends before res+dur, so inside [res, s+dur) the
+// EarliestMove returns the earliest start s in [after, min(limit, res)) at
+// which a rectangle of `nodes` nodes for `dur` seconds fits once the same
+// rectangle, currently occupied on [res, res+dur), is released; ok is false
+// when no such start exists. It reads the profile without mutating it: a
+// window starting before res ends before res+dur, so inside [res, s+dur) the
 // released nodes always cover the request, and only segments starting
 // before res need checking. It answers exactly what Release, then
-// EarliestFit(after, dur, nodes), tells about an earlier start, so the
-// static conservative engine's improvement pass only mutates the profile
-// for a job that actually moves.
-func (p *Profile) EarliestMove(after, res, dur int64, nodes int) (s int64, ok bool) {
-	return p.fit(after, res, res, dur, nodes)
+// EarliestFit(after, dur, nodes), tells about an earlier start below limit,
+// so the static conservative engine's improvement pass only mutates the
+// profile for a job that actually moves, and probes no further than the
+// capacity that grew since its last fixpoint.
+func (p *Profile) EarliestMove(after, limit, res, dur int64, nodes int) (s int64, ok bool) {
+	return p.fit(after, min(limit, res), res, dur, nodes)
 }
 
 // fit is the hole search behind EarliestFit, EarliestFitBefore and

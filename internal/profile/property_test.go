@@ -155,7 +155,8 @@ func TestQuickEarliestFitBeforeAgrees(t *testing.T) {
 
 // TestQuickEarliestMoveMatchesReleaseRefit pins the read-only probe to the
 // round trip it replaces: Release the rectangle, EarliestFit from `after`,
-// keep the old start when the fit is not earlier, Occupy. The probe (and a
+// keep the old start when the fit is not earlier or not below the probe's
+// limit, Occupy. The probe (and a
 // Release/Occupy pair only when it finds an earlier start) must give the
 // same start and leave the same profile.
 func TestQuickEarliestMoveMatchesReleaseRefit(t *testing.T) {
@@ -177,19 +178,23 @@ func TestQuickEarliestMoveMatchesReleaseRefit(t *testing.T) {
 				continue // not a standing reservation
 			}
 			after := p.Origin() + rng.Int63n(res-p.Origin()+20) // sometimes past res
+			limit := Horizon
+			if rng.Intn(4) > 0 {
+				limit = p.Origin() + rng.Int63n(400) // sometimes past res, sometimes before after
+			}
 			want := p.Clone()
 			if want.Release(res, res+dur, nodes) != nil {
 				return false
 			}
 			ws, ok := want.EarliestFit(after, dur, nodes)
-			if !ok || ws > res {
+			if !ok || ws > res || ws >= limit {
 				ws = res
 			}
 			if want.Occupy(ws, ws+dur, nodes) != nil {
 				return false
 			}
 			gs := res
-			if s, ok := p.EarliestMove(after, res, dur, nodes); ok {
+			if s, ok := p.EarliestMove(after, limit, res, dur, nodes); ok {
 				if p.Release(res, res+dur, nodes) != nil || p.Occupy(s, s+dur, nodes) != nil {
 					return false
 				}

@@ -291,7 +291,7 @@ func TestConservativeImproveAllocatesNothing(t *testing.T) {
 	standingQueue(env, pol, 32)
 	allocs := testing.AllocsPerRun(100, func() {
 		slices.Reverse(eng.queue)
-		eng.improve(env)
+		eng.improve(env, profile.Horizon)
 		if eng.holes {
 			t.Fatal("improvement did not reach its fixpoint")
 		}

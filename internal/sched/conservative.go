@@ -58,10 +58,11 @@ type conservativeEngine struct {
 	// the next event resumes it exactly where the from-scratch schedule
 	// would.
 	holes bool
-	// holeEnd (dynamic only) is the upper edge of the released capacity:
-	// the max promised release time over the holes opened since the last
-	// placement. Every hole lies within [now, holeEnd), which bounds the
-	// partial rebuild's probe window.
+	// holeEnd is the upper edge of the released capacity: the max promised
+	// release time over the holes opened since the last placement (dynamic)
+	// or improvement fixpoint (static), Horizon after an exhausted pass
+	// budget. Every hole lies within [now, holeEnd), which bounds the
+	// partial rebuild's probe window and the improvement passes' probes.
 	holeEnd int64
 	// snaps tracks the running set the profile was built against, sorted by
 	// promised release time (ec). snaps[0].ec <= now detects estimate-
@@ -336,7 +337,7 @@ func (e *conservativeEngine) rebuild(env sim.Env, refreshSnaps bool) {
 	e.holes = false
 	e.holeEnd = 0
 	if !e.dynamic {
-		e.improve(env)
+		e.improve(env, profile.Horizon)
 	} else {
 		e.lastOrder = e.lastOrder[:0]
 		for _, q := range e.queue {
@@ -388,9 +389,10 @@ func (e *conservativeEngine) revalidate(env sim.Env) {
 		// Early completions grew capacity: reservations are all still
 		// feasible in place, but the priority pass may now compress them
 		// into the holes.
+		grown := e.holeEnd
 		e.holes = false
 		e.holeEnd = 0
-		e.improve(env)
+		e.improve(env, grown)
 	}
 }
 
@@ -594,10 +596,18 @@ func (e *conservativeEngine) place(env sim.Env, q *reservedJob, after int64) {
 // reduces total reserved start time). An exhausted pass budget is recorded
 // in holes so the next event resumes the loop.
 //
+// Probes stop at grown, the end of the capacity that grew since the last
+// fixpoint. Between fixpoints capacity grows only inside [now, holeEnd),
+// from early-completion releases, and inside each moved job's old
+// rectangle; arrivals and starts only take capacity away. A job that had
+// no earlier fit at its last probe can therefore only gain a start whose
+// window reaches the grown span, that is, one below grown. Callers pass
+// holeEnd after holes, Horizon after a from-scratch placement.
+//
 // The queue is sorted in place: nothing else in the static engine depends
 // on its order (every other sort is total), and the next pass then starts
 // from the last pass's priority order.
-func (e *conservativeEngine) improve(env sim.Env) {
+func (e *conservativeEngine) improve(env sim.Env, grown int64) {
 	now := env.Now()
 	e.prio.sort(env, e.queue, nil)
 	for pass := 0; pass < improvementPasses; pass++ {
@@ -607,7 +617,7 @@ func (e *conservativeEngine) improve(env sim.Env) {
 			// and searching again would; a job that keeps its reservation
 			// leaves the profile untouched.
 			est := q.job.Estimate
-			s, ok := e.prof.EarliestMove(now, q.res, est, q.job.Nodes)
+			s, ok := e.prof.EarliestMove(now, grown, q.res, est, q.job.Nodes)
 			if !ok {
 				continue
 			}
@@ -618,6 +628,7 @@ func (e *conservativeEngine) improve(env sim.Env) {
 				panic(fmt.Sprintf("sched: re-reserve: %v", err))
 			}
 			changed = true
+			grown = max(grown, q.res+est)
 			q.res = s
 		}
 		if !changed {
@@ -625,6 +636,8 @@ func (e *conservativeEngine) improve(env sim.Env) {
 		}
 	}
 	// Pass budget exhausted before the fixpoint: the from-scratch schedule
-	// would restart the loop at the next event, so the cache must too.
+	// would restart the loop at the next event, so the cache must too, with
+	// unbounded probes: the loop stopped short of a fixpoint.
 	e.holes = true
+	e.holeEnd = profile.Horizon
 }

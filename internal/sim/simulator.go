@@ -62,7 +62,7 @@ type Simulator struct {
 	q       eventq.Queue[evPayload]
 	now     int64
 	used    int
-	running []RunningJob // start order (then id)
+	running []RunningJob // start order
 	fs      *fairshare.Tracker
 	// records indexes every record by job id — a dense slice for the
 	// common dense id space, a map for sparse ones (see recordIndex).
@@ -260,14 +260,24 @@ func (s *Simulator) Start(j *job.Job) error {
 }
 
 // pushJob enqueues a job-carrying event of the given kind.
-func (s *Simulator) pushJob(t int64, kind int, j *job.Job) {
-	s.q.Push(eventq.Event[evPayload]{Time: t, Prio: eventPrio(kind), Kind: kind, Payload: evPayload{job: j}})
+func (s *Simulator) pushJob(t int64, kind int, j *job.Job) { s.q.Push(jobEvent(t, kind, j)) }
+
+// jobEvent is the job-carrying event of the given kind at time t.
+func jobEvent(t int64, kind int, j *job.Job) eventq.Event[evPayload] {
+	return eventq.Event[evPayload]{Time: t, Prio: eventPrio(kind), Kind: kind, Payload: evPayload{job: j}}
 }
 
-// runningIndex locates a job in the running set, -1 if not running.
+// runningIndex locates a job in the running set, -1 if not running. The
+// running set is in start order, so the job's record names the instant to
+// binary-search for; only the jobs started at that instant are scanned.
 func (s *Simulator) runningIndex(id job.ID) int {
-	for i, r := range s.running {
-		if r.Job.ID == id {
+	rec := s.records.get(id)
+	if rec == nil || !rec.Started || rec.Finished {
+		return -1
+	}
+	i, _ := slices.BinarySearchFunc(s.running, rec.Start, func(r RunningJob, t int64) int { return cmp.Compare(r.Start, t) })
+	for ; i < len(s.running) && s.running[i].Start == rec.Start; i++ {
+		if s.running[i].Job.ID == id {
 			return i
 		}
 	}
@@ -436,25 +446,13 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 		return nil, err
 	}
 	s.now = 0
-	// Size the hot structures once: every job contributes at least an
-	// arrival and a completion, and the records map holds one entry per
-	// submission (plus split segments, which stay rare).
-	s.q.Grow(2 * len(workload))
 	s.records = newRecordIndex(len(workload), maxID)
 	s.order = make([]*Record, 0, len(workload))
-	for _, j := range workload {
-		for _, sub := range s.submissionsFor(j) {
-			if s.cfg.Preemptable && sub == j {
-				// Preemption mutates the preempted job's chain metadata;
-				// run on private clones so workload slices shared across
-				// concurrent runs (campaign cells and their policy tasks)
-				// are never written to.
-				sub = j.Clone()
-			}
-			s.pushJob(sub.Submit, evArrival, sub)
-			s.pendingReal++
-		}
-	}
+	arrivals := s.arrivals(workload)
+	s.pendingReal += len(arrivals)
+	s.q.Preload(len(arrivals), func(i int) eventq.Event[evPayload] {
+		return jobEvent(arrivals[i].Submit, evArrival, arrivals[i])
+	})
 	s.policy.Reset(s)
 	s.rescheduleWake()
 
@@ -462,6 +460,9 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 		e, ok := s.q.Pop()
 		if !ok {
 			break
+		}
+		if e.Kind == evWake && e.Payload.wake != s.wakeVer {
+			continue // stale wake, superseded or withdrawn: not an event
 		}
 		if e.Time < s.now {
 			return nil, fmt.Errorf("sim: event time %d before now %d", e.Time, s.now)
@@ -479,9 +480,6 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 		case evCompletion:
 			s.handleCompletionBatch(e.Payload.job)
 		case evWake:
-			if e.Payload.wake != s.wakeVer {
-				continue // stale wake; a newer one is scheduled
-			}
 			s.pendingWakeOK = false // consumed
 			s.dispatch(func() { s.policy.Wake(s) })
 		case evWCLCheck:
@@ -496,6 +494,38 @@ func (s *Simulator) Run(workload []*job.Job) (*Result, error) {
 		}
 	}
 	return s.finish()
+}
+
+// arrivals returns every submission of the workload in (submit, workload
+// order) order, the stream the event list preloads: the order a push per
+// submission in workload order would pop, since same-time arrivals pop in
+// push order and arrival prio belongs to arrivals alone. A sorted workload
+// that needs no splitting or cloning is the stream itself; staggered split
+// segments and unsorted SWF input are sorted stably, on a copy.
+func (s *Simulator) arrivals(workload []*job.Job) []*job.Job {
+	subs, owned := workload, false
+	if s.cfg.Preemptable || s.cfg.MaxRuntime > 0 {
+		subs, owned = make([]*job.Job, 0, len(workload)), true
+		for _, j := range workload {
+			if s.cfg.Preemptable {
+				// Preemption mutates the preempted job's chain metadata;
+				// run on private clones so workload slices shared across
+				// concurrent runs (campaign cells and their policy tasks)
+				// are never written to.
+				subs = append(subs, j.Clone())
+				continue
+			}
+			subs = s.appendSubmissions(subs, j)
+		}
+	}
+	bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
+	if !slices.IsSortedFunc(subs, bySubmit) {
+		if !owned {
+			subs = slices.Clone(subs)
+		}
+		slices.SortStableFunc(subs, bySubmit)
+	}
+	return subs
 }
 
 // advanceTo reports the elapsed interval to observers, settles fairshare
@@ -679,6 +709,12 @@ func (s *Simulator) rescheduleWake() {
 		}
 	}
 	if !have {
+		if s.pendingWakeOK {
+			// Nothing left to wake for: withdraw the pending wake, or it
+			// would move the clock past the last real event.
+			s.wakeVer++
+			s.pendingWakeOK = false
+		}
 		return
 	}
 	if s.pendingWakeOK && s.pendingWake == t {

@@ -51,35 +51,32 @@ func (m SplitMode) String() string {
 	}
 }
 
-// submissionsFor converts an original workload job into the jobs actually
-// submitted at its arrival time: the job itself (estimate capped if needed),
-// every segment (upfront mode), or the first segment (chained mode).
-func (s *Simulator) submissionsFor(j *job.Job) []*job.Job {
+// appendSubmissions appends to dst the jobs actually submitted for an
+// original workload job under a maximum runtime: the job itself (estimate
+// capped if needed), every segment (upfront and staggered modes), or the
+// first segment (chained mode).
+func (s *Simulator) appendSubmissions(dst []*job.Job, j *job.Job) []*job.Job {
 	max := s.cfg.MaxRuntime
-	if max <= 0 {
-		return []*job.Job{j}
+	if j.Runtime <= max && j.Estimate <= max {
+		return append(dst, j)
 	}
 	if j.Runtime <= max {
-		if j.Estimate <= max {
-			return []*job.Job{j}
-		}
 		c := j.Clone()
 		c.Estimate = max
-		return []*job.Job{c}
+		return append(dst, c)
 	}
 	segments := int((j.Runtime + max - 1) / max)
 	if s.cfg.Split == SplitChained {
-		return []*job.Job{s.makeSegment(j, 1, segments)}
+		return append(dst, s.makeSegment(j, 1, segments))
 	}
-	out := make([]*job.Job, segments)
 	for i := 1; i <= segments; i++ {
 		seg := s.makeSegment(j, i, segments)
 		if s.cfg.Split == SplitStaggered {
 			seg.Submit = j.Submit + int64(i-1)*max
 		}
-		out[i-1] = seg
+		dst = append(dst, seg)
 	}
-	return out
+	return dst
 }
 
 // nextSegment returns the follow-on segment to submit when seg completes in
